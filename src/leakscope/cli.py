@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .coverage import emit_sva_file, match_coverage, path_condition, sva_lint
+from .coverage import (
+    CoverageReport,
+    ModuleCoverage,
+    emit_sva_file,
+    match_coverage,
+    path_condition,
+    sva_lint,
+)
 from .design import ast_to_json, levelize, parse_design
 from .diagnose import diagnose
 from .errors import LeakscopeError
@@ -26,7 +32,7 @@ from .simulator import InitPolicy, simulate
 from .stimulus import load_stimulus
 from .vcd import load_vcd_file, write_vcd
 
-JOBS_ENV = "LEAKSCOPE_JOBS"
+_CONFIG_KEYS = ("mutantsPerSeed", "maxRounds", "timeBudget")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,13 +69,16 @@ def _load_design(args):
 
 def _parse_duration(text: str) -> float:
     text = text.strip().lower()
-    if text.endswith("ms"):
-        return float(text[:-2]) / 1000.0
-    if text.endswith("s"):
-        return float(text[:-1])
-    if text.endswith("m"):
-        return float(text[:-1]) * 60.0
-    return float(text)
+    try:
+        if text.endswith("ms"):
+            return float(text[:-2]) / 1000.0
+        if text.endswith("s"):
+            return float(text[:-1])
+        if text.endswith("m"):
+            return float(text[:-1]) * 60.0
+        return float(text)
+    except ValueError:
+        raise LeakscopeError(f"invalid duration {text!r}; expected e.g. 60s, 500ms or 2m")
 
 
 def _init_policy(args) -> InitPolicy:
@@ -145,7 +154,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mutants", type=int, default=None)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--seed-dir", help="directory of stimulus JSON seed files")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--config", help="campaign config JSON file")
     p.add_argument("--out", help="output directory for campaign artifacts")
     p.add_argument("--fail-on-finding", action="store_true")
@@ -321,13 +329,9 @@ def _cmd_coverage(args) -> int:
         print(f"SVA properties written to {args.emit_sva}")
 
     if args.stim:
-        from .coverage import CoverageReport
-
         report = CoverageReport()
         for name in megs:
-            from .fuzz import match_coverage_empty
-
-            report.add(match_coverage_empty(name, len(conditions[name]), truncated[name]))
+            report.add(ModuleCoverage(name, len(conditions[name]), set(), truncated[name]))
         for stim_path in args.stim:
             bundle = simulate(h, load_stimulus(stim_path))
             for name, g in megs.items():
@@ -359,6 +363,25 @@ def _cmd_coverage(args) -> int:
     return 0
 
 
+def _load_config(path: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise LeakscopeError(f"{path}: invalid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise LeakscopeError(f"{path}: campaign config must be a JSON object")
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        raise LeakscopeError(
+            f"{path}: unknown config key(s) {', '.join(unknown)}; "
+            f"expected {', '.join(_CONFIG_KEYS)}"
+        )
+    for key in ("mutantsPerSeed", "maxRounds"):
+        if key in doc and (type(doc[key]) is not int or doc[key] < 1):
+            raise LeakscopeError(f"{path}: {key} must be a positive integer")
+    return doc
+
+
 def _cmd_fuzz(args) -> int:
     h, profile, refs = _load_design(args)
     if args.profile:
@@ -366,9 +389,7 @@ def _cmd_fuzz(args) -> int:
     if profile is None:
         raise LeakscopeError("fuzzing needs --profile (or --dut with a bundled profile)")
 
-    config_doc = {}
-    if args.config:
-        config_doc = json.loads(Path(args.config).read_text())
+    config_doc = _load_config(args.config) if args.config else {}
 
     def setting(flag_value, key, default):
         if flag_value is not None:
@@ -377,20 +398,12 @@ def _cmd_fuzz(args) -> int:
             return config_doc[key]
         return default
 
-    # Precedence: flags > environment > config file > built-in defaults.
-    jobs_env = os.environ.get(JOBS_ENV)
-    if args.jobs is not None:
-        jobs = args.jobs
-    elif jobs_env:
-        jobs = int(jobs_env)
-    else:
-        jobs = config_doc.get("jobs", 1)
+    # Precedence: flags > config file > built-in defaults.
     cfg = FuzzConfig(
         mutants_per_seed=setting(args.mutants, "mutantsPerSeed", 200),
         rng_seed=args.seed,
         time_budget=_parse_duration(str(setting(args.budget, "timeBudget", "60s"))),
         max_rounds=setting(args.rounds, "maxRounds", 32),
-        jobs=jobs,
     )
 
     seed_corpus = []

@@ -6,8 +6,12 @@ lands on a clocked element (the event completes on the next edge), and an
 Eventually step when it leaves an input or a sub-instance (the event lands
 whenever the outside world delivers it). The same condition drives two
 evaluators: emission as an SVA-style cover property for external tools, and
-the internal matcher that aligns steps against recorded traces with
-earliest-match-plus-backtracking semantics for Eventually.
+the internal matcher. The matcher turns each Branch expression into a
+bitmask over a trace's cycles and walks the steps backward over the set of
+cycles from which the rest of the path aligns: a Branch intersects it with
+the expression's mask, a OneCycle shifts it one cycle earlier, and an
+Eventually widens it to every cycle up to its latest member. A path is
+covered iff the set is non-empty after the first step.
 """
 
 from __future__ import annotations
@@ -176,6 +180,7 @@ def sva_lint(text: str) -> list[str]:
     Returns a list of problems; empty means the text lints clean.
     """
     problems: list[str] = []
+    parsed: set[str] = set()  # booleans known to parse; failures re-report
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("//"):
@@ -198,12 +203,13 @@ def sva_lint(text: str) -> list[str]:
             if not expect_bool and not is_delay:
                 problems.append(f"line {lineno}: adjacent booleans without a delay")
                 break
-            if not is_delay:
+            if not is_delay and token not in parsed:
                 try:
                     parse_expression(token)
                 except Exception as exc:
                     problems.append(f"line {lineno}: unparseable boolean {token!r}: {exc}")
                     break
+                parsed.add(token)
             expect_bool = is_delay
         else:
             if expect_bool and tokens:
@@ -274,8 +280,15 @@ def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
     return fn
 
 
-class _TraceEval:
-    """Bind one instance trace to the compiled-expression cache."""
+def _bits(flags) -> int:
+    """Pack an iterable of truth values into an int, bit t for item t."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+
+
+class TraceMasks:
+    """One instance trace as per-cycle bitmasks: bit t of a mask is set iff
+    its predicate holds at cycle t. Masks are built once per expression
+    and cached, so every coverage consumer pays one pass per trace."""
 
     def __init__(self, bundle: TraceBundle, instance_path: str):
         trace = bundle.trace(instance_path)
@@ -284,61 +297,47 @@ class _TraceEval:
         self.layout = tuple(zip(names, widths))
         self.sv = [trace.signal_values[name] for name in names]
         self.cycles = trace.cycles
-        self._ever: dict[str, bool] = {}
+        self.all = (1 << self.cycles) - 1
+        self._masks: dict[str, int] = {}
+        self._toggles: dict[int, int] = {}
 
-    def evaluate(self, expr_text: str, cycle: int) -> int:
-        fn = compile_trace_expr(expr_text, self.layout)
-        try:
-            return fn(self.sv, cycle)  # type: ignore[operator]
-        except IndexError:
-            raise ExpressionEvalError(expr_text, cycle, "cycle out of range")
-
-    def ever_true(self, expr_text: str) -> bool:
-        """Whether the boolean holds at any cycle; cached per trace.
-
-        A Branch step whose expression is never true cannot be aligned, so
-        this is a sound (and cheap) pre-filter for whole paths.
-        """
-        hit = self._ever.get(expr_text)
-        if hit is None:
+    def mask(self, expr_text: str) -> int:
+        m = self._masks.get(expr_text)
+        if m is None:
             fn = compile_trace_expr(expr_text, self.layout)
             sv = self.sv
-            hit = any(fn(sv, t) for t in range(self.cycles))
-            self._ever[expr_text] = hit
-        return hit
+            m = _bits(fn(sv, t) for t in range(self.cycles))
+            self._masks[expr_text] = m
+        return m
+
+    def toggles(self, i: int) -> int:
+        """Cycles t >= 1 at which signal i differs from cycle t - 1."""
+        m = self._toggles.get(i)
+        if m is None:
+            series = self.sv[i]
+            m = _bits(series[t] != series[t - 1] for t in range(1, self.cycles)) << 1
+            self._toggles[i] = m
+        return m
 
 
-def match_steps(
-    steps: tuple[ConditionStep, ...], evaluator: _TraceEval
-) -> bool:
-    """True when some start cycle admits an alignment of all steps."""
-    cycles = evaluator.cycles
-    if not steps:
-        return cycles > 0
-    memo: dict[tuple[int, int], bool] = {}
+def match_steps(steps: tuple[ConditionStep, ...], masks: TraceMasks) -> bool:
+    """True when some start cycle admits an alignment of all steps.
 
-    def match(idx: int, t: int) -> bool:
-        # Every step, including a trailing OneCycle's landing cycle, must be
-        # witnessed by a recorded cycle.
-        if t >= cycles:
-            return False
-        if idx == len(steps):
-            return True
-        key = (idx, t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        step = steps[idx]
+    Walks the steps backward keeping `r`, the set of cycles from which the
+    remaining suffix aligns. Every step, including a trailing OneCycle's
+    landing cycle, must be witnessed by a recorded cycle.
+    """
+    r = masks.all
+    for step in reversed(steps):
         if step.kind is StepKind.BRANCH:
-            ok = bool(evaluator.evaluate(step.expr, t)) and match(idx + 1, t)
+            r &= masks.mask(step.expr)
         elif step.kind is StepKind.ONE_CYCLE:
-            ok = match(idx + 1, t + 1)
-        else:  # EVENTUALLY: earliest first, backtrack forward on failure
-            ok = any(match(idx + 1, u) for u in range(t, cycles))
-        memo[key] = ok
-        return ok
-
-    return any(match(0, t0) for t0 in range(cycles))
+            r >>= 1
+        else:  # EVENTUALLY: any cycle at or before the latest suffix start
+            r = (1 << r.bit_length()) - 1
+        if not r:
+            return False
+    return r != 0
 
 
 @dataclass
@@ -401,18 +400,12 @@ def match_coverage(
             if set(bundle.signal_names(path)) == wanted
         ]
     fragment = ModuleCoverage(g.module_name, len(conditions), truncated=truncated)
-    evaluators = [_TraceEval(bundle, path) for path in targets]
+    traces = [TraceMasks(bundle, path) for path in targets]
     for pc in conditions:
-        if skip_ids and pc.path_id in skip_ids:
+        if (skip_ids and pc.path_id in skip_ids) or any(
+            match_steps(pc.steps, masks) for masks in traces
+        ):
             fragment.covered.add(pc.path_id)
-            continue
-        branch_exprs = [s.expr for s in pc.steps if s.kind is StepKind.BRANCH]
-        for ev in evaluators:
-            if not all(ev.ever_true(e) for e in branch_exprs):
-                continue
-            if match_steps(pc.steps, ev):
-                fragment.covered.add(pc.path_id)
-                break
     return fragment
 
 
@@ -423,8 +416,8 @@ def replay_sva(
 
     Returns property-name -> covered verdict.
     """
-    evaluator = _TraceEval(bundle, instance_path)
+    masks = TraceMasks(bundle, instance_path)
     return {
-        name: match_steps(steps, evaluator)
+        name: match_steps(steps, masks)
         for name, steps in parse_sva(sva_text)
     }

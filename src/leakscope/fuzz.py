@@ -21,15 +21,14 @@ from __future__ import annotations
 import logging
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .corpus import DutProfile
 from .coverage import (
     CoverageReport,
+    ModuleCoverage,
     PathCondition,
-    _TraceEval,
-    compile_trace_expr,
+    TraceMasks,
     match_coverage,
     path_condition,
 )
@@ -81,7 +80,6 @@ class FuzzConfig:
     max_paths: int = 10_000
     max_len: int = 64
     min_delta: int = 1
-    jobs: int = 1
     init: InitPolicy = InitPolicy()
 
     def __post_init__(self):
@@ -232,34 +230,19 @@ class CoverageProbes:
                 )
 
     def covered_items(self, bundle: TraceBundle, instance_path: str) -> set[str]:
-        ev = _TraceEval(bundle, instance_path)
-        sv = ev.sv
-        names = [name for name, _ in ev.layout]
-        index = {name: i for i, name in enumerate(names)}
-        cycles = ev.cycles
-        items: set[str] = set()
-
-        for item, expr in self.branches:
-            fn = compile_trace_expr(expr, ev.layout)
-            if any(fn(sv, t) for t in range(cycles)):
-                items.add(item)
-
+        masks = TraceMasks(bundle, instance_path)
+        index = {name: i for i, (name, _) in enumerate(masks.layout)}
+        items = {item for item, expr in self.branches if masks.mask(expr)}
         for item, src, dst, cond, clocked in self.edges:
             if dst not in index:
                 continue
-            series = sv[index[dst]]
-            toggles = [t for t in range(1, cycles) if series[t] != series[t - 1]]
-            if not toggles:
-                continue
-            if cond is None:
+            fired = masks.toggles(index[dst])
+            if fired and cond is not None:
+                # A clocked destination toggles one cycle after its guard held.
+                guard = masks.mask(cond)
+                fired &= guard << 1 if clocked else guard
+            if fired:
                 items.add(item)
-                continue
-            fn = compile_trace_expr(cond, ev.layout)
-            for t in toggles:
-                guard_t = t - 1 if clocked else t
-                if guard_t >= 0 and fn(sv, guard_t):
-                    items.add(item)
-                    break
         return items
 
 
@@ -302,7 +285,7 @@ class _Campaign:
         self.result = CampaignResult(design_name=h.top, config=cfg, megs=megs)
         for name in megs:
             self.result.coverage.add(
-                match_coverage_empty(name, len(self.conditions[name]), self.truncated[name])
+                ModuleCoverage(name, len(self.conditions[name]), set(), self.truncated[name])
             )
         self.pool: list[Seed] = []
         self._probe_cache: dict[tuple[str, str], set[str]] = {}
@@ -313,7 +296,6 @@ class _Campaign:
     # -- plumbing ---------------------------------------------------------
 
     def simulate(self, stim: Stimulus, run_id: str) -> TraceBundle:
-        # No shared-state mutation here: this runs on worker threads.
         return simulate(self.design, stim, init=self.cfg.init, seed_id=run_id)
 
     def code_items(self, bundle: TraceBundle) -> set[str]:
@@ -403,16 +385,10 @@ class _Campaign:
         coverage-increasing test and seeds another exploitation batch.
         """
         batch = operand_mutate(seed, self.cfg, self.widths)
-        mutant_ids = [f"{seed.id}.m{j}" for j in range(batch.count)]
-        if self.cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.cfg.jobs) as pool:
-                bundles = list(
-                    pool.map(self.simulate, batch.mutants, mutant_ids)
-                )
-        else:
-            bundles = [
-                self.simulate(stim, rid) for stim, rid in zip(batch.mutants, mutant_ids)
-            ]
+        bundles = [
+            self.simulate(stim, f"{seed.id}.m{j}")
+            for j, stim in enumerate(batch.mutants)
+        ]
 
         self.result.sims += batch.count
         self.result.mutant_sims += batch.count
@@ -500,12 +476,6 @@ class _Campaign:
                 break
         self.result.duration_s = time.monotonic() - started
         return self.result
-
-
-def match_coverage_empty(module: str, total: int, truncated: bool):
-    from .coverage import ModuleCoverage
-
-    return ModuleCoverage(module, total, set(), truncated)
 
 
 def fuzz_loop(

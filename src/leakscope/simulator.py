@@ -123,7 +123,9 @@ class _ExprCompiler:
             if op in ("&", "|", "^"):
                 return f"({a} {op} {b})", max(wa, wb)
             if op == "<<":
-                return f"(({a} << {b}) & {_mask(wa)})", wa
+                # Clamped: a shift by wa or more clears every kept bit anyway,
+                # and a huge amount would otherwise build a huge int first.
+                return f"(({a} << min({b}, {wa})) & {_mask(wa)})", wa
             if op == ">>":
                 return f"({a} >> {b})", wa
             raise AssertionError(op)

@@ -5,7 +5,9 @@ implementation: the edge oracle walks statements with explicit condition
 accumulation and real port directions; the path oracle extends node
 sequences over all candidate nodes and filters by edge existence; the
 alignment oracle tries every start cycle and every Eventually advance with
-no memoization or ordering heuristics.
+no memoization or ordering heuristics; the trace evaluator interprets
+expression ASTs with the reference simulator's evaluator, one cycle at a
+time, instead of compiling them into per-trace bitmasks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from leakscope.hdl_ast import (
     SignalKind,
     expr_signals,
 )
-from leakscope.parser import CLOCK_NAME
+from leakscope.parser import CLOCK_NAME, parse_expression
+from reference_sim import eval_expr
 
 
 def oracle_edges(h: DesignHierarchy, module_name: str) -> set[tuple[str, str, frozenset[int]]]:
@@ -127,6 +130,59 @@ def oracle_match(steps, evaluate, cycles: int) -> bool:
         return any(rec(idx + 1, u) for u in range(cycles - 1, t - 1, -1))
 
     return any(rec(0, t0) for t0 in range(cycles))
+
+
+def trace_evaluator(bundle, path: str):
+    """`evaluate(expr, t)`: the value of a boolean at cycle t of one
+    instance trace, by AST interpretation. `evaluate.cycles` is the trace
+    length."""
+    trace = bundle.trace(path)
+    widths = dict(zip(bundle.signal_names(path), bundle.signal_widths(path)))
+    envs = [
+        {name: values[t] for name, values in trace.signal_values.items()}
+        for t in range(trace.cycles)
+    ]
+    trees: dict = {}
+
+    def evaluate(expr: str, t: int) -> int:
+        if expr not in trees:
+            trees[expr] = parse_expression(expr)
+        return eval_expr(trees[expr], envs[t], widths)[0]
+
+    evaluate.cycles = trace.cycles
+    return evaluate
+
+
+def oracle_code_items(probes, bundle, path: str) -> set[str]:
+    """Code-coverage items by a per-cycle scan: a branch item when its
+    expression holds at some cycle, an edge item when the destination
+    toggles at a cycle t whose guard held at t (t - 1 for a clocked
+    destination)."""
+    evaluate = trace_evaluator(bundle, path)
+    signals = bundle.trace(path).signal_values
+    cycles = evaluate.cycles
+    items: set[str] = set()
+
+    for item, expr in probes.branches:
+        if any(evaluate(expr, t) for t in range(cycles)):
+            items.add(item)
+
+    for item, src, dst, cond, clocked in probes.edges:
+        if dst not in signals:
+            continue
+        series = signals[dst]
+        toggles = [t for t in range(1, cycles) if series[t] != series[t - 1]]
+        if not toggles:
+            continue
+        if cond is None:
+            items.add(item)
+            continue
+        for t in toggles:
+            guard_t = t - 1 if clocked else t
+            if guard_t >= 0 and evaluate(cond, guard_t):
+                items.add(item)
+                break
+    return items
 
 
 _DOT_ID = r'"(?:[^"\\]|\\.)*"|[A-Za-z_][A-Za-z0-9_]*'

@@ -12,10 +12,10 @@ import time
 from pathlib import Path
 
 import leakscope as ls
-from leakscope.coverage import _TraceEval, match_steps
+from leakscope.coverage import TraceMasks, match_steps
 from leakscope.reports import campaign_json, coverage_json, diagnoses_json, findings_json
 from leakscope.stimulus import Stimulus, StimulusStep
-from oracles import oracle_edges, oracle_match, oracle_simple_paths
+from oracles import oracle_edges, oracle_match, oracle_simple_paths, trace_evaluator
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -221,10 +221,11 @@ def test_c08_coverage_matching_oracle(serdiv):
             bundle = ls.simulate(
                 design, _stim("start=1", {"dividend": dividend, "divisor": divisor})
             )
-            ev = _TraceEval(bundle, "serdiv.div")
+            masks = TraceMasks(bundle, "serdiv.div")
+            evaluate = trace_evaluator(bundle, "serdiv.div")
             for pc in conditions:
-                got = match_steps(pc.steps, ev)
-                want = oracle_match(pc.steps, ev.evaluate, ev.cycles)
+                got = match_steps(pc.steps, masks)
+                want = oracle_match(pc.steps, evaluate, evaluate.cycles)
                 assert got == want, (pc.node_ids, dividend, divisor)
                 compared += 1
     elapsed = time.monotonic() - started

@@ -161,10 +161,9 @@ def test_report_from_campaign_dir(tmp_path, capsys):
     assert "module,total_paths" in capsys.readouterr().out
 
 
-def test_fuzz_config_file_and_env(tmp_path, monkeypatch, capsys):
+def test_fuzz_config_file_and_env(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"mutantsPerSeed": 15, "maxRounds": 3}')
-    monkeypatch.setenv("LEAKSCOPE_JOBS", "2")
     rc = main(["fuzz", "--dut", "ct_alu", "--seed", "1", "--config", str(cfg)])
     assert rc == 0
 
@@ -202,3 +201,28 @@ def test_fuzz_config_values_take_effect(tmp_path, capsys):
     doc = json.loads((outdir / "campaign.json").read_text())
     assert doc["config"]["mutantsPerSeed"] == 15
     assert doc["config"]["maxRounds"] == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"mutantsPerSeed": 15, "maxRou', "invalid JSON"),
+        ('[{"maxRounds": 1}]', "must be a JSON object"),
+        ('{"maxRound": 1}', "unknown config key(s) maxRound"),
+        ('{"maxRounds": 1, "jobs": 2}', "unknown config key(s) jobs"),
+        ('{"mutantsPerSeed": "many"}', "mutantsPerSeed must be a positive integer"),
+        ('{"timeBudget": "soon"}', "invalid duration 'soon'"),
+    ],
+    ids=["truncated", "not-object", "misspelled-key", "stale-jobs-key", "wrong-type", "bad-budget"],
+)
+def test_fuzz_bad_config_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["fuzz", "--dut", "ct_alu", "--seed", "1", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_fuzz_jobs_flag_is_gone():
+    assert main(["fuzz", "--dut", "ct_alu", "--jobs", "2"]) == 1

@@ -3,11 +3,13 @@ from __future__ import annotations
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leakscope as ls
-from leakscope.coverage import StepKind, _TraceEval, match_steps, parse_sva
+from leakscope.coverage import ConditionStep, StepKind, TraceMasks, match_steps, parse_sva
 from leakscope.stimulus import Stimulus, StimulusStep
-from oracles import oracle_match
+from oracles import oracle_match, trace_evaluator
 
 
 def _stim(tag, data, hold=2):
@@ -124,10 +126,11 @@ def test_match_against_bruteforce_oracle_serdiv(serdiv):
             bundle = ls.simulate(
                 design, _stim("start=1", {"dividend": dividend, "divisor": divisor})
             )
-            ev = _TraceEval(bundle, "serdiv.div")
+            masks = TraceMasks(bundle, "serdiv.div")
+            evaluate = trace_evaluator(bundle, "serdiv.div")
             for pc in conditions:
-                got = match_steps(pc.steps, ev)
-                want = oracle_match(pc.steps, ev.evaluate, ev.cycles)
+                got = match_steps(pc.steps, masks)
+                want = oracle_match(pc.steps, evaluate, evaluate.cycles)
                 assert got == want, (pc.node_ids, dividend, divisor)
 
 
@@ -177,9 +180,9 @@ def test_expression_eval_error():
     bundle = TraceBundle.from_signal_values(
         {"u": {"a": [1, 2]}}, {"u": {"a": 8}}, 0
     )
-    ev = _TraceEval(bundle, "u")
+    masks = TraceMasks(bundle, "u")
     with pytest.raises(ls.ExpressionEvalError):
-        ev.evaluate("missing == 1", 0)
+        masks.mask("missing == 1")
 
 
 def test_overall_percent():
@@ -199,12 +202,58 @@ def test_covered_branch_lines_agree_with_branch_activity(serdiv, serdiv_runs):
     probes = CoverageProbes("divider", g, "both")
     for bundle in serdiv_runs.values():
         covered = ls.match_coverage(bundle, conditions, g, "serdiv.div").covered
-        ev = _TraceEval(bundle, "serdiv.div")
+        evaluate = trace_evaluator(bundle, "serdiv.div")
         for pc in conditions:
             if pc.path_id not in covered:
                 continue
             for step in pc.steps:
                 if step.kind is StepKind.BRANCH:
                     assert any(
-                        ev.evaluate(step.expr, t) for t in range(ev.cycles)
+                        evaluate(step.expr, t) for t in range(evaluate.cycles)
                     ), step.expr
+
+
+_SIGNALS = ("a", "b", "c")
+_BRANCHES = _SIGNALS + ("!a", "b || c")
+_STEPS = st.one_of(
+    st.builds(ConditionStep, st.just(StepKind.BRANCH), st.sampled_from(_BRANCHES)),
+    st.just(ConditionStep(StepKind.ONE_CYCLE)),
+    st.just(ConditionStep(StepKind.EVENTUALLY)),
+)
+
+
+def _series(cycles: int):
+    """A 1-bit series: dense random bits, or high on at most three cycles,
+    which makes alignments hinge on timing."""
+    sparse = st.frozensets(st.integers(0, max(cycles - 1, 0)), max_size=3).map(
+        lambda high: [int(t in high) for t in range(cycles)]
+    )
+    return st.one_of(st.lists(st.integers(0, 1), min_size=cycles, max_size=cycles), sparse)
+
+
+@given(
+    st.integers(0, 16).flatmap(
+        lambda n: st.fixed_dictionaries({name: _series(n) for name in _SIGNALS})
+    ),
+    st.lists(_STEPS, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_match_steps_agrees_with_oracle_on_random_traces(series, steps):
+    # Beyond the verdict on the whole sequence, pin every suffix to every
+    # single start cycle (via a counter signal `t`), so the full set of
+    # aligning cycles is compared, not just whether it is empty. The
+    # oracle's search is exponential in Eventually steps: sizes stay small.
+    from leakscope.simulator import TraceBundle
+
+    cycles = len(series["a"])
+    signals = dict(series, t=list(range(cycles)))
+    widths = dict.fromkeys(_SIGNALS, 1) | {"t": 5}
+    bundle = TraceBundle.from_signal_values({"u": signals}, {"u": widths}, 0)
+    masks = TraceMasks(bundle, "u")
+    evaluate = trace_evaluator(bundle, "u")
+    steps = tuple(steps)
+    assert match_steps(steps, masks) == oracle_match(steps, evaluate, cycles)
+    for k in range(len(steps)):
+        for t0 in range(cycles):
+            pinned = (ConditionStep(StepKind.BRANCH, f"t == {t0}"),) + steps[k:]
+            assert match_steps(pinned, masks) == oracle_match(pinned, evaluate, cycles), (k, t0)

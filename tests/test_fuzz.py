@@ -8,6 +8,7 @@ import pytest
 import leakscope as ls
 from leakscope.fuzz import CoverageProbes, data_widths
 from leakscope.stimulus import Stimulus, StimulusStep
+from oracles import oracle_code_items
 
 
 def _stim(steps):
@@ -242,15 +243,6 @@ def test_campaign_differs_across_rng_seeds(serdiv):
     assert campaign_json(a) != campaign_json(b)
 
 
-def test_jobs_do_not_change_results(serdiv):
-    from leakscope.reports import campaign_json, findings_json
-
-    a = _campaign(serdiv, jobs=1)
-    b = _campaign(serdiv, jobs=4)
-    assert campaign_json(a) == campaign_json(b)
-    assert findings_json(a) == findings_json(b)
-
-
 def test_seed_corpus_is_consumed(cacheset):
     megs = ls.build_megs(cacheset.hierarchy.modules)
     cfg = ls.FuzzConfig(rng_seed=0, mutants_per_seed=10, max_rounds=2)
@@ -258,3 +250,25 @@ def test_seed_corpus_is_consumed(cacheset):
     result = ls.fuzz_loop(cacheset.hierarchy, megs, cfg, cacheset.profile, corpus)
     assert len(result.seeds) >= 1
     assert result.seeds[0].stimulus == cacheset.stimuli["hit"]
+
+
+def test_probe_items_equal_per_cycle_oracle(cacheset, cacheset_multiway, serdiv, ct_alu):
+    def check(dut, stimuli):
+        h = dut.hierarchy
+        megs = ls.build_megs(h.modules)
+        probes = {name: CoverageProbes(name, g, "both") for name, g in megs.items()}
+        design = ls.compile_design(h)
+        for stim in stimuli:
+            bundle = ls.simulate(design, stim)
+            for inst in h.instances:
+                probe = probes[inst.module_name]
+                got = probe.covered_items(bundle, inst.path)
+                assert got == oracle_code_items(probe, bundle, inst.path), inst.path
+
+    for dut in (cacheset, cacheset_multiway, serdiv, ct_alu):
+        check(dut, dut.stimuli.values())
+    check(serdiv, [
+        _stim([_step("start=1", {"dividend": dividend, "divisor": divisor}, hold=2)])
+        for dividend in (0, 1, 7, 200, 255)
+        for divisor in (0, 1, 3, 255)
+    ])

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 import leakscope as ls
 from leakscope.simulator import InitPolicy
 from leakscope.stimulus import Stimulus, StimulusStep
+from reference_sim import reference_simulate
 
 
 def _stim(tag, data, hold=2):
@@ -239,3 +241,43 @@ def test_comb_block_with_rewrites_settles():
     assert low.trace("rewrite").signal_values["y"][-1] == 5
     high = ls.simulate(h, _stim("x", {"a": 9}, hold=2))
     assert high.trace("rewrite").signal_values["y"][-1] == 0
+
+
+_SHIFT_SRC = (
+    "module shl(input clk, input rst, input [7:0] a, input [3:0] b,\n"
+    "           output [7:0] y, output [7:0] z, output [7:0] v);\n"
+    "  reg [3:0] n;\n"
+    "  assign y = a << ~(3);\n"
+    "  assign z = a << 26'd16000000;\n"
+    "  assign v = a << b;\n"
+    "  always @(posedge clk) begin\n"
+    "    if (rst == 1) begin\n"
+    "      n <= 0;\n"
+    "    end else begin\n"
+    "      n <= n + 1;\n"
+    "    end\n"
+    "  end\n"
+    "endmodule"
+)
+
+
+def test_huge_left_shift_is_clamped():
+    # A shift amount far beyond the operand width clears it without first
+    # building a shift-amount-sized integer.
+    h = ls.parse_design([("shl.hdl", _SHIFT_SRC)])
+    started = time.monotonic()
+    bundle = ls.simulate(h, _stim("drive", {"a": 0xA5, "b": 3}), max_cycles=100)
+    assert time.monotonic() - started < 1.0
+    assert bundle.cycles == 100
+    signals = bundle.trace("shl").signal_values
+    assert set(signals["y"]) == {0} and set(signals["z"]) == {0}
+
+
+def test_left_shift_agrees_with_reference():
+    h = ls.parse_design([("shl.hdl", _SHIFT_SRC.replace("  assign y = a << ~(3);\n", ""))])
+    for a, b in ((0xA5, 3), (0xFF, 7), (0x81, 8), (0x3C, 15)):
+        stim = _stim("drive", {"a": a, "b": b})
+        bundle = ls.simulate(h, stim, max_cycles=12)
+        want = reference_simulate(h, stim, cycles=bundle.cycles)
+        for name, series in bundle.trace("shl").signal_values.items():
+            assert series == want["shl"][name], (a, b, name)
