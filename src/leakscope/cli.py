@@ -390,6 +390,9 @@ def _cmd_fuzz(args) -> int:
         raise LeakscopeError("fuzzing needs --profile (or --dut with a bundled profile)")
 
     config_doc = _load_config(args.config) if args.config else {}
+    for flag, value in (("--mutants", args.mutants), ("--rounds", args.rounds)):
+        if value is not None and value < 1:
+            raise LeakscopeError(f"{flag} must be a positive integer")
 
     def setting(flag_value, key, default):
         if flag_value is not None:

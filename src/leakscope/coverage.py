@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -131,47 +132,82 @@ _SVA_RE = re.compile(
     r"^(?P<name>[A-Za-z_]\w*)\s*:\s*cover\s+property\s*\(\s*"
     r"@\(posedge\s+clk\)\s*(?P<seq>.*)\)\s*;\s*$"
 )
-_DELAY_RE = re.compile(r"##(\d+|\[0:\$\])")
+# The capture keeps the delay operators in re.split's output.
+_DELAY_SPLIT = re.compile(r"(##(?:\d+|\[0:\$\]))")
+_BARE_TERM = re.compile(r"[^\s#]+")
 
 
-def _split_sva_seq(seq: str) -> list[str]:
-    """Tokenize a property sequence into booleans and delay operators."""
+def _scan_segment(seg: str) -> list[str]:
+    """The booleans of one delay-free stretch of a sequence: parenthesized
+    groups and bare terms (literals like 1'b1), separated by whitespace."""
     tokens: list[str] = []
     i = 0
-    n = len(seq)
+    n = len(seg)
     while i < n:
-        ch = seq[i]
+        ch = seg[i]
         if ch.isspace():
             i += 1
-            continue
-        m = _DELAY_RE.match(seq, i)
-        if m:
-            tokens.append(m.group(0))
-            i = m.end()
-            continue
-        if ch == "(":
+        elif ch == "(":
             depth = 0
-            j = i
-            while j < n:
-                if seq[j] == "(":
+            for j in range(i, n):
+                if seg[j] == "(":
                     depth += 1
-                elif seq[j] == ")":
+                elif seg[j] == ")":
                     depth -= 1
                     if depth == 0:
                         break
-                j += 1
-            if depth != 0:
+            if depth:
                 raise ValueError("unbalanced parentheses in sequence")
-            tokens.append(seq[i:j + 1])
+            tokens.append(seg[i:j + 1])
             i = j + 1
-            continue
-        # Bare boolean term (literal like 1'b1).
-        j = i
-        while j < n and not seq[j].isspace() and seq[j] != "#":
-            j += 1
-        tokens.append(seq[i:j])
-        i = j
+        elif ch == "#":
+            raise ValueError("stray '#' outside a delay operator")
+        else:
+            j = _BARE_TERM.match(seg, i).end()
+            tokens.append(seg[i:j])
+            i = j
     return tokens
+
+
+def _split_sva_seq(seq: str, segments: dict[str, list[str]]) -> list[str]:
+    """Tokenize a property sequence into booleans and delay operators.
+
+    The sequence is cut at its delay operators; each distinct stretch
+    between them is scanned once and kept in `segments`.
+    """
+    tokens: list[str] = []
+    for k, part in enumerate(_DELAY_SPLIT.split(seq)):
+        if k % 2:
+            tokens.append(part)
+            continue
+        booleans = segments.get(part)
+        if booleans is None:
+            booleans = segments[part] = _scan_segment(part)
+        tokens.extend(booleans)
+    return tokens
+
+
+def _read_properties(
+    text: str,
+) -> Iterator[tuple[int, str | None, list[str] | None, str | None]]:
+    """Yield (line number, name, tokens, problem) for each property line
+    of SVA text; blank and comment lines are skipped. A line outside the
+    subset has name and tokens None and says why in `problem`."""
+    segments: dict[str, list[str]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("//"):
+            continue
+        m = _SVA_RE.match(stripped)
+        if not m:
+            yield lineno, None, None, "not a cover property in the subset"
+            continue
+        try:
+            tokens = _split_sva_seq(m.group("seq"), segments)
+        except ValueError as exc:
+            yield lineno, None, None, str(exc)
+            continue
+        yield lineno, m.group("name"), tokens, None
 
 
 def sva_lint(text: str) -> list[str]:
@@ -181,18 +217,9 @@ def sva_lint(text: str) -> list[str]:
     """
     problems: list[str] = []
     parsed: set[str] = set()  # booleans known to parse; failures re-report
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("//"):
-            continue
-        m = _SVA_RE.match(stripped)
-        if not m:
-            problems.append(f"line {lineno}: not a cover property in the subset")
-            continue
-        try:
-            tokens = _split_sva_seq(m.group("seq"))
-        except ValueError as exc:
-            problems.append(f"line {lineno}: {exc}")
+    for lineno, _, tokens, problem in _read_properties(text):
+        if problem:
+            problems.append(f"line {lineno}: {problem}")
             continue
         expect_bool = True
         for token in tokens:
@@ -219,28 +246,29 @@ def sva_lint(text: str) -> list[str]:
 
 def parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
     """Read emitted properties back into condition steps (reference route
-    for the emission/evaluation agreement check)."""
+    for the emission/evaluation agreement check). Steps are shared: one
+    per delay kind and one per distinct boolean."""
+    one = (ConditionStep(StepKind.ONE_CYCLE),)
+    steps_of: dict[str, tuple[ConditionStep, ...]] = {
+        "##1": one,
+        "##[0:$]": (ConditionStep(StepKind.EVENTUALLY),),
+    }
     out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("//"):
-            continue
-        m = _SVA_RE.match(stripped)
-        if not m:
-            raise ValueError(f"not a cover property in the subset: {stripped!r}")
+    for lineno, name, tokens, problem in _read_properties(text):
+        if problem:
+            raise ValueError(f"line {lineno}: {problem}")
         steps: list[ConditionStep] = []
-        for token in _split_sva_seq(m.group("seq")):
-            if token == "##1":
-                steps.append(ConditionStep(StepKind.ONE_CYCLE))
-            elif token == "##[0:$]":
-                steps.append(ConditionStep(StepKind.EVENTUALLY))
-            elif token.startswith("##"):
-                for _ in range(int(token[2:])):
-                    steps.append(ConditionStep(StepKind.ONE_CYCLE))
-            else:
-                expr = token[1:-1] if token.startswith("(") else token
-                steps.append(ConditionStep(StepKind.BRANCH, expr=expr))
-        out.append((m.group("name"), tuple(steps)))
+        for token in tokens:
+            interned = steps_of.get(token)
+            if interned is None:
+                if token.startswith("##"):
+                    interned = one * int(token[2:])
+                else:
+                    expr = token[1:-1] if token.startswith("(") else token
+                    interned = (ConditionStep(StepKind.BRANCH, expr=expr),)
+                steps_of[token] = interned
+            steps.extend(interned)
+        out.append((name, tuple(steps)))
     return out
 
 
@@ -385,22 +413,27 @@ def match_coverage(
     *,
     truncated: bool = False,
     skip_ids: set[str] | None = None,
+    masks: TraceMasks | None = None,
 ) -> ModuleCoverage:
     """Evaluate which paths this run covered on instances of g's module.
 
     `skip_ids` lets a caller omit paths it already knows are covered; they
-    are reported as covered without re-evaluation.
+    are reported as covered without re-evaluation. `masks`, when given,
+    are the prebuilt masks of `instance_path`'s trace, so a caller that
+    already evaluated expressions on this run (the code-coverage probes)
+    does not evaluate them again.
     """
-    if instance_path is not None:
-        targets = [instance_path]
+    if masks is not None:
+        traces = [masks]
+    elif instance_path is not None:
+        traces = [TraceMasks(bundle, instance_path)]
     else:
         wanted = {n.id for n in g.nodes.values() if n.kind is not NodeKind.INSTANCE}
-        targets = [
-            path for path in bundle.instances()
+        traces = [
+            TraceMasks(bundle, path) for path in bundle.instances()
             if set(bundle.signal_names(path)) == wanted
         ]
     fragment = ModuleCoverage(g.module_name, len(conditions), truncated=truncated)
-    traces = [TraceMasks(bundle, path) for path in targets]
     for pc in conditions:
         if (skip_ids and pc.path_id in skip_ids) or any(
             match_steps(pc.steps, masks) for masks in traces

@@ -229,8 +229,8 @@ class CoverageProbes:
                     (item, src, dst, render_condition(edge), g.nodes[dst].clocked)
                 )
 
-    def covered_items(self, bundle: TraceBundle, instance_path: str) -> set[str]:
-        masks = TraceMasks(bundle, instance_path)
+    def covered_items(self, masks: TraceMasks) -> set[str]:
+        """Items observed on one instance trace, given as its masks."""
         index = {name: i for i, (name, _) in enumerate(masks.layout)}
         items = {item for item, expr in self.branches if masks.mask(expr)}
         for item, src, dst, cond, clocked in self.edges:
@@ -249,6 +249,19 @@ class CoverageProbes:
 # ---------------------------------------------------------------------------
 # Campaign
 # ---------------------------------------------------------------------------
+
+class _RunMasks(dict):
+    """The TraceMasks of one run per instance path, built on first use, so
+    the probes and the path matcher share every evaluated expression."""
+
+    def __init__(self, bundle: TraceBundle):
+        super().__init__()
+        self.bundle = bundle
+
+    def __missing__(self, path: str) -> TraceMasks:
+        masks = self[path] = TraceMasks(self.bundle, path)
+        return masks
+
 
 class _Campaign:
     def __init__(
@@ -298,8 +311,8 @@ class _Campaign:
     def simulate(self, stim: Stimulus, run_id: str) -> TraceBundle:
         return simulate(self.design, stim, init=self.cfg.init, seed_id=run_id)
 
-    def code_items(self, bundle: TraceBundle) -> set[str]:
-        digest = bundle.rows_digest()
+    def code_items(self, masks: _RunMasks) -> set[str]:
+        digest = masks.bundle.rows_digest()
         items: set[str] = set()
         for module, paths in self.instances_by_module.items():
             probe = self.probes[module]
@@ -308,13 +321,13 @@ class _Campaign:
             if cached is None:
                 cached = set()
                 for path in paths:
-                    cached |= probe.covered_items(bundle, path)
+                    cached |= probe.covered_items(masks[path])
                 self._probe_cache[key] = cached
             items |= cached
         return items
 
-    def update_path_coverage(self, bundle: TraceBundle) -> None:
-        digest = bundle.rows_digest()
+    def update_path_coverage(self, masks: _RunMasks) -> None:
+        digest = masks.bundle.rows_digest()
         if digest in self._path_digests:
             return
         self._path_digests.add(digest)
@@ -327,8 +340,8 @@ class _Campaign:
                 continue
             for path in paths:
                 fragment = match_coverage(
-                    bundle, pending, self.megs[module], path,
-                    truncated=self.truncated[module],
+                    masks.bundle, pending, self.megs[module], path,
+                    truncated=self.truncated[module], masks=masks[path],
                 )
                 fragment.total_paths = len(self.conditions[module])
                 self.result.coverage.add(fragment)
@@ -361,7 +374,8 @@ class _Campaign:
             run_id = f"s{len(self.result.seeds)}"
             bundle = self.simulate(candidate, run_id)
             self.result.sims += 1
-            items = self.code_items(bundle)
+            masks = _RunMasks(bundle)
+            items = self.code_items(masks)
             new = items - self.result.code_items
             if not new:
                 misses += 1
@@ -371,7 +385,7 @@ class _Campaign:
             seed = Seed(id=run_id, stimulus=candidate, new_coverage=frozenset(new))
             self.result.seeds.append(seed)
             self.pool.append(seed)
-            self.update_path_coverage(bundle)
+            self.update_path_coverage(masks)
             admitted.append((seed, bundle))
         return admitted
 
@@ -410,7 +424,8 @@ class _Campaign:
                 new_findings += 1
                 if finding.first_leaky_level:
                     self._diagnose(finding, seed_bundle, bundle)
-            new_items = self.code_items(bundle) - self.result.code_items
+            masks = _RunMasks(bundle)
+            new_items = self.code_items(masks) - self.result.code_items
             if new_items:
                 self.result.code_items |= new_items
                 follow_on = Seed(
@@ -419,7 +434,7 @@ class _Campaign:
                 self.result.seeds.append(follow_on)
                 self.pool.append(follow_on)
                 admitted.append((follow_on, bundle))
-            self.update_path_coverage(bundle)
+            self.update_path_coverage(masks)
         return new_findings, admitted
 
     def _diagnose(

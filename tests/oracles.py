@@ -7,7 +7,9 @@ sequences over all candidate nodes and filters by edge existence; the
 alignment oracle tries every start cycle and every Eventually advance with
 no memoization or ordering heuristics; the trace evaluator interprets
 expression ASTs with the reference simulator's evaluator, one cycle at a
-time, instead of compiling them into per-trace bitmasks.
+time, instead of compiling them into per-trace bitmasks; the SVA sequence
+tokenizer walks the whole sequence character by character instead of
+cutting it at delay operators first.
 """
 
 from __future__ import annotations
@@ -130,6 +132,53 @@ def oracle_match(steps, evaluate, cycles: int) -> bool:
         return any(rec(idx + 1, u) for u in range(cycles - 1, t - 1, -1))
 
     return any(rec(0, t0) for t0 in range(cycles))
+
+
+_SVA_DELAY = re.compile(r"##(\d+|\[0:\$\])")
+
+
+def oracle_split_sva_seq(seq: str) -> list[str]:
+    """Tokenize a property sequence into booleans and delay operators one
+    character at a time: a delay operator where one starts, a balanced
+    parenthesized group (delays inside it included), else a bare term up to
+    whitespace or '#'. A '#' that starts no delay is an error."""
+    tokens: list[str] = []
+    i = 0
+    n = len(seq)
+    while i < n:
+        ch = seq[i]
+        if ch.isspace():
+            i += 1
+            continue
+        m = _SVA_DELAY.match(seq, i)
+        if m:
+            tokens.append(m.group(0))
+            i = m.end()
+            continue
+        if ch == "(":
+            depth = 0
+            j = i
+            while j < n:
+                if seq[j] == "(":
+                    depth += 1
+                elif seq[j] == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                j += 1
+            if depth != 0:
+                raise ValueError("unbalanced parentheses in sequence")
+            tokens.append(seq[i:j + 1])
+            i = j + 1
+            continue
+        j = i
+        while j < n and not seq[j].isspace() and seq[j] != "#":
+            j += 1
+        if j == i:
+            raise ValueError("stray '#' outside a delay operator")
+        tokens.append(seq[i:j])
+        i = j
+    return tokens
 
 
 def trace_evaluator(bundle, path: str):

@@ -224,5 +224,23 @@ def test_fuzz_bad_config_exit_2(tmp_path, capsys, text, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mutants", "0"], "--mutants must be a positive integer"),
+        (["--mutants", "-5"], "--mutants must be a positive integer"),
+        (["--rounds", "0"], "--rounds must be a positive integer"),
+        (["--rounds", "-3"], "--rounds must be a positive integer"),
+    ],
+    ids=["zero-mutants", "negative-mutants", "zero-rounds", "negative-rounds"],
+)
+def test_fuzz_bad_flag_exit_2(capsys, flags, message):
+    rc = main(["fuzz", "--dut", "ct_alu", "--seed", "1", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert "campaign done" not in captured.out
+
+
 def test_fuzz_jobs_flag_is_gone():
     assert main(["fuzz", "--dut", "ct_alu", "--jobs", "2"]) == 1

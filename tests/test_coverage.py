@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import logging
+import signal
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leakscope as ls
-from leakscope.coverage import ConditionStep, StepKind, TraceMasks, match_steps, parse_sva
+from leakscope.coverage import (
+    ConditionStep,
+    StepKind,
+    TraceMasks,
+    _split_sva_seq,
+    match_steps,
+    parse_sva,
+)
+from leakscope.parser import parse_expression
 from leakscope.stimulus import Stimulus, StimulusStep
-from oracles import oracle_match, trace_evaluator
+from oracles import oracle_match, oracle_split_sva_seq, trace_evaluator
 
 
 def _stim(tag, data, hold=2):
@@ -87,9 +97,53 @@ def test_all_bundled_properties_lint(cacheset, serdiv, ct_alu, cacheset_multiway
             assert ls.sva_lint(text) == [], name
 
 
+@contextmanager
+def _deadline(seconds: float):
+    """Fail instead of hanging when the body does not return in time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _prop(seq: str) -> str:
+    return f"x: cover property (@(posedge clk) {seq});"
+
+
 def test_sva_lint_rejects_garbage():
     assert ls.sva_lint("cover property bad;") != []
-    assert ls.sva_lint("x: cover property (@(posedge clk) ##1 ##1);") != []
+    cases = {
+        "leading delay": "##1 ##1",
+        "unbalanced group": "(a && b ##1 c",
+        "delay inside a group": "(a ##1 b)",
+        "stray '#'": "a # b",
+        "trailing '#'": "a ##1 #",
+        "'#' before a delay": "###1 a",
+    }
+    for case, seq in cases.items():
+        with _deadline(2.0):
+            assert ls.sva_lint(_prop(seq)) != [], case
+
+
+def test_parse_sva_delays():
+    one, ev = ConditionStep(StepKind.ONE_CYCLE), ConditionStep(StepKind.EVENTUALLY)
+    [(name, steps)] = parse_sva(_prop("(a) ##2 b ##0 (c) ##[0:$] 1'b1 ##10 d"))
+    branch = [ConditionStep(StepKind.BRANCH, e) for e in ("a", "b", "c", "1'b1", "d")]
+    assert name == "x"
+    assert steps == (branch[0], one, one, branch[1], branch[2], ev, branch[3]) + (one,) * 10 + (branch[4],)
+
+
+def test_parse_sva_rejects_stray_hash():
+    # A '#' that starts no delay used to make the tokenizer loop forever.
+    with _deadline(2.0), pytest.raises(ValueError, match="stray '#'"):
+        parse_sva(_prop("a # b"))
 
 
 def test_match_hit_covers_hit_not_replacement(cacheset_paths, cacheset_runs):
@@ -166,12 +220,19 @@ def test_emission_evaluation_agreement(cacheset, cacheset_runs, serdiv, serdiv_r
                 assert replayed[name] == (pc.path_id in internal.covered)
 
 
-def test_parse_sva_roundtrip(cacheset_paths):
-    g, hit, miss = cacheset_paths
-    pcs = [ls.path_condition(hit, g), ls.path_condition(miss, g)]
-    text = ls.emit_sva_file(pcs, "cacheset")
-    parsed = parse_sva(text)
-    assert [name for name, _ in parsed] == [f"cp_cacheset_{pc.path_id}" for pc in pcs]
+def test_parse_sva_roundtrip(cacheset, serdiv, ct_alu, cacheset_multiway):
+    # Reading the emitted text back gives every path's own steps, once the
+    # literal-true fillers that keep delays apart are dropped.
+    def shape(steps):
+        return [(s.kind, s.expr) for s in steps if s.expr != "1'b1"]
+
+    for dut in (cacheset, serdiv, ct_alu, cacheset_multiway):
+        for name, g in ls.build_megs(dut.hierarchy.modules).items():
+            pcs = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
+            parsed = parse_sva(ls.emit_sva_file(pcs, name))
+            assert [n for n, _ in parsed] == [f"cp_{name}_{pc.path_id}" for pc in pcs]
+            for pc, (_, steps) in zip(pcs, parsed):
+                assert shape(steps) == shape(pc.steps), (name, pc.node_ids)
 
 
 def test_expression_eval_error():
@@ -257,3 +318,50 @@ def test_match_steps_agrees_with_oracle_on_random_traces(series, steps):
         for t0 in range(cycles):
             pinned = (ConditionStep(StepKind.BRANCH, f"t == {t0}"),) + steps[k:]
             assert match_steps(pinned, masks) == oracle_match(pinned, evaluate, cycles), (k, t0)
+
+
+def _oracle_lint_clean(seq: str) -> bool:
+    """Lint verdict for one sequence through the character-by-character
+    tokenizer: booleans and delays alternate, it starts on a boolean, ends
+    on one unless empty, and every boolean parses."""
+    try:
+        tokens = oracle_split_sva_seq(seq)
+    except ValueError:
+        return False
+    expect_bool = True
+    for token in tokens:
+        is_delay = token.startswith("##")
+        if is_delay == expect_bool:
+            return False
+        if not is_delay:
+            try:
+                parse_expression(token)
+            except Exception:
+                return False
+        expect_bool = is_delay
+    return not (expect_bool and tokens)
+
+
+@given(st.text(alphabet="()#12[0:$] a!&", max_size=16))
+@example("a # b")
+@example("(a ##1 b)")
+@example("a ##1 (b ##[0:$] c)")
+@example("###1 a")
+@example("a ##12 b")
+@example("(!a) ##0 (a&&a) ##[0:$] 1")
+@settings(max_examples=400, deadline=None)
+def test_sva_reader_agrees_with_char_oracle(seq):
+    # The oracle keeps a delay inside a parenthesized group as part of one
+    # boolean; the reader cuts at every delay first. Token lists agree
+    # whenever no boolean holds a '#', and lint verdicts always agree.
+    try:
+        want = oracle_split_sva_seq(seq)
+    except ValueError:
+        want = None
+    if want is None or not any("#" in t for t in want if not t.startswith("##")):
+        try:
+            got = _split_sva_seq(seq, {})
+        except ValueError:
+            got = None
+        assert got == want
+    assert (ls.sva_lint(_prop(seq)) == []) == _oracle_lint_clean(seq)

@@ -6,6 +6,9 @@ from collections import Counter
 import pytest
 
 import leakscope as ls
+import leakscope.coverage
+import leakscope.fuzz
+from leakscope.coverage import TraceMasks
 from leakscope.fuzz import CoverageProbes, data_widths
 from leakscope.stimulus import Stimulus, StimulusStep
 from oracles import oracle_code_items
@@ -153,11 +156,11 @@ def test_probe_items_detect_divider_activity(serdiv):
     g = ls.build_megs(h.modules)["divider"]
     probes = CoverageProbes("divider", g, "both")
     bundle = ls.simulate(h, _stim([_step("start=1", {"dividend": 9, "divisor": 3}, hold=2)]))
-    items = probes.covered_items(bundle, "serdiv.div")
+    items = probes.covered_items(TraceMasks(bundle, "serdiv.div"))
     assert any(item.startswith("branch:divider:") for item in items)
     assert any(item.startswith("edge:divider:") for item in items)
     idle = ls.simulate(h, _stim([_step("start=0", {"dividend": 0, "divisor": 0})]))
-    assert len(probes.covered_items(idle, "serdiv.div")) < len(items)
+    assert len(probes.covered_items(TraceMasks(idle, "serdiv.div"))) < len(items)
 
 
 def test_data_widths_requires_profile_inputs(serdiv):
@@ -243,6 +246,24 @@ def test_campaign_differs_across_rng_seeds(serdiv):
     assert campaign_json(a) != campaign_json(b)
 
 
+def test_campaign_builds_one_trace_masks_per_run_and_instance(serdiv, monkeypatch):
+    # The probes and the path matcher share one TraceMasks per (run,
+    # instance), so no guard expression is evaluated twice on one run.
+    built: list[tuple[object, str]] = []  # keeps every bundle alive: ids stay unique
+
+    class CountingMasks(TraceMasks):
+        def __init__(self, bundle, instance_path):
+            built.append((bundle, instance_path))
+            super().__init__(bundle, instance_path)
+
+    monkeypatch.setattr(leakscope.fuzz, "TraceMasks", CountingMasks)
+    monkeypatch.setattr(leakscope.coverage, "TraceMasks", CountingMasks)
+    result = _campaign(serdiv, mutants_per_seed=10, max_rounds=2)
+    assert result.coverage.per_module["divider"].covered_paths > 0
+    keys = [(id(bundle), path) for bundle, path in built]
+    assert keys and len(keys) == len(set(keys))
+
+
 def test_seed_corpus_is_consumed(cacheset):
     megs = ls.build_megs(cacheset.hierarchy.modules)
     cfg = ls.FuzzConfig(rng_seed=0, mutants_per_seed=10, max_rounds=2)
@@ -262,7 +283,7 @@ def test_probe_items_equal_per_cycle_oracle(cacheset, cacheset_multiway, serdiv,
             bundle = ls.simulate(design, stim)
             for inst in h.instances:
                 probe = probes[inst.module_name]
-                got = probe.covered_items(bundle, inst.path)
+                got = probe.covered_items(TraceMasks(bundle, inst.path))
                 assert got == oracle_code_items(probe, bundle, inst.path), inst.path
 
     for dut in (cacheset, cacheset_multiway, serdiv, ct_alu):
