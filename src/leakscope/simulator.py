@@ -12,12 +12,19 @@ one settle cycle, and the first stimulus step lands on the next cycle; that
 cycle is the bundle's start_cycle and the origin all execution times are
 measured from. The run ends once the stimulus is exhausted and no signal
 has toggled for `quiescence_window` cycles, or at max_cycles (flagged).
+
+A cycle with no input write that settles to exactly the previous row is a
+fixed point of the clock step, so every later cycle up to the next input
+write repeats that row object without evaluating anything. Trace rows are
+therefore read-only, and consecutive equal rows may be one shared list.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not, itemgetter
 
 from .design import DesignHierarchy, Instance
 from .errors import CombinationalLoop, UnknownInstance
@@ -410,7 +417,9 @@ class TraceBundle:
     """Per-instance traces of one run, sampled once per clock cycle.
 
     Rows are stored design-wide and sliced per instance on demand; all
-    per-instance arrays share the same cycle count.
+    per-instance arrays share the same cycle count. Rows are read-only:
+    consecutive equal rows may be one shared list, so `rows[c] is
+    rows[c - 1]` is a free "nothing changed at cycle c" test.
     """
 
     def __init__(
@@ -426,6 +435,7 @@ class TraceBundle:
         self._rows = rows
         self._layouts = layouts
         self._traces: dict[str, SimulationTrace] = {}
+        self._new_row_cycles: list[int] | None = None
         self.start_cycle = start_cycle
         self.stimulus = stimulus
         self.seed_id = seed_id
@@ -435,6 +445,11 @@ class TraceBundle:
     @property
     def cycles(self) -> int:
         return len(self._rows)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The design-wide rows, one per cycle; read-only."""
+        return self._rows
 
     def instances(self) -> list[str]:
         return list(self._layouts)
@@ -456,7 +471,21 @@ class TraceBundle:
         if cached is not None:
             return cached
         lo, hi, names, _ = self._require(path)
-        values = {name: [row[lo + i] for row in self._rows] for i, name in enumerate(names)}
+        rows = self._rows
+        starts = [0, *self._new_rows()]
+        if not rows:
+            values = {name: [] for name in names}
+        elif 4 * len(starts) <= len(rows):
+            # Mostly repeated rows: transpose one row per run, then repeat.
+            ends = starts[1:] + [len(rows)]
+            values = {}
+            for name, column in zip(names, zip(*(rows[s][lo:hi] for s in starts))):
+                series = values[name] = []
+                for value, s, e in zip(column, starts, ends):
+                    series += [value] * (e - s)
+        else:
+            columns = zip(*map(itemgetter(slice(lo, hi)), rows))
+            values = {name: list(column) for name, column in zip(names, columns)}
         trace = SimulationTrace(path, values, len(self._rows))
         self._traces[path] = trace
         return trace
@@ -470,17 +499,27 @@ class TraceBundle:
         previous cycle."""
         lo, hi, _, _ = self._require(path)
         rows = self._rows
-        return [
-            c for c in range(1, len(rows)) if rows[c][lo:hi] != rows[c - 1][lo:hi]
-        ]
+        return [c for c in self._new_rows() if rows[c][lo:hi] != rows[c - 1][lo:hi]]
 
     def last_toggle_at_or_after(self, path: str, start: int) -> int | None:
         lo, hi, _, _ = self._require(path)
         rows = self._rows
-        for c in range(len(rows) - 1, max(start, 1) - 1, -1):
+        for c in reversed(self._new_rows()):
+            if c < start:
+                break
             if rows[c][lo:hi] != rows[c - 1][lo:hi]:
                 return c
         return None
+
+    def _new_rows(self) -> list[int]:
+        """Cycles c >= 1 whose row is not the very row object of c - 1;
+        every other cycle repeats its predecessor."""
+        if self._new_row_cycles is None:
+            rows = self._rows
+            self._new_row_cycles = list(
+                compress(range(1, len(rows)), map(is_not, rows[1:], rows))
+            )
+        return self._new_row_cycles
 
     def rows_digest(self) -> str:
         """Content hash of the recorded rows; runs with identical behavior
@@ -512,26 +551,29 @@ class TraceBundle:
         seed_id: str = "vcd",
         warnings: tuple[str, ...] = (),
     ) -> "TraceBundle":
-        """Assemble a bundle from per-signal arrays (VCD ingestion path)."""
+        """Assemble a bundle from per-signal arrays (VCD ingestion path).
+
+        Shorter arrays are padded with 0; a row equal to its predecessor is
+        stored as the same list."""
         layouts: dict[str, tuple[int, int, list[str], list[int]]] = {}
-        order: list[tuple[str, str]] = []
+        columns: list[list[int]] = []
         lo = 0
-        cycles = 0
         for path, signals in per_instance.items():
             names = list(signals)
             wlist = [widths.get(path, {}).get(n, 1) for n in names]
             layouts[path] = (lo, lo + len(names), names, wlist)
-            for name in names:
-                order.append((path, name))
-                cycles = max(cycles, len(signals[name]))
+            columns.extend(signals.values())
             lo += len(names)
-        rows = []
-        for c in range(cycles):
-            row = []
-            for path, name in order:
-                arr = per_instance[path][name]
-                row.append(arr[c] if c < len(arr) else 0)
-            rows.append(row)
+        cycles = max(map(len, columns), default=0)
+        columns = [c if len(c) == cycles else list(c) + [0] * (cycles - len(c)) for c in columns]
+        rows: list[list[int]] = []
+        previous = None
+        for values in zip(*columns):
+            if values == previous:
+                rows.append(rows[-1])
+            else:
+                rows.append(list(values))
+                previous = values
         return TraceBundle(
             rows, layouts, start_cycle, None, seed_id=seed_id, warnings=warnings
         )
@@ -580,27 +622,40 @@ def simulate(
         cycle_cursor += step.hold
     stimulus_end = cycle_cursor
 
-    comb_fns = design.comb_fns
     seq_fns = design.seq_fns
     rows: list[list[int]] = []
     nb: dict[int, int] = {}
     last_activity = 0
     max_reached = False
 
+    # A cycle with no input write that settles back to the previous row
+    # reaches a fixed point of the clock step: all state lives in `v` and
+    # the step is deterministic. Until the next input write every cycle
+    # repeats that row object, and nothing is evaluated.
+    settled = False
     cycle = 0
     while True:
-        if cycle > 0:
-            nb.clear()
-            for fn in seq_fns:
-                fn(v, nb)
-            for idx, value in nb.items():
+        writes = schedule.get(cycle)
+        if settled and writes is None:
+            rows.append(rows[-1])
+        else:
+            if cycle > 0:
+                nb.clear()
+                for fn in seq_fns:
+                    fn(v, nb)
+                for idx, value in nb.items():
+                    v[idx] = value
+            for idx, value in writes or ():
                 v[idx] = value
-        for idx, value in schedule.get(cycle, ()):
-            v[idx] = value
-        _settle(design, v)
-        rows.append(v.copy())
-        if cycle > 0 and rows[cycle] != rows[cycle - 1]:
-            last_activity = cycle
+            _settle(design, v)
+            if rows and v == rows[-1]:
+                rows.append(rows[-1])
+                settled = writes is None
+            else:
+                if rows:
+                    last_activity = cycle
+                rows.append(v.copy())
+                settled = False
         cycle += 1
         if cycle >= max_cycles:
             max_reached = True

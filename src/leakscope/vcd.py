@@ -4,7 +4,8 @@ The writer lays each clock cycle out over two timestamps (posedge at #2k,
 falling edge at #2k+1) and dumps signal values coincident with the posedge,
 so a loader sampling at rising clock edges recovers the exact per-cycle
 values. Bundle metadata (start cycle, seed id) rides in a $comment so a
-round trip reproduces the bundle bit for bit.
+round trip reproduces the bundle bit for bit. A cycle whose row is the
+previous row object has no value changes to compare, only its clock.
 
 The loader accepts the IEEE-1364 subset named in the docs: $timescale,
 $scope module, $var wire/reg, $enddefinitions, #time stamps, scalar and
@@ -13,6 +14,8 @@ b-vector changes. x/z bits map to 0 and are counted per signal.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .design import DesignHierarchy
@@ -82,30 +85,32 @@ def write_vcd(bundle: TraceBundle) -> str:
     if top is not None and CLOCK_NAME in bundle.signal_names(top):
         clk_id = var_ids[(top, CLOCK_NAME)]
 
-    def value_change(path: str, name: str, width: int, value: int) -> str:
-        code = var_ids[(path, name)]
+    # (row index, id, width) of every dumped signal, in declaration order.
+    columns: list[tuple[int, str, int]] = []
+    for path in paths:
+        lo, _, names, widths = bundle._require(path)
+        for i, (name, width) in enumerate(zip(names, widths)):
+            if (path, name) != (top, CLOCK_NAME):
+                columns.append((lo + i, var_ids[(path, name)], width))
+
+    def value_change(code: str, width: int, value: int) -> str:
         if width == 1:
             return f"{value}{code}"
         return f"b{value:b} {code}"
 
-    previous: dict[tuple[str, str], int] = {}
-    cycles = bundle.cycles
-    traces = {path: bundle.trace(path) for path in paths}
-    widths = {path: dict(zip(bundle.signal_names(path), bundle.signal_widths(path))) for path in paths}
-
-    for cycle in range(cycles):
+    previous = None
+    for cycle, row in enumerate(bundle.rows):
         out.append(f"#{2 * cycle}")
-        if cycle == 0:
+        if previous is None:
             out.append("$dumpvars")
-        for path in paths:
-            trace = traces[path]
-            for name, series in trace.signal_values.items():
-                if (path, name) == (top, CLOCK_NAME):
-                    continue
-                value = series[cycle]
-                if cycle == 0 or previous[(path, name)] != value:
-                    out.append(value_change(path, name, widths[path][name], value))
-                    previous[(path, name)] = value
+            out.extend(value_change(code, width, row[i]) for i, code, width in columns)
+        elif row is not previous:
+            out.extend(
+                value_change(code, width, row[i])
+                for i, code, width in columns
+                if row[i] != previous[i]
+            )
+        previous = row
         if clk_id is not None:
             out.append(f"1{clk_id}")
         if cycle == 0:
@@ -197,17 +202,17 @@ def load_vcd(
             continue
 
         # Value-change section.
-        if line.startswith("#"):
+        lead = line[0]
+        if lead in "01xXzZ":
+            changes.append((time, line[1:].strip(), lead))
+        elif lead == "#":
             try:
                 time = int(line[1:])
             except ValueError:
                 raise VcdParseError(lineno, f"bad timestamp {line!r}")
+        elif line.startswith(("$dumpvars", "$end", "$dumpall", "$dumpon", "$dumpoff")):
             continue
-        if line.startswith(("$dumpvars", "$end", "$dumpall", "$dumpon", "$dumpoff")):
-            continue
-        if line[0] in "01xXzZ":
-            changes.append((time, line[1:].strip(), line[0]))
-        elif line[0] in "bB":
+        elif lead in "bB":
             parts = line[1:].split()
             if len(parts) != 2:
                 raise VcdParseError(lineno, f"malformed vector change {line!r}")
@@ -250,28 +255,37 @@ def load_vcd(
         return value & ((1 << width) - 1)
 
     # Replay changes in time order; snapshot all values at each clk posedge.
+    # A posedge with no other value change since the last snapshot reuses it.
     values: dict[str, int] = {code: 0 for code in vars_by_code}
     samples: list[dict[str, int]] = []
+    changed = True
     clk_value = 0
-    index = 0
-    changes.sort(key=lambda c: c[0])
-    times = sorted({t for t, _, _ in changes})
-    for t in times:
+    changes.sort(key=itemgetter(0))
+    for _, batch in groupby(changes, key=itemgetter(0)):
         posedge = False
-        while index < len(changes) and changes[index][0] == t:
-            _, code, raw = changes[index]
-            index += 1
-            if code not in vars_by_code:
+        for _, code, raw in batch:
+            codes = vars_by_code.get(code)
+            if codes is None:
                 raise VcdParseError(0, f"value change for undeclared id {code!r}")
-            width = vars_by_code[code][0].width
-            value = decode(raw, width, vars_by_code[code])
+            width = codes[0].width
+            if raw == "0":
+                value = 0
+            elif raw == "1":
+                value = 1 & ((1 << width) - 1)
+            else:
+                value = decode(raw, width, codes)
             if code == clk_code:
                 if clk_value == 0 and value == 1:
                     posedge = True
                 clk_value = value
+            elif value != values[code]:
+                changed = True
             values[code] = value
         if posedge:
-            samples.append(dict(values))
+            if changed:
+                sample = dict(values)
+                changed = False
+            samples.append(sample)
 
     # Regroup per instance path.
     per_instance: dict[str, dict[str, list[int]]] = {}
@@ -283,7 +297,7 @@ def load_vcd(
                 if scope not in hierarchy_map:
                     raise UnknownScope(f"VCD scope {scope!r} has no instance mapping")
                 scope = hierarchy_map[scope]
-            series = [s[code] for s in samples]
+            series = list(map(itemgetter(code), samples))
             per_instance.setdefault(scope, {})[var.name] = series
             widths.setdefault(scope, {})[var.name] = var.width
 

@@ -9,7 +9,10 @@ no memoization or ordering heuristics; the trace evaluator interprets
 expression ASTs with the reference simulator's evaluator, one cycle at a
 time, instead of compiling them into per-trace bitmasks; the SVA sequence
 tokenizer walks the whole sequence character by character instead of
-cutting it at delay operators first.
+cutting it at delay operators first; the stop-rule oracle reads the run
+length off full-length reference traces instead of deciding it cycle by
+cycle; the VCD writer oracle dumps every signal of every cycle from the
+per-signal traces instead of skipping repeated rows.
 """
 
 from __future__ import annotations
@@ -271,3 +274,110 @@ def depth_by_tree_walk(h: DesignHierarchy) -> dict[str, int]:
             cursor = parent[cursor]
         depths[path] = depth
     return depths
+
+
+def oracle_stop(
+    rows: list[tuple[int, ...]],
+    stimulus_end: int,
+    *,
+    max_cycles: int,
+    quiescence_window: int,
+) -> tuple[int, bool]:
+    """(cycles, max_cycles_reached) by the documented stop rule, read off
+    rows recorded for at least max_cycles cycles.
+
+    A run stops once the stimulus is exhausted and nothing has toggled for
+    quiescence_window cycles: after the first n cycles whose last
+    quiescence_window cycles all lie at or after stimulus_end and each
+    equal their predecessor. It stops at max_cycles, flagged, otherwise.
+    """
+    for n in range(1, max_cycles):
+        quiet = range(n - quiescence_window, n)
+        if n - quiescence_window >= stimulus_end and all(
+            rows[c] == rows[c - 1] for c in quiet
+        ):
+            return n, False
+    return max_cycles, True
+
+
+def oracle_write_vcd(bundle) -> str:
+    """The VCD text of a bundle, written cycle by cycle from its per-signal
+    traces: every signal compared with its own previous value."""
+    from leakscope.vcd import _id_code
+
+    paths = bundle.instances()
+    var_ids: dict[tuple[str, str], str] = {}
+    counter = 0
+    for path in paths:
+        for name in bundle.signal_names(path):
+            var_ids[(path, name)] = _id_code(counter)
+            counter += 1
+
+    out: list[str] = []
+    out.append("$timescale 1ns $end")
+    out.append(
+        f"$comment leakscope start_cycle={bundle.start_cycle} "
+        f"seed_id={bundle.seed_id} $end"
+    )
+
+    def scope_children(prefix: str) -> list[str]:
+        depth = prefix.count(".") + 1 if prefix else 0
+        return [
+            p for p in paths
+            if (p.startswith(prefix + ".") if prefix else True)
+            and p.count(".") == depth
+        ]
+
+    def emit_scope(path: str) -> None:
+        leaf = path.rsplit(".", 1)[-1]
+        out.append(f"$scope module {leaf} $end")
+        names = bundle.signal_names(path)
+        widths = bundle.signal_widths(path)
+        for name, width in zip(names, widths):
+            out.append(f"$var wire {width} {var_ids[(path, name)]} {name} $end")
+        for child in scope_children(path):
+            emit_scope(child)
+        out.append("$upscope $end")
+
+    roots = scope_children("")
+    for root in roots:
+        emit_scope(root)
+    out.append("$enddefinitions $end")
+
+    top = roots[0] if roots else None
+    clk_id = None
+    if top is not None and CLOCK_NAME in bundle.signal_names(top):
+        clk_id = var_ids[(top, CLOCK_NAME)]
+
+    def value_change(path: str, name: str, width: int, value: int) -> str:
+        code = var_ids[(path, name)]
+        if width == 1:
+            return f"{value}{code}"
+        return f"b{value:b} {code}"
+
+    previous: dict[tuple[str, str], int] = {}
+    traces = {path: bundle.trace(path) for path in paths}
+    widths = {
+        path: dict(zip(bundle.signal_names(path), bundle.signal_widths(path)))
+        for path in paths
+    }
+    for cycle in range(bundle.cycles):
+        out.append(f"#{2 * cycle}")
+        if cycle == 0:
+            out.append("$dumpvars")
+        for path in paths:
+            for name, series in traces[path].signal_values.items():
+                if (path, name) == (top, CLOCK_NAME):
+                    continue
+                value = series[cycle]
+                if cycle == 0 or previous[(path, name)] != value:
+                    out.append(value_change(path, name, widths[path][name], value))
+                    previous[(path, name)] = value
+        if clk_id is not None:
+            out.append(f"1{clk_id}")
+        if cycle == 0:
+            out.append("$end")
+        if clk_id is not None:
+            out.append(f"#{2 * cycle + 1}")
+            out.append(f"0{clk_id}")
+    return "\n".join(out) + "\n"

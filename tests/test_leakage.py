@@ -172,3 +172,26 @@ def test_p2_unequal_times_implies_trace_difference(serdiv):
             diag = ls.diagnose(a.trace("serdiv.div"), b.trace("serdiv.div"), megs["divider"])
             assert diag.instigators
     assert checked > 10
+
+
+def test_toggle_scans_agree_with_per_signal_scan(cacheset_runs, serdiv_runs, serdiv):
+    """`toggle_cycles` and `last_toggle_at_or_after` against a scan of the
+    per-signal traces, from every start, on runs with long quiet stretches."""
+    bundles = list(cacheset_runs.values()) + list(serdiv_runs.values())
+    for divisor, hold in ((7, 300), (0, 40), (1, 1)):
+        data = {"dividend": 200, "divisor": divisor}
+        bundles.append(ls.simulate(serdiv.hierarchy, Stimulus(steps=(
+            StimulusStep(tag="start=1", data=data, hold=1),
+            StimulusStep(tag="start=0", data=data, hold=hold),
+        ))))
+    bundles.append(_hand_bundle({"s": [0, 1, 1, 1, 1, 2, 2], "t": [5, 5, 5, 4, 4, 4, 4]}))
+    for bundle in bundles:
+        for path in bundle.instances():
+            series = list(bundle.trace(path).signal_values.values())
+            toggles = [
+                c for c in range(1, bundle.cycles) if any(s[c] != s[c - 1] for s in series)
+            ]
+            assert bundle.toggle_cycles(path) == toggles
+            for start in range(bundle.cycles + 2):
+                want = max((c for c in toggles if c >= start), default=None)
+                assert bundle.last_toggle_at_or_after(path, start) == want, (path, start)

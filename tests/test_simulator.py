@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import copy
 import random
 import time
 
 import pytest
 
 import leakscope as ls
-from leakscope.simulator import InitPolicy
+from leakscope.simulator import InitPolicy, compile_design
 from leakscope.stimulus import Stimulus, StimulusStep
+from oracles import oracle_stop
 from reference_sim import reference_simulate
 
 
@@ -152,21 +154,23 @@ def test_combinational_loop_detected():
         ls.simulate(h, _stim("x", {"a": 1}))
 
 
+_CNT_SRC = (
+    "module cnt(input clk, input rst, output reg [3:0] n);\n"
+    "  always @(posedge clk) begin\n"
+    "    if (rst == 1) begin\n"
+    "      n <= 0;\n"
+    "    end else begin\n"
+    "      n <= n + 1;\n"
+    "    end\n"
+    "  end\n"
+    "endmodule"
+)
+
+
 def test_max_cycles_flagged():
     # A free-running counter never quiesces; the run must end at max_cycles
     # with the flag set rather than erroring.
-    src = (
-        "module cnt(input clk, input rst, output reg [3:0] n);\n"
-        "  always @(posedge clk) begin\n"
-        "    if (rst == 1) begin\n"
-        "      n <= 0;\n"
-        "    end else begin\n"
-        "      n <= n + 1;\n"
-        "    end\n"
-        "  end\n"
-        "endmodule"
-    )
-    h = ls.parse_design([("cnt.hdl", src)])
+    h = ls.parse_design([("cnt.hdl", _CNT_SRC)])
     bundle = ls.simulate(h, Stimulus(steps=()), max_cycles=50)
     assert bundle.max_cycles_reached and bundle.cycles == 50
 
@@ -281,3 +285,137 @@ def test_left_shift_agrees_with_reference():
         want = reference_simulate(h, stim, cycles=bundle.cycles)
         for name, series in bundle.trace("shl").signal_values.items():
             assert series == want["shl"][name], (a, b, name)
+
+
+def _stop_rule_cases(name, duts):
+    """(hierarchy, stimuli, quiesces) for one design of the stop-rule test:
+    long holds put quiet stretches before, between and after input writes."""
+    if name == "cnt":
+        return ls.parse_design([("cnt.hdl", _CNT_SRC)]), [Stimulus(steps=())], False
+    dut = duts[name]
+    if name == "serdiv":
+        stims = [
+            Stimulus(steps=(
+                StimulusStep(tag="start=1", data={"dividend": 200, "divisor": 7}, hold=1),
+                StimulusStep(tag="start=0", data={"dividend": 200, "divisor": 7}, hold=hold),
+                StimulusStep(tag="start=1", data={"dividend": 99, "divisor": 4}, hold=1),
+                StimulusStep(tag="start=0", data={"dividend": 99, "divisor": 4}, hold=5),
+            ))
+            for hold in (1, 2, 7, 40, 300)
+        ]
+    elif name == "cacheset":
+        stims = list(dut.stimuli.values()) + [
+            Stimulus(steps=(
+                StimulusStep(tag="req=1", data={"addr": 40, "lock": 0}, hold=1),
+                StimulusStep(tag="req=0", data={"addr": 40, "lock": 0}, hold=hold),
+                StimulusStep(tag="req=1", data={"addr": 7, "lock": 1}, hold=3),
+            ))
+            for hold in (1, 60)
+        ]
+    else:
+        stims = list(dut.stimuli.values()) + [
+            Stimulus(steps=(
+                StimulusStep(tag="start=1;op=1", data={"a": 9, "b": 3}, hold=1),
+                StimulusStep(tag="start=0", data={"a": 9, "b": 3}, hold=hold),
+                StimulusStep(tag="start=1;op=3", data={"a": 12, "b": 5}, hold=2),
+            ))
+            for hold in (1, 30)
+        ]
+    return dut.hierarchy, stims, True
+
+
+def _random_init_values(h, seed):
+    """The register values InitPolicy.random(seed) draws, for the reference."""
+    rng = random.Random(seed)
+    return {
+        (path, name): rng.randrange(1 << width)
+        for path, name, _, width in compile_design(h).reg_indices
+    }
+
+
+@pytest.mark.parametrize("name", ["serdiv", "cacheset", "ct_alu", "cnt"])
+def test_stop_rule_agrees_with_reference(name, serdiv, cacheset, ct_alu):
+    """`cycles`, `max_cycles_reached` and every row agree with the reference
+    simulator and the documented stop rule, for max_cycles before, inside
+    and right after quiet stretches and on scheduled cycles."""
+    duts = {"serdiv": serdiv, "cacheset": cacheset, "ct_alu": ct_alu}
+    h, stims, quiesces = _stop_rule_cases(name, duts)
+    reset_cycles = 2
+    for stim in stims:
+        stimulus_end = reset_cycles + 1 + stim.total_hold()
+        scheduled = [reset_cycles]  # the reset drop, then every step's first cycle
+        cursor = reset_cycles + 1
+        for step in stim.steps:
+            scheduled.append(cursor)
+            cursor += step.hold
+        horizon = stimulus_end + 8 + 64
+        for init in (InitPolicy.zero(), InitPolicy.random(11)):
+            values = _random_init_values(h, init.seed) if init.kind == "random" else None
+            want = reference_simulate(h, stim, cycles=horizon, init_values=values)
+            columns = [series for signals in want.values() for series in signals.values()]
+            rows = list(zip(*columns))
+            toggles = [c for c in range(1, horizon) if rows[c] != rows[c - 1]]
+            for window in (0, 8):
+                natural, cut = oracle_stop(
+                    rows, stimulus_end, max_cycles=horizon, quiescence_window=window
+                )
+                if window:  # with no window a run ends with its stimulus
+                    assert cut is not quiesces
+                points = {1, 2, natural - 1, natural, natural + 1}
+                for c in scheduled + toggles:
+                    points.update((c, c + 1, c + 2, c + window // 2 + 1))
+                for max_cycles in sorted(p for p in points if 1 <= p <= horizon):
+                    bundle = ls.simulate(
+                        h, stim, max_cycles=max_cycles, init=init, quiescence_window=window
+                    )
+                    expected = oracle_stop(
+                        rows, stimulus_end, max_cycles=max_cycles, quiescence_window=window
+                    )
+                    key = (stim.tags(), init.kind, window, max_cycles)
+                    assert (bundle.cycles, bundle.max_cycles_reached) == expected, key
+                    for path in bundle.instances():
+                        for sig, series in bundle.trace(path).signal_values.items():
+                            assert series == want[path][sig][: bundle.cycles], (key, path, sig)
+
+
+def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
+    """Quiet cycles share one row object; no consumer may write through it."""
+    from leakscope.coverage import TraceMasks
+    from leakscope.simulator import TraceBundle
+
+    h = serdiv.hierarchy
+    runs = []
+    for dividend in (200, 3):
+        data = {"dividend": dividend, "divisor": 7}
+        stim = Stimulus(steps=(
+            StimulusStep(tag="start=1", data=data, hold=1),
+            StimulusStep(tag="start=0", data=data, hold=200),
+        ))
+        runs.append(ls.simulate(h, stim, seed_id=f"d{dividend}"))
+    a, b = runs
+    assert a.rows[-1] is a.rows[-2]
+    before = [copy.deepcopy(run.rows) for run in runs]
+
+    findings = ls.analyze([(a, b)], h)
+    assert findings
+    megs = ls.build_megs(h.modules)
+    for f in findings:
+        module = h.instance(f.instance_path).module_name
+        ls.diagnose(a.trace(f.instance_path), b.trace(f.instance_path), megs[module])
+    for run in runs:
+        ls.write_vcd(run)
+        for inst in h.instances:
+            g = megs[inst.module_name]
+            conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
+            masks = TraceMasks(run, inst.path)
+            for i in range(len(run.signal_names(inst.path))):
+                masks.toggles(i)
+            ls.match_coverage(run, conditions, g, inst.path, masks=masks)
+            ls.match_coverage(run, conditions, g, inst.path)
+        unshared = TraceBundle(
+            [list(row) for row in run.rows], run._layouts, run.start_cycle, run.stimulus
+        )
+        assert run.rows_digest() == unshared.rows_digest()
+
+    for run, rows in zip(runs, before):
+        assert run.rows == rows

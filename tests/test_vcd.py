@@ -3,6 +3,36 @@ from __future__ import annotations
 import pytest
 
 import leakscope as ls
+from leakscope.simulator import TraceBundle
+from leakscope.stimulus import Stimulus, StimulusStep
+from oracles import oracle_write_vcd
+
+
+def _long_hold_serdiv_runs(serdiv):
+    """serdiv runs that settle early in a long start=0 hold."""
+    runs = []
+    for dividend, divisor, hold in ((200, 7, 300), (13, 0, 120), (255, 1, 40), (0, 3, 1)):
+        data = {"dividend": dividend, "divisor": divisor}
+        stim = Stimulus(steps=(
+            StimulusStep(tag="start=1", data=data, hold=1),
+            StimulusStep(tag="start=0", data=data, hold=hold),
+        ))
+        runs.append(ls.simulate(serdiv.hierarchy, stim, seed_id=f"d{dividend}"))
+    return runs
+
+
+def _assembled_bundle():
+    """A bundle built from per-signal arrays: uneven lengths, repeated rows,
+    two instances."""
+    return TraceBundle.from_signal_values(
+        {
+            "top": {"clk": [1] * 9, "go": [0, 1, 1, 1, 0, 0, 0, 0, 0], "n": [0, 0, 3, 3, 3, 9]},
+            "top.sub": {"q": [1, 1, 1, 0, 0, 0, 0]},
+        },
+        {"top": {"n": 4}, "top.sub": {"q": 1}},
+        start_cycle=1,
+        seed_id="asm",
+    )
 
 
 def test_roundtrip_all_bundled_runs(cacheset_runs, serdiv_runs, ct_alu):
@@ -95,3 +125,44 @@ def test_vector_values_masked_to_width():
     body = "#0\n$dumpvars\n1!\nb111111 \"\n$end\n"
     bundle = ls.load_vcd(_HEADER + body)
     assert bundle.trace("top").signal_values["data"] == [0b1111]
+
+
+def test_writer_matches_per_cycle_oracle(cacheset_runs, serdiv_runs, serdiv, ct_alu, cacheset_multiway):
+    bundles = list(cacheset_runs.values()) + list(serdiv_runs.values())
+    for dut in (ct_alu, cacheset_multiway):
+        bundles += [ls.simulate(dut.hierarchy, stim) for stim in dut.stimuli.values()]
+    bundles += _long_hold_serdiv_runs(serdiv)
+    bundles.append(_assembled_bundle())
+    for bundle in bundles:
+        text = ls.write_vcd(bundle)
+        assert text == oracle_write_vcd(bundle), bundle.seed_id
+        back = ls.load_vcd(text)
+        assert bundle.equal_traces(back), bundle.seed_id
+        assert ls.write_vcd(back) == text
+
+
+def test_quiet_stretch_shares_one_row(serdiv):
+    bundle = _long_hold_serdiv_runs(serdiv)[0]
+    rows = bundle.rows
+    assert rows[-1] is rows[-2]
+    distinct = {id(row) for row in rows}
+    assert len(distinct) < bundle.cycles // 4
+    back = ls.load_vcd(ls.write_vcd(bundle))
+    assert back.rows[-1] is back.rows[-2]
+    assert len({id(row) for row in back.rows}) == len(distinct)
+    assembled = _assembled_bundle()
+    assert assembled.rows[7] is assembled.rows[6] and assembled.rows[8] is assembled.rows[7]
+    assert assembled.trace("top").signal_values["n"] == [0, 0, 3, 3, 3, 9, 0, 0, 0]
+
+
+def test_changes_between_posedges_are_sampled():
+    # A change at a falling edge shows at the next posedge; a change that
+    # reverts before it does not.
+    body = (
+        "#0\n$dumpvars\n1!\nb0 \"\n$end\n#1\n0!\nb11 \"\n#2\n1!\n"
+        "#3\n0!\nb1 \"\n#4\nb11 \"\n#5\n1!\n#6\n0!\n#7\n1!\n"
+        "#8\n0!\n1\"\n#9\n1!\n#10\n0!\nx\"\n#11\n1!\n"
+    )
+    bundle = ls.load_vcd(_HEADER + body)
+    assert bundle.trace("top").signal_values["data"] == [0, 3, 3, 3, 1, 0]
+    assert any("x/z" in w for w in bundle.warnings)
