@@ -22,6 +22,7 @@ therefore read-only, and consecutive equal rows may be one shared list.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import is_not, itemgetter
@@ -446,11 +447,6 @@ class TraceBundle:
     def cycles(self) -> int:
         return len(self._rows)
 
-    @property
-    def rows(self) -> list[list[int]]:
-        """The design-wide rows, one per cycle; read-only."""
-        return self._rows
-
     def instances(self) -> list[str]:
         return list(self._layouts)
 
@@ -471,21 +467,11 @@ class TraceBundle:
         if cached is not None:
             return cached
         lo, hi, names, _ = self._require(path)
-        rows = self._rows
-        starts = [0, *self._new_rows()]
-        if not rows:
-            values = {name: [] for name in names}
-        elif 4 * len(starts) <= len(rows):
-            # Mostly repeated rows: transpose one row per run, then repeat.
-            ends = starts[1:] + [len(rows)]
-            values = {}
-            for name, column in zip(names, zip(*(rows[s][lo:hi] for s in starts))):
-                series = values[name] = []
-                for value, s, e in zip(column, starts, ends):
-                    series += [value] * (e - s)
-        else:
-            columns = zip(*map(itemgetter(slice(lo, hi)), rows))
+        if self._rows:
+            columns = zip(*map(itemgetter(slice(lo, hi)), self._rows))
             values = {name: list(column) for name, column in zip(names, columns)}
+        else:
+            values = {name: [] for name in names}
         trace = SimulationTrace(path, values, len(self._rows))
         self._traces[path] = trace
         return trace
@@ -510,6 +496,27 @@ class TraceBundle:
             if rows[c][lo:hi] != rows[c - 1][lo:hi]:
                 return c
         return None
+
+    def value_changes(
+        self, signals: list[tuple[str, str]]
+    ) -> Iterator[Sequence[tuple[int, int]]]:
+        """Per cycle, the (position in `signals`, value) pairs the cycle
+        sets: every signal at cycle 0, later only those that differ from
+        the previous cycle. A cycle that repeats its predecessor's row
+        yields no pairs without comparing anything."""
+        positions: dict[tuple[str, str], int] = {}
+        for path in dict.fromkeys(path for path, _ in signals):
+            lo, _, names, _ = self._require(path)
+            positions.update(((path, name), lo + i) for i, name in enumerate(names))
+        columns = [(k, positions[signal]) for k, signal in enumerate(signals)]
+        rows = self._rows
+        if rows:
+            yield [(k, rows[0][i]) for k, i in columns]
+        for previous, row in zip(rows, rows[1:]):
+            if row is previous:
+                yield ()
+            else:
+                yield [(k, row[i]) for k, i in columns if row[i] != previous[i]]
 
     def _new_rows(self) -> list[int]:
         """Cycles c >= 1 whose row is not the very row object of c - 1;

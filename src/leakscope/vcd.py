@@ -4,8 +4,8 @@ The writer lays each clock cycle out over two timestamps (posedge at #2k,
 falling edge at #2k+1) and dumps signal values coincident with the posedge,
 so a loader sampling at rising clock edges recovers the exact per-cycle
 values. Bundle metadata (start cycle, seed id) rides in a $comment so a
-round trip reproduces the bundle bit for bit. A cycle whose row is the
-previous row object has no value changes to compare, only its clock.
+round trip reproduces the bundle bit for bit. A cycle that repeats the
+previous row has no value changes to compare, only its clock.
 
 The loader accepts the IEEE-1364 subset named in the docs: $timescale,
 $scope module, $var wire/reg, $enddefinitions, #time stamps, scalar and
@@ -85,32 +85,25 @@ def write_vcd(bundle: TraceBundle) -> str:
     if top is not None and CLOCK_NAME in bundle.signal_names(top):
         clk_id = var_ids[(top, CLOCK_NAME)]
 
-    # (row index, id, width) of every dumped signal, in declaration order.
-    columns: list[tuple[int, str, int]] = []
+    # Every dumped signal with its (id, width), in declaration order.
+    signals: list[tuple[str, str]] = []
+    dumped: list[tuple[str, int]] = []
     for path in paths:
-        lo, _, names, widths = bundle._require(path)
-        for i, (name, width) in enumerate(zip(names, widths)):
+        for name, width in zip(bundle.signal_names(path), bundle.signal_widths(path)):
             if (path, name) != (top, CLOCK_NAME):
-                columns.append((lo + i, var_ids[(path, name)], width))
+                signals.append((path, name))
+                dumped.append((var_ids[(path, name)], width))
 
     def value_change(code: str, width: int, value: int) -> str:
         if width == 1:
             return f"{value}{code}"
         return f"b{value:b} {code}"
 
-    previous = None
-    for cycle, row in enumerate(bundle.rows):
+    for cycle, changes in enumerate(bundle.value_changes(signals)):
         out.append(f"#{2 * cycle}")
-        if previous is None:
+        if cycle == 0:
             out.append("$dumpvars")
-            out.extend(value_change(code, width, row[i]) for i, code, width in columns)
-        elif row is not previous:
-            out.extend(
-                value_change(code, width, row[i])
-                for i, code, width in columns
-                if row[i] != previous[i]
-            )
-        previous = row
+        out.extend(value_change(*dumped[k], value) for k, value in changes)
         if clk_id is not None:
             out.append(f"1{clk_id}")
         if cycle == 0:

@@ -393,8 +393,8 @@ def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
         ))
         runs.append(ls.simulate(h, stim, seed_id=f"d{dividend}"))
     a, b = runs
-    assert a.rows[-1] is a.rows[-2]
-    before = [copy.deepcopy(run.rows) for run in runs]
+    assert a._rows[-1] is a._rows[-2]
+    before = [copy.deepcopy(run._rows) for run in runs]
 
     findings = ls.analyze([(a, b)], h)
     assert findings
@@ -413,9 +413,9 @@ def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
             ls.match_coverage(run, conditions, g, inst.path, masks=masks)
             ls.match_coverage(run, conditions, g, inst.path)
         unshared = TraceBundle(
-            [list(row) for row in run.rows], run._layouts, run.start_cycle, run.stimulus
+            [list(row) for row in run._rows], run._layouts, run.start_cycle, run.stimulus
         )
         assert run.rows_digest() == unshared.rows_digest()
 
     for run, rows in zip(runs, before):
-        assert run.rows == rows
+        assert run._rows == rows

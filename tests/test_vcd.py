@@ -141,17 +141,33 @@ def test_writer_matches_per_cycle_oracle(cacheset_runs, serdiv_runs, serdiv, ct_
         assert ls.write_vcd(back) == text
 
 
+def test_value_changes_agree_with_per_signal_series(serdiv):
+    # Signals in a mixed order across instances; each cycle sets exactly the
+    # values that differ from the previous cycle, and a repeated row none.
+    for bundle in [*_long_hold_serdiv_runs(serdiv), _assembled_bundle()]:
+        signals = [(p, n) for p in reversed(bundle.instances()) for n in bundle.signal_names(p)]
+        series = [bundle.trace(p).signal_values[n] for p, n in signals]
+        expected = [
+            [(k, s[c]) for k, s in enumerate(series) if c == 0 or s[c] != s[c - 1]]
+            for c in range(bundle.cycles)
+        ]
+        got = list(bundle.value_changes(signals))
+        assert [list(changes) for changes in got] == expected, bundle.seed_id
+        rows = bundle._rows
+        assert all(got[c] == () for c in range(1, bundle.cycles) if rows[c] is rows[c - 1])
+
+
 def test_quiet_stretch_shares_one_row(serdiv):
     bundle = _long_hold_serdiv_runs(serdiv)[0]
-    rows = bundle.rows
+    rows = bundle._rows
     assert rows[-1] is rows[-2]
     distinct = {id(row) for row in rows}
     assert len(distinct) < bundle.cycles // 4
     back = ls.load_vcd(ls.write_vcd(bundle))
-    assert back.rows[-1] is back.rows[-2]
-    assert len({id(row) for row in back.rows}) == len(distinct)
+    assert back._rows[-1] is back._rows[-2]
+    assert len({id(row) for row in back._rows}) == len(distinct)
     assembled = _assembled_bundle()
-    assert assembled.rows[7] is assembled.rows[6] and assembled.rows[8] is assembled.rows[7]
+    assert assembled._rows[7] is assembled._rows[6] and assembled._rows[8] is assembled._rows[7]
     assert assembled.trace("top").signal_values["n"] == [0, 0, 3, 3, 3, 9, 0, 0, 0]
 
 
