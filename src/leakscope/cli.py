@@ -16,6 +16,7 @@ from . import corpus as corpus_mod
 from .coverage import (
     CoverageReport,
     ModuleCoverage,
+    PathTrie,
     emit_sva_file,
     match_coverage,
     path_condition,
@@ -330,14 +331,17 @@ def _cmd_coverage(args) -> int:
 
     if args.stim:
         report = CoverageReport()
+        tries = {}
         for name in megs:
             report.add(ModuleCoverage(name, len(conditions[name]), set(), truncated[name]))
+            tries[name] = PathTrie((pc.path_id, pc.steps) for pc in conditions[name])
         for stim_path in args.stim:
             bundle = simulate(h, load_stimulus(stim_path))
-            for name, g in megs.items():
-                report.add(
-                    match_coverage(bundle, conditions[name], g, truncated=truncated[name])
-                )
+            for inst in h.instances:
+                name = inst.module_name
+                report.add(match_coverage(
+                    bundle, tries[name], megs[name], inst.path, truncated=truncated[name]
+                ))
         for name, m in sorted(report.per_module.items()):
             pct = 100.0 * m.covered_paths / m.total_paths if m.total_paths else 0.0
             print(f"{name}: {m.covered_paths}/{m.total_paths} ({pct:.2f}%)")

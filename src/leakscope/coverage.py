@@ -12,6 +12,12 @@ cycles from which the rest of the path aligns: a Branch intersects it with
 the expression's mask, a OneCycle shifts it one cycle earlier, and an
 Eventually widens it to every cycle up to its latest member. A path is
 covered iff the set is non-empty after the first step.
+
+All paths of a module are matched together: a `PathTrie` merges their
+step sequences on shared suffixes, and one backward walk of the trie
+evaluates each shared suffix once and drops a subtree as soon as its set
+is empty. A mask is built by one compiled call per trace and expression,
+which reads the whole columns of just the signals the expression names.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from enum import Enum
 from .errors import ExpressionEvalError, PathNotInGraph
 from .meg import Meg, MicroEventPath, NodeKind, render_condition
 from .parser import parse_expression
-from .simulator import TraceBundle
+from .simulator import DEFAULT_MAX_CYCLES, TraceBundle
 from .hdl_ast import Expr
 
 log = logging.getLogger(__name__)
@@ -210,13 +216,21 @@ def _read_properties(
         yield lineno, m.group("name"), tokens, None
 
 
+def _delay_problem(token: str) -> str | None:
+    """Why a delay token is outside the subset, or None. `##N` stands for N
+    one-cycle steps, so N is bounded by the longest simulated run."""
+    if token != "##[0:$]" and int(token[2:]) > DEFAULT_MAX_CYCLES:
+        return f"delay {token} exceeds the {DEFAULT_MAX_CYCLES}-cycle bound"
+    return None
+
+
 def sva_lint(text: str) -> list[str]:
     """Check emitted properties against the supported SVA subset.
 
     Returns a list of problems; empty means the text lints clean.
     """
     problems: list[str] = []
-    parsed: set[str] = set()  # booleans known to parse; failures re-report
+    checked: set[str] = set()  # tokens known good; failures re-report
     for lineno, _, tokens, problem in _read_properties(text):
         if problem:
             problems.append(f"line {lineno}: {problem}")
@@ -230,13 +244,19 @@ def sva_lint(text: str) -> list[str]:
             if not expect_bool and not is_delay:
                 problems.append(f"line {lineno}: adjacent booleans without a delay")
                 break
-            if not is_delay and token not in parsed:
-                try:
-                    parse_expression(token)
-                except Exception as exc:
-                    problems.append(f"line {lineno}: unparseable boolean {token!r}: {exc}")
-                    break
-                parsed.add(token)
+            if token not in checked:
+                if is_delay:
+                    problem = _delay_problem(token)
+                    if problem:
+                        problems.append(f"line {lineno}: {problem}")
+                        break
+                else:
+                    try:
+                        parse_expression(token)
+                    except Exception as exc:
+                        problems.append(f"line {lineno}: unparseable boolean {token!r}: {exc}")
+                        break
+                checked.add(token)
             expect_bool = is_delay
         else:
             if expect_bool and tokens:
@@ -262,6 +282,9 @@ def parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
             interned = steps_of.get(token)
             if interned is None:
                 if token.startswith("##"):
+                    problem = _delay_problem(token)
+                    if problem:
+                        raise ValueError(f"line {lineno}: {problem}")
                     interned = one * int(token[2:])
                 else:
                     expr = token[1:-1] if token.startswith("(") else token
@@ -276,13 +299,17 @@ def parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
 # Matching against traces
 # ---------------------------------------------------------------------------
 
-# Compiled boolean evaluators keyed by (signal layout, expression); the
-# compiled function takes the per-signal arrays explicitly so one compile
-# serves every trace with the same layout.
+# Compiled mask builders keyed by (signal layout, expression); the compiled
+# function takes the per-signal arrays explicitly so one compile serves
+# every trace with the same layout.
 _EXPR_CACHE: dict[tuple[tuple[tuple[str, int], ...], str], object] = {}
 
 
 def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
+    """Compile a boolean expression into `fn(sv, n)`, which returns the
+    mask of the n-cycle trace whose per-signal arrays are `sv`: bit t is
+    set iff the expression holds at cycle t. The function walks only the
+    columns the expression reads, all at once, in one comprehension."""
     key = (layout, expr_text)
     fn = _EXPR_CACHE.get(key)
     if fn is not None:
@@ -294,23 +321,29 @@ def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
         tree: Expr = parse_expression(expr_text)
     except Exception as exc:
         raise ExpressionEvalError(expr_text, 0, f"parse failure: {exc}")
-    scope = {
-        name: (f"sv[{i}][t]", width) for i, (name, width) in enumerate(layout)
-    }
-    for name in expr_signals(tree):
-        if name not in scope:
+    index = {name: i for i, (name, _) in enumerate(layout)}
+    read = expr_signals(tree)
+    for name in read:
+        if name not in index:
             raise ExpressionEvalError(expr_text, 0, f"unknown signal {name!r}")
+    scope = {name: (f"c{j}", layout[index[name]][1]) for j, name in enumerate(read)}
     src, _ = _ExprCompiler(scope).compile(tree)
+    if not read:
+        loop = "_ in range(n)"
+    elif len(read) == 1:
+        loop = f"c0 in sv[{index[read[0]]}]"
+    else:
+        columns = ", ".join(f"sv[{index[name]}]" for name in read)
+        loop = f"{', '.join(scope[name][0] for name in read)} in zip({columns})"
     namespace: dict = {}
-    exec(f"def fn(sv, t):\n    return {src}", namespace)  # noqa: S102
+    exec(  # noqa: S102
+        f"def fn(sv, n):\n"
+        f"    return int(''.join(['1' if {src} else '0' for {loop}])[::-1] or '0', 2)",
+        namespace,
+    )
     fn = namespace["fn"]
     _EXPR_CACHE[key] = fn
     return fn
-
-
-def _bits(flags) -> int:
-    """Pack an iterable of truth values into an int, bit t for item t."""
-    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
 
 
 class TraceMasks:
@@ -333,9 +366,7 @@ class TraceMasks:
         m = self._masks.get(expr_text)
         if m is None:
             fn = compile_trace_expr(expr_text, self.layout)
-            sv = self.sv
-            m = _bits(fn(sv, t) for t in range(self.cycles))
-            self._masks[expr_text] = m
+            m = self._masks[expr_text] = fn(self.sv, self.cycles)
         return m
 
     def toggles(self, i: int) -> int:
@@ -343,29 +374,73 @@ class TraceMasks:
         m = self._toggles.get(i)
         if m is None:
             series = self.sv[i]
-            m = _bits(series[t] != series[t - 1] for t in range(1, self.cycles)) << 1
-            self._toggles[i] = m
+            bits = "".join(["1" if a != b else "0" for a, b in zip(series[1:], series)])
+            m = self._toggles[i] = int(bits[::-1] or "0", 2) << 1
         return m
 
 
-def match_steps(steps: tuple[ConditionStep, ...], masks: TraceMasks) -> bool:
-    """True when some start cycle admits an alignment of all steps.
+class PathTrie:
+    """Condition step sequences of many paths, merged on shared suffixes.
 
-    Walks the steps backward keeping `r`, the set of cycles from which the
-    remaining suffix aligns. Every step, including a trailing OneCycle's
-    landing cycle, must be witnessed by a recorded cycle.
+    Built from `(key, steps)` pairs. A node stands for one step of every
+    path whose steps end in the sequence from that node back to the root;
+    a node is identified by its step's expression (Branch) or kind (the
+    delays), since matching reads nothing else of a step. `covered` walks
+    the trie backward from the root, so a suffix that several paths share
+    is evaluated once. `len(trie)` is the number of paths.
     """
-    r = masks.all
-    for step in reversed(steps):
-        if step.kind is StepKind.BRANCH:
-            r &= masks.mask(step.expr)
-        elif step.kind is StepKind.ONE_CYCLE:
-            r >>= 1
-        else:  # EVENTUALLY: any cycle at or before the latest suffix start
-            r = (1 << r.bit_length()) - 1
-        if not r:
-            return False
-    return r != 0
+
+    def __init__(self, items):
+        # A node is [step, children by step key, keys of paths ending here].
+        self._root: list = [None, {}, []]
+        self._paths = 0
+        for key, steps in items:
+            node = self._root
+            for step in reversed(steps):
+                k = step.expr or step.kind
+                child = node[1].get(k)
+                if child is None:
+                    child = node[1][k] = [step, {}, []]
+                node = child
+            node[2].append(key)
+            self._paths += 1
+
+    def __len__(self) -> int:
+        return self._paths
+
+    def covered(self, masks: TraceMasks) -> set:
+        """Keys of the paths for which some start cycle of the trace admits
+        an alignment of all steps.
+
+        Keeps per node `r`, the set of cycles from which that suffix
+        aligns: a Branch intersects it with the expression's mask, a
+        OneCycle shifts it one cycle earlier, and an Eventually widens it
+        to every cycle up to its latest member. Every step, including a
+        trailing OneCycle's landing cycle, must be witnessed by a recorded
+        cycle. A subtree is dropped as soon as its set is empty; a path
+        with no steps is covered iff the trace has cycles.
+        """
+        hit: set = set()
+        if not masks.all:
+            return hit
+        hit.update(self._root[2])
+        mask = masks.mask
+        stack = [(self._root[1], masks.all)]
+        while stack:
+            children, r = stack.pop()
+            for step, grandchildren, keys in children.values():
+                kind = step.kind
+                if kind is StepKind.BRANCH:
+                    s = r & mask(step.expr)
+                elif kind is StepKind.ONE_CYCLE:
+                    s = r >> 1
+                else:  # EVENTUALLY: any cycle at or before the latest suffix start
+                    s = (1 << r.bit_length()) - 1
+                if s:
+                    hit.update(keys)
+                    if grandchildren:
+                        stack.append((grandchildren, s))
+        return hit
 
 
 @dataclass
@@ -407,39 +482,29 @@ class CoverageReport:
 
 def match_coverage(
     bundle: TraceBundle,
-    conditions: list[PathCondition],
+    conditions: list[PathCondition] | PathTrie,
     g: Meg,
-    instance_path: str | None = None,
+    instance_path: str,
     *,
     truncated: bool = False,
-    skip_ids: set[str] | None = None,
     masks: TraceMasks | None = None,
 ) -> ModuleCoverage:
-    """Evaluate which paths this run covered on instances of g's module.
+    """Evaluate which of g's paths this run covered on one instance of g's
+    module.
 
-    `skip_ids` lets a caller omit paths it already knows are covered; they
-    are reported as covered without re-evaluation. `masks`, when given,
-    are the prebuilt masks of `instance_path`'s trace, so a caller that
-    already evaluated expressions on this run (the code-coverage probes)
-    does not evaluate them again.
+    `conditions` are the module's path conditions, or a `PathTrie` of them
+    keyed by path id, so a caller that matches many runs builds the trie
+    once. `masks`, when given, are the prebuilt masks of `instance_path`'s
+    trace, so a caller that already evaluated expressions on this run (the
+    code-coverage probes) does not evaluate them again.
     """
-    if masks is not None:
-        traces = [masks]
-    elif instance_path is not None:
-        traces = [TraceMasks(bundle, instance_path)]
-    else:
-        wanted = {n.id for n in g.nodes.values() if n.kind is not NodeKind.INSTANCE}
-        traces = [
-            TraceMasks(bundle, path) for path in bundle.instances()
-            if set(bundle.signal_names(path)) == wanted
-        ]
-    fragment = ModuleCoverage(g.module_name, len(conditions), truncated=truncated)
-    for pc in conditions:
-        if (skip_ids and pc.path_id in skip_ids) or any(
-            match_steps(pc.steps, masks) for masks in traces
-        ):
-            fragment.covered.add(pc.path_id)
-    return fragment
+    if not isinstance(conditions, PathTrie):
+        conditions = PathTrie((pc.path_id, pc.steps) for pc in conditions)
+    if masks is None:
+        masks = TraceMasks(bundle, instance_path)
+    return ModuleCoverage(
+        g.module_name, len(conditions), conditions.covered(masks), truncated
+    )
 
 
 def replay_sva(
@@ -449,8 +514,8 @@ def replay_sva(
 
     Returns property-name -> covered verdict.
     """
-    masks = TraceMasks(bundle, instance_path)
-    return {
-        name: match_steps(steps, masks)
-        for name, steps in parse_sva(sva_text)
-    }
+    properties = parse_sva(sva_text)
+    covered = PathTrie(
+        (i, steps) for i, (_, steps) in enumerate(properties)
+    ).covered(TraceMasks(bundle, instance_path))
+    return {name: i in covered for i, (name, _) in enumerate(properties)}

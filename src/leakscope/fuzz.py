@@ -27,7 +27,7 @@ from .corpus import DutProfile
 from .coverage import (
     CoverageReport,
     ModuleCoverage,
-    PathCondition,
+    PathTrie,
     TraceMasks,
     match_coverage,
     path_condition,
@@ -288,17 +288,18 @@ class _Campaign:
         self.probes = {
             name: CoverageProbes(name, g, cfg.coverage_metric) for name, g in megs.items()
         }
-        self.conditions: dict[str, list[PathCondition]] = {}
+        self.tries: dict[str, PathTrie] = {}
         self.truncated: dict[str, bool] = {}
         for name, g in megs.items():
             meps = enumerate_meps(g, cfg.max_paths, cfg.max_len)
-            self.conditions[name] = [path_condition(p, g) for p in meps.paths]
+            conditions = [path_condition(p, g) for p in meps.paths]
+            self.tries[name] = PathTrie((pc.path_id, pc.steps) for pc in conditions)
             self.truncated[name] = meps.truncated
 
         self.result = CampaignResult(design_name=h.top, config=cfg, megs=megs)
         for name in megs:
             self.result.coverage.add(
-                ModuleCoverage(name, len(self.conditions[name]), set(), self.truncated[name])
+                ModuleCoverage(name, len(self.tries[name]), set(), self.truncated[name])
             )
         self.pool: list[Seed] = []
         self._probe_cache: dict[tuple[str, str], set[str]] = {}
@@ -331,20 +332,15 @@ class _Campaign:
         if digest in self._path_digests:
             return
         self._path_digests.add(digest)
+        per_module = self.result.coverage.per_module
         for module, paths in self.instances_by_module.items():
-            already = self.result.coverage.per_module[module].covered
-            pending = [
-                pc for pc in self.conditions[module] if pc.path_id not in already
-            ]
-            if not pending:
+            if per_module[module].covered_paths >= per_module[module].total_paths:
                 continue
             for path in paths:
-                fragment = match_coverage(
-                    masks.bundle, pending, self.megs[module], path,
+                self.result.coverage.add(match_coverage(
+                    masks.bundle, self.tries[module], self.megs[module], path,
                     truncated=self.truncated[module], masks=masks[path],
-                )
-                fragment.total_paths = len(self.conditions[module])
-                self.result.coverage.add(fragment)
+                ))
 
     def full_path_coverage(self) -> bool:
         return all(

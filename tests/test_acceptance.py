@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import leakscope as ls
-from leakscope.coverage import TraceMasks, match_steps
+from leakscope.coverage import PathTrie, TraceMasks
 from leakscope.reports import campaign_json, coverage_json, diagnoses_json, findings_json
 from leakscope.stimulus import Stimulus, StimulusStep
 from oracles import oracle_edges, oracle_match, oracle_simple_paths, trace_evaluator
@@ -215,16 +215,17 @@ def test_c08_coverage_matching_oracle(serdiv):
     design = ls.compile_design(h)
     g = ls.build_megs(h.modules)["divider"]
     conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
+    trie = PathTrie((pc.path_id, pc.steps) for pc in conditions)
     compared = 0
     for dividend in range(16):
         for divisor in range(8):
             bundle = ls.simulate(
                 design, _stim("start=1", {"dividend": dividend, "divisor": divisor})
             )
-            masks = TraceMasks(bundle, "serdiv.div")
+            covered = trie.covered(TraceMasks(bundle, "serdiv.div"))
             evaluate = trace_evaluator(bundle, "serdiv.div")
             for pc in conditions:
-                got = match_steps(pc.steps, masks)
+                got = pc.path_id in covered
                 want = oracle_match(pc.steps, evaluate, evaluate.cycles)
                 assert got == want, (pc.node_ids, dividend, divisor)
                 compared += 1

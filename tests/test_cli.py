@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +128,59 @@ def test_coverage_emit_and_match(tmp_path, capsys):
     assert ls.sva_lint(sva.read_text()) == []
     doc = json.loads(out.read_text())
     assert doc["perModule"]["cacheset"]["coveredPaths"] >= 1
+
+
+_TWIN_SRC = """
+module ma(input clk, input rst, input x, input y, output reg z);
+  always @(posedge clk) begin
+    if (x == 0) begin
+      z <= 1;
+    end
+  end
+endmodule
+
+module mb(input clk, input rst, input x, input y, output reg z);
+  always @(posedge clk) begin
+    z <= y;
+  end
+endmodule
+
+module top(input clk, input rst, input a, output o1, output o2);
+  ma u1(.clk(clk), .rst(rst), .x(~a), .y(a), .z(o1));
+  mb u2(.clk(clk), .rst(rst), .x(1'b0), .y(a), .z(o2));
+endmodule
+"""
+
+
+def test_coverage_credits_only_instances_of_the_module(tmp_path, capsys):
+    # ma and mb declare the same signal names. Only top.u1 instantiates ma,
+    # and its x is ~a = 1 throughout, so ma's path x -> z stays uncovered
+    # even though top.u2 (an mb) holds x == 0.
+    src = tmp_path / "twin.hdl"
+    src.write_text(_TWIN_SRC)
+    stim = tmp_path / "stim.json"
+    stim.write_text('[{"tag": "a=0", "data": {}, "hold": 3}]')
+    out = tmp_path / "cov.json"
+    rc = main(["coverage", str(src), "--top", "top", "--stim", str(stim), "--out", str(out)])
+    assert rc == 0
+    per_module = json.loads(out.read_text())["perModule"]
+    assert per_module["ma"] == {"coveredPaths": 0, "totalPaths": 1, "truncated": False}
+    assert per_module["mb"]["coveredPaths"] == per_module["mb"]["totalPaths"] == 1
+
+
+_GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "campaign_digests.json"
+
+
+@pytest.mark.parametrize("dut", sorted(json.loads(_GOLDEN_DIGESTS.read_text())))
+def test_campaign_artifacts_match_golden_digests(tmp_path, dut):
+    # The behaviour contract: a seed-42 campaign writes these exact bytes.
+    want = json.loads(_GOLDEN_DIGESTS.read_text())[dut]
+    outdir = tmp_path / dut
+    assert main(["fuzz", "--dut", dut, "--seed", "42", "--out", str(outdir)]) == 0
+    got = {
+        name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in want
+    }
+    assert got == want
 
 
 def test_fuzz_fail_on_finding_exit_3(tmp_path):

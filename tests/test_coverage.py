@@ -11,19 +11,25 @@ from hypothesis import strategies as st
 import leakscope as ls
 from leakscope.coverage import (
     ConditionStep,
+    PathTrie,
     StepKind,
     TraceMasks,
     _split_sva_seq,
-    match_steps,
     parse_sva,
 )
 from leakscope.parser import parse_expression
+from leakscope.simulator import DEFAULT_MAX_CYCLES, TraceBundle
 from leakscope.stimulus import Stimulus, StimulusStep
 from oracles import oracle_match, oracle_split_sva_seq, trace_evaluator
 
 
 def _stim(tag, data, hold=2):
     return Stimulus(steps=(StimulusStep(tag=tag, data=data, hold=hold),))
+
+
+def _covers(steps, masks) -> bool:
+    """The verdict on one path, through a one-path trie."""
+    return PathTrie([("p", steps)]).covered(masks) == {"p"}
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +146,25 @@ def test_parse_sva_delays():
     assert steps == (branch[0], one, one, branch[1], branch[2], ev, branch[3]) + (one,) * 10 + (branch[4],)
 
 
+def test_delay_beyond_the_cycle_bound_is_rejected():
+    # `##N` reads back as N one-cycle steps; an N beyond the longest run
+    # used to make parse_sva build them all and run out of memory.
+    assert DEFAULT_MAX_CYCLES == 10_000
+    for n in ("10001", "3000000000000"):
+        text = _prop(f"a ##{n} b")
+        with _deadline(2.0):
+            assert ls.sva_lint(text) == [
+                f"line 1: delay ##{n} exceeds the 10000-cycle bound"
+            ]
+        with _deadline(2.0), pytest.raises(ValueError, match=f"^line 1: delay ##{n} exceeds"):
+            parse_sva(text)
+    text = _prop("a ##10000 b")
+    with _deadline(2.0):
+        assert ls.sva_lint(text) == []
+        [(_, steps)] = parse_sva(text)
+    assert len(steps) == 10_002
+
+
 def test_parse_sva_rejects_stray_hash():
     # A '#' that starts no delay used to make the tokenizer loop forever.
     with _deadline(2.0), pytest.raises(ValueError, match="stray '#'"):
@@ -156,8 +181,6 @@ def test_match_hit_covers_hit_not_replacement(cacheset_paths, cacheset_runs):
 
 
 def test_match_empty_trace_covers_nothing(cacheset_paths):
-    from leakscope.simulator import TraceBundle
-
     g, hit, _ = cacheset_paths
     names = [n.id for n in g.nodes.values() if n.kind.value != "instance"]
     empty = TraceBundle.from_signal_values(
@@ -183,7 +206,7 @@ def test_match_against_bruteforce_oracle_serdiv(serdiv):
             masks = TraceMasks(bundle, "serdiv.div")
             evaluate = trace_evaluator(bundle, "serdiv.div")
             for pc in conditions:
-                got = match_steps(pc.steps, masks)
+                got = _covers(pc.steps, masks)
                 want = oracle_match(pc.steps, evaluate, evaluate.cycles)
                 assert got == want, (pc.node_ids, dividend, divisor)
 
@@ -236,8 +259,6 @@ def test_parse_sva_roundtrip(cacheset, serdiv, ct_alu, cacheset_multiway):
 
 
 def test_expression_eval_error():
-    from leakscope.simulator import TraceBundle
-
     bundle = TraceBundle.from_signal_values(
         {"u": {"a": [1, 2]}}, {"u": {"a": 8}}, 0
     )
@@ -299,13 +320,11 @@ def _series(cycles: int):
     st.lists(_STEPS, max_size=6),
 )
 @settings(max_examples=200, deadline=None)
-def test_match_steps_agrees_with_oracle_on_random_traces(series, steps):
+def test_one_path_trie_agrees_with_oracle_on_random_traces(series, steps):
     # Beyond the verdict on the whole sequence, pin every suffix to every
     # single start cycle (via a counter signal `t`), so the full set of
     # aligning cycles is compared, not just whether it is empty. The
     # oracle's search is exponential in Eventually steps: sizes stay small.
-    from leakscope.simulator import TraceBundle
-
     cycles = len(series["a"])
     signals = dict(series, t=list(range(cycles)))
     widths = dict.fromkeys(_SIGNALS, 1) | {"t": 5}
@@ -313,11 +332,11 @@ def test_match_steps_agrees_with_oracle_on_random_traces(series, steps):
     masks = TraceMasks(bundle, "u")
     evaluate = trace_evaluator(bundle, "u")
     steps = tuple(steps)
-    assert match_steps(steps, masks) == oracle_match(steps, evaluate, cycles)
+    assert _covers(steps, masks) == oracle_match(steps, evaluate, cycles)
     for k in range(len(steps)):
         for t0 in range(cycles):
             pinned = (ConditionStep(StepKind.BRANCH, f"t == {t0}"),) + steps[k:]
-            assert match_steps(pinned, masks) == oracle_match(pinned, evaluate, cycles), (k, t0)
+            assert _covers(pinned, masks) == oracle_match(pinned, evaluate, cycles), (k, t0)
 
 
 def _oracle_lint_clean(seq: str) -> bool:
@@ -332,6 +351,8 @@ def _oracle_lint_clean(seq: str) -> bool:
     for token in tokens:
         is_delay = token.startswith("##")
         if is_delay == expect_bool:
+            return False
+        if is_delay and token != "##[0:$]" and int(token[2:]) > DEFAULT_MAX_CYCLES:
             return False
         if not is_delay:
             try:
@@ -348,6 +369,7 @@ def _oracle_lint_clean(seq: str) -> bool:
 @example("a ##1 (b ##[0:$] c)")
 @example("###1 a")
 @example("a ##12 b")
+@example("1 ##10001 1")
 @example("(!a) ##0 (a&&a) ##[0:$] 1")
 @settings(max_examples=400, deadline=None)
 def test_sva_reader_agrees_with_char_oracle(seq):
@@ -365,3 +387,82 @@ def test_sva_reader_agrees_with_char_oracle(seq):
             got = None
         assert got == want
     assert (ls.sva_lint(_prop(seq)) == []) == _oracle_lint_clean(seq)
+
+
+_TRIE_STEPS = st.one_of(
+    st.builds(ConditionStep, st.just(StepKind.BRANCH), st.sampled_from(("a", "!a", "b || c"))),
+    st.just(ConditionStep(StepKind.ONE_CYCLE)),
+    st.just(ConditionStep(StepKind.EVENTUALLY)),
+)
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.fixed_dictionaries({name: _series(n) for name in _SIGNALS})
+    ),
+    # A few distinct sequences over a small alphabet, drawn with repeats,
+    # so the trie merges suffixes and holds duplicates under other keys.
+    st.lists(st.lists(_TRIE_STEPS, max_size=5), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    ),
+)
+@example(
+    {"a": [1, 0], "b": [0, 1], "c": [0, 0]},
+    [[], [ConditionStep(StepKind.BRANCH, "a")], [], [ConditionStep(StepKind.BRANCH, "a")]],
+)
+@example({"a": [], "b": [], "c": []}, [[], [ConditionStep(StepKind.EVENTUALLY)]])
+@settings(max_examples=200, deadline=None)
+def test_path_trie_agrees_with_oracle_per_key(series, sequences):
+    cycles = len(series["a"])
+    bundle = TraceBundle.from_signal_values(
+        {"u": series}, {"u": dict.fromkeys(_SIGNALS, 1)}, 0
+    )
+    evaluate = trace_evaluator(bundle, "u")
+    trie = PathTrie((k, tuple(steps)) for k, steps in enumerate(sequences))
+    assert len(trie) == len(sequences)
+    covered = trie.covered(TraceMasks(bundle, "u"))
+    for k, steps in enumerate(sequences):
+        assert (k in covered) == oracle_match(tuple(steps), evaluate, cycles), k
+
+
+_MASK_WIDTHS = {"a": 4, "b": 4, "c": 1}
+
+
+def _expressions():
+    leaves = st.sampled_from(
+        ("0", "1", "3", "4'd9", "1'b1", "a", "b", "c", "a[1]", "b[3:2]", "b[a[1:0]]", "a == a")
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(("!", "~", "-")), sub).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(
+                sub,
+                st.sampled_from(("+", "-", "&", "|", "^", "==", "!=", "<", ">=", "&&", "||", ">>")),
+                sub,
+            ).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(sub, sub, sub).map(lambda t: f"({t[0]} ? {t[1]} : {t[2]})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@given(
+    st.integers(0, 10).flatmap(
+        lambda n: st.fixed_dictionaries({
+            name: st.lists(st.integers(0, (1 << w) - 1), min_size=n, max_size=n)
+            for name, w in _MASK_WIDTHS.items()
+        })
+    ),
+    _expressions(),
+)
+@example({"a": [1, 2], "b": [3, 3], "c": [0, 1]}, "(a + a) == (b - 1)")
+@example({"a": [], "b": [], "c": []}, "1")
+@settings(max_examples=300, deadline=None)
+def test_trace_mask_agrees_with_evaluator_bit_by_bit(series, expr):
+    bundle = TraceBundle.from_signal_values({"u": series}, {"u": _MASK_WIDTHS}, 0)
+    evaluate = trace_evaluator(bundle, "u")
+    mask = TraceMasks(bundle, "u").mask(expr)
+    assert mask >> evaluate.cycles == 0
+    for t in range(evaluate.cycles):
+        assert (mask >> t) & 1 == bool(evaluate(expr, t)), (expr, t)
