@@ -18,6 +18,9 @@ step sequences on shared suffixes, and one backward walk of the trie
 evaluates each shared suffix once and drops a subtree as soon as its set
 is empty. A mask is built by one compiled call per trace and expression,
 which reads the whole columns of just the signals the expression names.
+A fuzz campaign builds its tries from the paths not yet covered, so each
+run is matched only against the pending ones; `match_coverage` and
+`replay_sva` match every path they are given.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ log = logging.getLogger(__name__)
 
 
 class StepKind(Enum):
+    # A delay's value is its SVA operator, which no boolean can equal.
     BRANCH = "branch"
-    ONE_CYCLE = "one_cycle"
-    EVENTUALLY = "eventually"
+    ONE_CYCLE = "##1"
+    EVENTUALLY = "##[0:$]"
 
 
 @dataclass(frozen=True)
@@ -95,14 +99,10 @@ def emit_sva(pc: PathCondition, module: str | None = None) -> str:
     Eventually; consecutive delays are separated by a literal-true term so
     the output stays inside the SVA sequence grammar."""
     module = module or pc.module
-    tokens: list[str] = []
-    for step in pc.steps:
-        if step.kind is StepKind.BRANCH:
-            tokens.append(f"({step.expr})")
-        elif step.kind is StepKind.ONE_CYCLE:
-            tokens.append("##1")
-        else:
-            tokens.append("##[0:$]")
+    tokens = [
+        f"({step.expr})" if step.kind is StepKind.BRANCH else step.kind.value
+        for step in pc.steps
+    ]
     if not tokens:
         log.warning(
             "path %s in %s has no condition steps; emitting an always-coverable "
@@ -384,8 +384,9 @@ class PathTrie:
 
     Built from `(key, steps)` pairs. A node stands for one step of every
     path whose steps end in the sequence from that node back to the root;
-    a node is identified by its step's expression (Branch) or kind (the
-    delays), since matching reads nothing else of a step. `covered` walks
+    a node is identified by its step's expression (Branch) or its kind's
+    SVA operator (the delays), since matching reads nothing else of a
+    step; the keys are plain strings, which hash in C. `covered` walks
     the trie backward from the root, so a suffix that several paths share
     is evaluated once. `len(trie)` is the number of paths.
     """
@@ -397,7 +398,9 @@ class PathTrie:
         for key, steps in items:
             node = self._root
             for step in reversed(steps):
-                k = step.expr or step.kind
+                # `_value_`: the `value` property is Python code, slower
+                # than the Enum hash this key avoids.
+                k = step.expr if step.expr is not None else step.kind._value_
                 child = node[1].get(k)
                 if child is None:
                     child = node[1][k] = [step, {}, []]
@@ -425,14 +428,15 @@ class PathTrie:
             return hit
         hit.update(self._root[2])
         mask = masks.mask
+        branch, one_cycle = StepKind.BRANCH, StepKind.ONE_CYCLE
         stack = [(self._root[1], masks.all)]
         while stack:
             children, r = stack.pop()
             for step, grandchildren, keys in children.values():
                 kind = step.kind
-                if kind is StepKind.BRANCH:
+                if kind is branch:
                     s = r & mask(step.expr)
-                elif kind is StepKind.ONE_CYCLE:
+                elif kind is one_cycle:
                     s = r >> 1
                 else:  # EVENTUALLY: any cycle at or before the latest suffix start
                     s = (1 << r.bit_length()) - 1

@@ -54,12 +54,6 @@ class DesignHierarchy:
                 return inst
         raise KeyError(path)
 
-    def module_of(self, path: str) -> ModuleAst:
-        return self.modules[self.instance(path).module_name]
-
-    def children_of(self, path: str) -> list[Instance]:
-        return [inst for inst in self.instances if inst.parent == path]
-
 
 def parse_design(
     sources: list[tuple[str, str]] | list[str],

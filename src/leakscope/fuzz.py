@@ -10,7 +10,10 @@ the diagnozer, and every run feeds timing-path coverage.
 
 Code coverage here is a self-contained proxy: a branch item is a guard
 expression observed true; an edge item is a graph dependency observed
-firing (destination toggles while its guard held). Campaign termination is
+firing (destination toggles while its guard held). A campaign spends work
+only on what it has not covered yet: the probes skip covered items, and
+each run is matched against a trie of the module's pending (uncovered)
+paths, rebuilt whenever one of them is covered. Campaign termination is
 deterministic -- full path coverage, a stall with no new coverage or
 findings, or the round quota; the wall-clock budget only aborts runaway
 campaigns and flags the result as non-reproducible.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import logging
 import random
 import time
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 
 from .corpus import DutProfile
@@ -229,12 +233,18 @@ class CoverageProbes:
                     (item, src, dst, render_condition(edge), g.nodes[dst].clocked)
                 )
 
-    def covered_items(self, masks: TraceMasks) -> set[str]:
-        """Items observed on one instance trace, given as its masks."""
+    def covered_items(
+        self, masks: TraceMasks, skip: AbstractSet[str] = frozenset()
+    ) -> set[str]:
+        """Items observed on one instance trace, given as its masks. Items
+        in `skip` (already covered) are neither evaluated nor reported."""
         index = {name: i for i, (name, _) in enumerate(masks.layout)}
-        items = {item for item, expr in self.branches if masks.mask(expr)}
+        items = {
+            item for item, expr in self.branches
+            if item not in skip and masks.mask(expr)
+        }
         for item, src, dst, cond, clocked in self.edges:
-            if dst not in index:
+            if item in skip or dst not in index:
                 continue
             fired = masks.toggles(index[dst])
             if fired and cond is not None:
@@ -288,18 +298,19 @@ class _Campaign:
         self.probes = {
             name: CoverageProbes(name, g, cfg.coverage_metric) for name, g in megs.items()
         }
-        self.tries: dict[str, PathTrie] = {}
-        self.truncated: dict[str, bool] = {}
+        self.result = CampaignResult(design_name=h.top, config=cfg, megs=megs)
+        # Per module, the (path id, steps) of every path, and a trie of
+        # those not yet covered: the only ones a run is matched against.
+        self.conditions: dict[str, list[tuple[str, tuple]]] = {}
+        self.pending: dict[str, PathTrie] = {}
         for name, g in megs.items():
             meps = enumerate_meps(g, cfg.max_paths, cfg.max_len)
-            conditions = [path_condition(p, g) for p in meps.paths]
-            self.tries[name] = PathTrie((pc.path_id, pc.steps) for pc in conditions)
-            self.truncated[name] = meps.truncated
-
-        self.result = CampaignResult(design_name=h.top, config=cfg, megs=megs)
-        for name in megs:
+            self.conditions[name] = [
+                (pc.path_id, pc.steps) for pc in (path_condition(p, g) for p in meps.paths)
+            ]
+            self.pending[name] = PathTrie(self.conditions[name])
             self.result.coverage.add(
-                ModuleCoverage(name, len(self.tries[name]), set(), self.truncated[name])
+                ModuleCoverage(name, len(self.conditions[name]), set(), meps.truncated)
             )
         self.pool: list[Seed] = []
         self._probe_cache: dict[tuple[str, str], set[str]] = {}
@@ -313,7 +324,14 @@ class _Campaign:
         return simulate(self.design, stim, init=self.cfg.init, seed_id=run_id)
 
     def code_items(self, masks: _RunMasks) -> set[str]:
+        """The run's items that were not covered when it was first probed.
+
+        Callers use the result only minus `result.code_items`. That set
+        only grows, so an item left out as covered at caching time stays
+        out of the difference, and the `(digest, module)` cache is sound.
+        """
         digest = masks.bundle.rows_digest()
+        covered = self.result.code_items
         items: set[str] = set()
         for module, paths in self.instances_by_module.items():
             probe = self.probes[module]
@@ -322,31 +340,39 @@ class _Campaign:
             if cached is None:
                 cached = set()
                 for path in paths:
-                    cached |= probe.covered_items(masks[path])
+                    cached |= probe.covered_items(masks[path], covered)
                 self._probe_cache[key] = cached
             items |= cached
         return items
 
     def update_path_coverage(self, masks: _RunMasks) -> None:
+        """Match the run against each module's pending paths. A path's
+        verdict does not depend on the others, so once the covered set
+        grows, the trie is rebuilt from the paths still uncovered."""
         digest = masks.bundle.rows_digest()
         if digest in self._path_digests:
             return
         self._path_digests.add(digest)
         per_module = self.result.coverage.per_module
         for module, paths in self.instances_by_module.items():
-            if per_module[module].covered_paths >= per_module[module].total_paths:
+            trie = self.pending[module]
+            if not len(trie):
                 continue
+            covered = per_module[module].covered
+            before = len(covered)
             for path in paths:
-                self.result.coverage.add(match_coverage(
-                    masks.bundle, self.tries[module], self.megs[module], path,
-                    truncated=self.truncated[module], masks=masks[path],
-                ))
+                # Only the covered set: the pending trie's size is not the
+                # module's total.
+                covered |= match_coverage(
+                    masks.bundle, trie, self.megs[module], path, masks=masks[path]
+                ).covered
+            if len(covered) > before:
+                self.pending[module] = PathTrie(
+                    c for c in self.conditions[module] if c[0] not in covered
+                )
 
     def full_path_coverage(self) -> bool:
-        return all(
-            m.covered_paths >= m.total_paths
-            for m in self.result.coverage.per_module.values()
-        )
+        return not any(len(trie) for trie in self.pending.values())
 
     # -- phases -------------------------------------------------------------
 

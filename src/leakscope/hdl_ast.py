@@ -39,10 +39,6 @@ class SignalDecl:
     # procedural assignment.
     is_reg: bool = False
 
-    @property
-    def is_port(self) -> bool:
-        return self.kind in (SignalKind.INPUT, SignalKind.OUTPUT)
-
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -282,11 +278,6 @@ class ModuleAst:
             if decl.name == name:
                 return decl
         raise KeyError(name)
-
-    def has_signal(self, name: str) -> bool:
-        return any(d.name == name for d in self.ports) or any(
-            d.name == name for d in self.decls
-        )
 
 
 def walk_stmts(stmts: tuple[Stmt, ...] | list[Stmt]):

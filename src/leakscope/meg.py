@@ -87,9 +87,6 @@ class Meg:
     def out_edges(self, node_id: str) -> list[MegEdge]:
         return [e for (src, _), e in self.edges.items() if src == node_id]
 
-    def in_edges(self, node_id: str) -> list[MegEdge]:
-        return [e for (_, dst), e in self.edges.items() if dst == node_id]
-
     def nodes_of_kind(self, kind: NodeKind) -> list[MegNode]:
         return [n for n in self.nodes.values() if n.kind is kind]
 

@@ -114,14 +114,21 @@ def stimulus_from_json(text: str) -> Stimulus:
         data = entry.get("data", {})
         if not isinstance(data, dict):
             raise StimulusError(f"step {index}: 'data' must be an object")
-        steps.append(
-            StimulusStep(
-                tag=str(entry["tag"]),
-                data={str(k): int(v) for k, v in data.items()},
-                hold=int(entry.get("hold", 1)),
-            )
-        )
+        for name, value in data.items():
+            _require_int(value, index, f"data value {name!r}")
+        hold = entry.get("hold", 1)
+        _require_int(hold, index, "'hold'")
+        steps.append(StimulusStep(tag=str(entry["tag"]), data=dict(data), hold=hold))
     return Stimulus(steps=tuple(steps))
+
+
+def _require_int(value: object, index: int, what: str) -> None:
+    # `type() is int`, not isinstance: JSON true/false load as bools,
+    # which are ints to Python but not integers to a stimulus author.
+    if type(value) is not int:
+        raise StimulusError(
+            f"step {index}: {what} must be a JSON integer, not {json.dumps(value)}"
+        )
 
 
 def load_stimulus(path: str | Path) -> Stimulus:

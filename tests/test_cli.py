@@ -72,6 +72,31 @@ def test_sim_emits_vcd(tmp_path, cacheset, capsys):
     assert bundle.cycles > 0
 
 
+@pytest.mark.parametrize(
+    "addr, hold, message",
+    [
+        ("null", "1", "data value 'addr' must be a JSON integer, not null"),
+        ('"0x10"', "1", "data value 'addr' must be a JSON integer, not \"0x10\""),
+        ("[1]", "1", "data value 'addr' must be a JSON integer, not [1]"),
+        ("1e400", "1", "data value 'addr' must be a JSON integer, not Infinity"),
+        ("1.5", "1", "data value 'addr' must be a JSON integer, not 1.5"),
+        ("true", "1", "data value 'addr' must be a JSON integer, not true"),
+        ("40", '"2"', "'hold' must be a JSON integer, not \"2\""),
+    ],
+    ids=["null", "hex-string", "list", "overflow", "fraction", "bool", "string-hold"],
+)
+def test_sim_rejects_non_integer_stimulus_values(tmp_path, capsys, addr, hold, message):
+    stim = tmp_path / "stim.json"
+    stim.write_text(
+        '[{"tag": "req=1", "data": {"addr": 40, "lock": 0}, "hold": 1},'
+        f' {{"tag": "req=1", "data": {{"addr": {addr}, "lock": 0}}, "hold": {hold}}}]'
+    )
+    rc = main(["sim", "--dut", "cacheset", "--stim", str(stim)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"StimulusError: step 1: {message}" in err and "Traceback" not in err
+
+
 def test_analyze_stim_pair_and_fail_on_finding(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -425,6 +425,33 @@ def test_path_trie_agrees_with_oracle_per_key(series, sequences):
         assert (k in covered) == oracle_match(tuple(steps), evaluate, cycles), k
 
 
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.fixed_dictionaries({name: _series(n) for name in _SIGNALS})
+    ),
+    st.lists(st.lists(_TRIE_STEPS, max_size=5), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    ).flatmap(
+        lambda sequences: st.tuples(
+            st.just(sequences), st.sets(st.integers(0, len(sequences) - 1))
+        )
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_pending_trie_covers_the_full_tries_verdicts_on_its_keys(series, drawn):
+    # A campaign matches runs against a trie of its pending paths only:
+    # that is exact because no path's verdict depends on the others.
+    sequences, subset = drawn
+    bundle = TraceBundle.from_signal_values(
+        {"u": series}, {"u": dict.fromkeys(_SIGNALS, 1)}, 0
+    )
+    items = [(k, tuple(steps)) for k, steps in enumerate(sequences)]
+    full = PathTrie(items).covered(TraceMasks(bundle, "u"))
+    pending = PathTrie(item for item in items if item[0] in subset)
+    assert len(pending) == len(subset)
+    assert pending.covered(TraceMasks(bundle, "u")) == full & subset
+
+
 _MASK_WIDTHS = {"a": 4, "b": 4, "c": 1}
 
 

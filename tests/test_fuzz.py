@@ -293,3 +293,24 @@ def test_probe_items_equal_per_cycle_oracle(cacheset, cacheset_multiway, serdiv,
         for dividend in (0, 1, 7, 200, 255)
         for divisor in (0, 1, 3, 255)
     ])
+
+
+def test_probes_skip_covered_items(cacheset, serdiv):
+    # Campaigns probe only the coverage frontier: skipped items are
+    # neither evaluated nor reported, and the rest are unaffected.
+    for dut in (cacheset, serdiv):
+        h = dut.hierarchy
+        megs = ls.build_megs(h.modules)
+        probes = {name: CoverageProbes(name, g, "both") for name, g in megs.items()}
+        design = ls.compile_design(h)
+        rng = random.Random(7)
+        for stim in dut.stimuli.values():
+            bundle = ls.simulate(design, stim)
+            for inst in h.instances:
+                probe = probes[inst.module_name]
+                want = oracle_code_items(probe, bundle, inst.path)
+                every = [item for item, *_ in probe.branches + probe.edges]
+                for skip in (set(), set(every), want, set(rng.sample(every, len(every) // 2))):
+                    got = probe.covered_items(TraceMasks(bundle, inst.path), skip)
+                    assert got == want - skip, (inst.path, len(skip))
+
