@@ -35,6 +35,7 @@ from .errors import (
     PortMismatch,
     RecursiveInstantiation,
     SignalMismatch,
+    SimulationLimitError,
     StimulusError,
     StructuralMismatch,
     UnknownInstance,

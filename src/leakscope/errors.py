@@ -87,6 +87,10 @@ class PathNotInGraph(LeakscopeError):
     """A micro-event path references edges missing from the graph."""
 
 
+class SimulationLimitError(LeakscopeError):
+    """A cycle cap below 1 or a negative quiescence window."""
+
+
 class ExpressionEvalError(LeakscopeError):
     def __init__(self, expr: str, cycle: int, message: str = ""):
         detail = f": {message}" if message else ""

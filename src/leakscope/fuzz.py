@@ -13,10 +13,18 @@ expression observed true; an edge item is a graph dependency observed
 firing (destination toggles while its guard held). A campaign spends work
 only on what it has not covered yet: the probes skip covered items, and
 each run is matched against a trie of the module's pending (uncovered)
-paths, rebuilt whenever one of them is covered. Campaign termination is
-deterministic -- full path coverage, a stall with no new coverage or
-findings, or the round quota; the wall-clock budget only aborts runaway
-campaigns and flags the result as non-reproducible.
+paths, rebuilt whenever one of them is covered. A run that repeats an
+earlier one therefore adds no coverage, and neither the probes nor the
+matcher keep a per-run cache.
+
+Only four parameters are settable (`FuzzConfig`); the rest are fixed: the
+generators build stimuli of at most MAX_STEPS steps, the structural
+mutator uses the STRUCTURAL_OPS edits, coverage counts branches and edges,
+any timing difference of one cycle or more is a finding, and registers
+start at zero. Campaign termination is deterministic -- full path
+coverage, STALL_ROUNDS rounds with no new coverage or findings, or the
+round quota; the wall-clock budget only aborts runaway campaigns and flags
+the result as non-reproducible.
 """
 
 from __future__ import annotations
@@ -42,12 +50,15 @@ from .errors import LeakscopeError, NoDivergence
 from .hdl_ast import SignalKind
 from .leakage import LeakageFinding, analyze
 from .meg import Meg, enumerate_meps, render_condition
-from .simulator import InitPolicy, TraceBundle, compile_design, simulate
+from .simulator import TraceBundle, compile_design, simulate
 from .stimulus import Stimulus, StimulusStep
 
 log = logging.getLogger(__name__)
 
 EXPLORE_GIVE_UP = 25  # consecutive non-improving stimuli before a phase ends
+STALL_ROUNDS = 3  # rounds without new coverage or findings before a campaign ends
+STRUCTURAL_OPS = ("append", "delete", "replace", "swap")
+MAX_STEPS = 6  # longest stimulus the generators and the structural mutator build
 
 
 @dataclass(frozen=True)
@@ -77,14 +88,6 @@ class FuzzConfig:
     rng_seed: int = 0
     time_budget: float = 60.0  # seconds; abort bound, not the scheduler
     max_rounds: int = 32
-    stall_rounds: int = 3
-    structural_ops: tuple[str, ...] = ("append", "delete", "replace", "swap")
-    coverage_metric: str = "both"  # meg_edges | branches | both
-    max_steps: int = 6
-    max_paths: int = 10_000
-    max_len: int = 64
-    min_delta: int = 1
-    init: InitPolicy = InitPolicy()
 
     def __post_init__(self):
         if self.mutants_per_seed < 1:
@@ -128,10 +131,10 @@ def data_widths(h: DesignHierarchy, profile: DutProfile) -> dict[str, int]:
 
 
 def random_stimulus(
-    rng: random.Random, profile: DutProfile, widths: dict[str, int], max_steps: int
+    rng: random.Random, profile: DutProfile, widths: dict[str, int]
 ) -> Stimulus:
     steps = []
-    for _ in range(rng.randint(1, max_steps)):
+    for _ in range(rng.randint(1, MAX_STEPS)):
         data = {name: rng.randrange(1 << widths[name]) for name in profile.data_inputs}
         steps.append(
             StimulusStep(tag=rng.choice(profile.tags), data=data, hold=rng.randint(1, 3))
@@ -145,17 +148,15 @@ def structural_mutate(
     *,
     tags: tuple[str, ...],
     widths: dict[str, int],
-    ops: tuple[str, ...] = ("append", "delete", "replace", "swap"),
-    max_steps: int = 6,
 ) -> Stimulus:
     """One structural edit; untouched steps keep their data verbatim."""
     steps = list(s.steps)
-    op = rng.choice(list(ops))
+    op = rng.choice(STRUCTURAL_OPS)
     if op == "delete" and len(steps) <= 1:
         op = "append"
     if op == "swap" and len(steps) < 2:
         op = "append"
-    if op == "append" and len(steps) >= max_steps:
+    if op == "append" and len(steps) >= MAX_STEPS:
         op = "replace" if steps else "append"
 
     if op == "append":
@@ -169,11 +170,9 @@ def structural_mutate(
     elif op == "replace":
         i = rng.randrange(len(steps))
         steps[i] = StimulusStep(tag=rng.choice(tags), data=steps[i].data, hold=steps[i].hold)
-    elif op == "swap":
+    else:  # swap
         i, j = rng.sample(range(len(steps)), 2)
         steps[i], steps[j] = steps[j], steps[i]
-    else:
-        raise ValueError(f"unknown structural op {op!r}")
     return Stimulus(steps=tuple(steps))
 
 
@@ -213,25 +212,22 @@ def operand_mutate(
 class CoverageProbes:
     """Per-module branch and edge observers evaluated over instance traces."""
 
-    def __init__(self, module: str, g: Meg, metric: str):
+    def __init__(self, module: str, g: Meg):
         self.module = module
         self.branches: list[tuple[str, str]] = []  # (item id, expr)
         self.edges: list[tuple[str, str, str, str | None, bool]] = []
         seen_expr: set[str] = set()
-        want_branches = metric in ("branches", "both")
-        want_edges = metric in ("meg_edges", "both")
         for (src, dst), edge in sorted(g.edges.items()):
             for clause in edge.clauses:
                 for term in clause:
-                    if want_branches and term.expr not in seen_expr:
+                    if term.expr not in seen_expr:
                         seen_expr.add(term.expr)
                         item = f"branch:{module}:{term.loc.line}:{term.expr}"
                         self.branches.append((item, term.expr))
-            if want_edges:
-                item = f"edge:{module}:{src}>{dst}"
-                self.edges.append(
-                    (item, src, dst, render_condition(edge), g.nodes[dst].clocked)
-                )
+            item = f"edge:{module}:{src}>{dst}"
+            self.edges.append(
+                (item, src, dst, render_condition(edge), g.nodes[dst].clocked)
+            )
 
     def covered_items(
         self, masks: TraceMasks, skip: AbstractSet[str] = frozenset()
@@ -296,7 +292,7 @@ class _Campaign:
             self.instances_by_module.setdefault(inst.module_name, []).append(inst.path)
 
         self.probes = {
-            name: CoverageProbes(name, g, cfg.coverage_metric) for name, g in megs.items()
+            name: CoverageProbes(name, g) for name, g in megs.items()
         }
         self.result = CampaignResult(design_name=h.top, config=cfg, megs=megs)
         # Per module, the (path id, steps) of every path, and a trie of
@@ -304,7 +300,7 @@ class _Campaign:
         self.conditions: dict[str, list[tuple[str, tuple]]] = {}
         self.pending: dict[str, PathTrie] = {}
         for name, g in megs.items():
-            meps = enumerate_meps(g, cfg.max_paths, cfg.max_len)
+            meps = enumerate_meps(g)
             self.conditions[name] = [
                 (pc.path_id, pc.steps) for pc in (path_condition(p, g) for p in meps.paths)
             ]
@@ -313,46 +309,28 @@ class _Campaign:
                 ModuleCoverage(name, len(self.conditions[name]), set(), meps.truncated)
             )
         self.pool: list[Seed] = []
-        self._probe_cache: dict[tuple[str, str], set[str]] = {}
-        self._path_digests: set[str] = set()
         self._diagnosed: set[tuple[str, str, str]] = set()
         self._finding_keys: set[tuple[str, tuple[str, str]]] = set()
 
     # -- plumbing ---------------------------------------------------------
 
     def simulate(self, stim: Stimulus, run_id: str) -> TraceBundle:
-        return simulate(self.design, stim, init=self.cfg.init, seed_id=run_id)
+        return simulate(self.design, stim, seed_id=run_id)
 
     def code_items(self, masks: _RunMasks) -> set[str]:
-        """The run's items that were not covered when it was first probed.
-
-        Callers use the result only minus `result.code_items`. That set
-        only grows, so an item left out as covered at caching time stays
-        out of the difference, and the `(digest, module)` cache is sound.
-        """
-        digest = masks.bundle.rows_digest()
+        """The run's items that are not covered yet."""
         covered = self.result.code_items
         items: set[str] = set()
         for module, paths in self.instances_by_module.items():
             probe = self.probes[module]
-            key = (digest, module)
-            cached = self._probe_cache.get(key)
-            if cached is None:
-                cached = set()
-                for path in paths:
-                    cached |= probe.covered_items(masks[path], covered)
-                self._probe_cache[key] = cached
-            items |= cached
+            for path in paths:
+                items |= probe.covered_items(masks[path], covered)
         return items
 
     def update_path_coverage(self, masks: _RunMasks) -> None:
         """Match the run against each module's pending paths. A path's
         verdict does not depend on the others, so once the covered set
         grows, the trie is rebuilt from the paths still uncovered."""
-        digest = masks.bundle.rows_digest()
-        if digest in self._path_digests:
-            return
-        self._path_digests.add(digest)
         per_module = self.result.coverage.per_module
         for module, paths in self.instances_by_module.items():
             trie = self.pending[module]
@@ -385,20 +363,15 @@ class _Campaign:
             elif self.pool and self.rng.random() < 0.75:
                 base = self.rng.choice(self.pool).stimulus
                 candidate = structural_mutate(
-                    base, self.rng,
-                    tags=self.profile.tags, widths=self.widths,
-                    ops=self.cfg.structural_ops, max_steps=self.cfg.max_steps,
+                    base, self.rng, tags=self.profile.tags, widths=self.widths
                 )
             else:
-                candidate = random_stimulus(
-                    self.rng, self.profile, self.widths, self.cfg.max_steps
-                )
+                candidate = random_stimulus(self.rng, self.profile, self.widths)
             run_id = f"s{len(self.result.seeds)}"
             bundle = self.simulate(candidate, run_id)
             self.result.sims += 1
             masks = _RunMasks(bundle)
-            items = self.code_items(masks)
-            new = items - self.result.code_items
+            new = self.code_items(masks)
             if not new:
                 misses += 1
                 continue
@@ -431,9 +404,7 @@ class _Campaign:
         new_findings = 0
         admitted: list[tuple[Seed, TraceBundle]] = []
         for stim, bundle in zip(batch.mutants, bundles):
-            findings = analyze(
-                [(seed_bundle, bundle)], self.h, min_delta=self.cfg.min_delta
-            )
+            findings = analyze([(seed_bundle, bundle)], self.h)
             for finding in findings:
                 key = (
                     finding.instance_path,
@@ -447,7 +418,7 @@ class _Campaign:
                 if finding.first_leaky_level:
                     self._diagnose(finding, seed_bundle, bundle)
             masks = _RunMasks(bundle)
-            new_items = self.code_items(masks) - self.result.code_items
+            new_items = self.code_items(masks)
             if new_items:
                 self.result.code_items |= new_items
                 follow_on = Seed(
@@ -501,7 +472,7 @@ class _Campaign:
             if self.full_path_coverage():
                 self.result.stop_reason = "full-coverage"
                 break
-            if stall >= cfg.stall_rounds:
+            if stall >= STALL_ROUNDS:
                 self.result.stop_reason = "exhausted"
                 break
             if self.result.rounds >= cfg.max_rounds:

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .diagnose import Diagnosis
 from .errors import LeakscopeError
-from .fuzz import CampaignResult
-from .leakage import LeakageFinding, TimingDistribution
+from .fuzz import STALL_ROUNDS, STRUCTURAL_OPS, CampaignResult
+from .leakage import LeakageFinding
 from .meg import export_dot
 from .stimulus import stimulus_to_json
 
@@ -112,31 +112,6 @@ def summary_to_json(summary: CampaignSummary) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def summary_from_json(text: str) -> CampaignSummary:
-    doc = json.loads(text)
-    return CampaignSummary(
-        design_name=doc["designName"],
-        seeds_count=doc["seedsCount"],
-        mutants_count=doc["mutantsCount"],
-        findings_count=doc["findingsCount"],
-        diagnoses_count=doc["diagnosesCount"],
-        coverage_rows=tuple(
-            (r["module"], r["totalPaths"], r["coveredPaths"], r["truncated"])
-            for r in doc["coverageRows"]
-        ),
-        timing_rows=tuple(
-            TimingRow(
-                vulnerability=r["vulnerability"],
-                instance=r["instance"],
-                lines=tuple(r["lines"]),
-                phase1_signals=tuple(r["phase1Signals"]),
-                phase2_signals=tuple(r["phase2Signals"]),
-            )
-            for r in doc["timingRows"]
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Artifact serialization
 # ---------------------------------------------------------------------------
@@ -211,10 +186,11 @@ def campaign_json(result: CampaignResult) -> str:
             "mutantsPerSeed": result.config.mutants_per_seed,
             "rngSeed": result.config.rng_seed,
             "maxRounds": result.config.max_rounds,
-            "stallRounds": result.config.stall_rounds,
-            "structuralOps": list(result.config.structural_ops),
-            "coverageMetric": result.config.coverage_metric,
-            "minDelta": result.config.min_delta,
+            # The fixed parameters, so the artifact says how it was made.
+            "stallRounds": STALL_ROUNDS,
+            "structuralOps": list(STRUCTURAL_OPS),
+            "coverageMetric": "both",
+            "minDelta": 1,
         },
         "rounds": result.rounds,
         "sims": result.sims,
@@ -242,23 +218,6 @@ def coverage_report_csv(report) -> str:
 
 def coverage_csv(result: CampaignResult) -> str:
     return coverage_report_csv(result.coverage)
-
-
-def distributions_csv(dists: list[TimingDistribution]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instance", "group", "samples", "median", "max_deviation"])
-    for dist in dists:
-        writer.writerow(
-            [
-                dist.instance_path,
-                dist.group_key,
-                len(dist.samples),
-                dist.median,
-                dist.max_deviation,
-            ]
-        )
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from itertools import compress
 from operator import is_not, itemgetter
 
 from .design import DesignHierarchy, Instance
-from .errors import CombinationalLoop, UnknownInstance
+from .errors import CombinationalLoop, SimulationLimitError, UnknownInstance
 from .hdl_ast import (
     AlwaysBlock,
     AlwaysTrigger,
@@ -227,13 +227,11 @@ def _scope_for(layout: InstanceLayout) -> dict[str, tuple[str, int]]:
     }
 
 
-_uid = 0
-
-
-def _fresh(prefix: str) -> str:
-    global _uid
-    _uid += 1
-    return f"{prefix}{_uid}"
+def _fit(src: str, width: int, dest_width: int) -> str:
+    """Source `src` of `width` bits, truncated to fit a `dest_width` sink."""
+    if width > dest_width:
+        return f"({src}) & {_mask(dest_width)}"
+    return src
 
 
 def _compile_instance(design: CompiledDesign, layout: InstanceLayout) -> None:
@@ -241,19 +239,12 @@ def _compile_instance(design: CompiledDesign, layout: InstanceLayout) -> None:
     scope = _scope_for(layout)
     ec = _ExprCompiler(scope)
 
-    def masked(expr: Expr, dest: str) -> str:
-        src, width = ec.compile(expr)
-        dest_width = layout.widths[layout.names.index(dest)]
-        if width > dest_width:
-            return f"({src}) & {_mask(dest_width)}"
-        return src
-
     for item in m.items:
         if isinstance(item, ContinuousAssign):
             idx = layout.index[item.dest]
             body = [
                 "def fn(v):",
-                f"    t = {masked(item.expr, item.dest)}",
+                f"    t = {_fit(*ec.compile(item.expr), scope[item.dest][1])}",
                 f"    if v[{idx}] != t:",
                 f"        v[{idx}] = t",
                 "        return 1",
@@ -315,22 +306,14 @@ def _compile_instance(design: CompiledDesign, layout: InstanceLayout) -> None:
 
 def _emit_stmts(lines, stmts, depth, ec, layout: InstanceLayout) -> None:
     pad = "    " * depth
-
-    def masked_src(expr: Expr, dest: str) -> str:
-        src, width = ec.compile(expr)
-        dest_width = layout.widths[layout.names.index(dest)]
-        if width > dest_width:
-            return f"({src}) & {_mask(dest_width)}"
-        return src
-
     for stmt in stmts:
         if isinstance(stmt, Assign):
             idx = layout.index[stmt.dest]
-            value = masked_src(stmt.expr, stmt.dest)
+            target, dest_width = ec.scope[stmt.dest]
+            value = _fit(*ec.compile(stmt.expr), dest_width)
             if stmt.style is AssignStyle.NON_BLOCKING:
                 lines.append(f"{pad}nb[{idx}] = {value}")
             else:
-                target, _ = ec.scope[stmt.dest]
                 lines.append(f"{pad}{target} = {value}")
         elif isinstance(stmt, If):
             cond, _ = ec.compile(stmt.cond)
@@ -343,7 +326,9 @@ def _emit_stmts(lines, stmts, depth, ec, layout: InstanceLayout) -> None:
                 _emit_stmts(lines, stmt.other, depth + 1, ec, layout)
         elif isinstance(stmt, Case):
             subject, _ = ec.compile(stmt.subject)
-            tmp = _fresh("s")
+            # Named by depth: a case nested in an arm is one level deeper,
+            # and a later case at this depth starts after this chain is done.
+            tmp = f"s{depth}"
             lines.append(f"{pad}{tmp} = {subject}")
             first = True
             for arm in stmt.arms:
@@ -362,27 +347,24 @@ def _emit_stmts(lines, stmts, depth, ec, layout: InstanceLayout) -> None:
 
 def _compile_connections(design: CompiledDesign, inst: Instance) -> None:
     """Port bindings become combinational transfer functions."""
-    h = design.hierarchy
     child_layout = design.layouts[inst.path]
     parent_layout = design.layouts[inst.parent]
     child_ports = {p.name: p for p in child_layout.module.ports}
-    ec = _ExprCompiler(_scope_for(parent_layout))
+    parent_scope = _scope_for(parent_layout)
+    ec = _ExprCompiler(parent_scope)
 
     for formal, actual in inst.decl.port_map:
         port = child_ports[formal]
         if formal == CLOCK_NAME:
             continue
         if port.kind is SignalKind.INPUT:
-            src, width = ec.compile(actual)
-            if width > port.width:
-                src = f"({src}) & {_mask(port.width)}"
+            src = _fit(*ec.compile(actual), port.width)
             dst = child_layout.index[formal]
             dests = [f"{inst.path}.{formal}"]
         else:
-            src = f"v[{child_layout.index[formal]}]"
-            dest_width = parent_layout.module.signal(actual.name).width
-            if port.width > dest_width:
-                src = f"({src}) & {_mask(dest_width)}"
+            src = _fit(
+                f"v[{child_layout.index[formal]}]", port.width, parent_scope[actual.name][1]
+            )
             dst = parent_layout.index[actual.name]
             dests = [actual.name]
         body = [
@@ -475,17 +457,6 @@ class TraceBundle:
         trace = SimulationTrace(path, values, len(self._rows))
         self._traces[path] = trace
         return trace
-
-    @property
-    def per_instance(self) -> dict[str, SimulationTrace]:
-        return {path: self.trace(path) for path in self._layouts}
-
-    def toggle_cycles(self, path: str) -> list[int]:
-        """Cycles at which any signal of the instance differs from the
-        previous cycle."""
-        lo, hi, _, _ = self._require(path)
-        rows = self._rows
-        return [c for c in self._new_rows() if rows[c][lo:hi] != rows[c - 1][lo:hi]]
 
     def last_toggle_at_or_after(self, path: str, start: int) -> int | None:
         lo, hi, _, _ = self._require(path)
@@ -600,6 +571,12 @@ def simulate(
     reset_cycles: int = DEFAULT_RESET_CYCLES,
     seed_id: str = "run",
 ) -> TraceBundle:
+    if max_cycles < 1:
+        raise SimulationLimitError(f"max cycles must be at least 1, got {max_cycles}")
+    if quiescence_window < 0:
+        raise SimulationLimitError(
+            f"quiescence window must not be negative, got {quiescence_window}"
+        )
     design = h if isinstance(h, CompiledDesign) else compile_design(h)
     hierarchy = design.hierarchy
     validate_stimulus(stim, hierarchy)

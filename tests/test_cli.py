@@ -97,6 +97,34 @@ def test_sim_rejects_non_integer_stimulus_values(tmp_path, capsys, addr, hold, m
     assert f"StimulusError: step 1: {message}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-cycles", "-5"], "max cycles must be at least 1, got -5"),
+        (["--max-cycles", "0"], "max cycles must be at least 1, got 0"),
+        (["--quiescence", "-1"], "quiescence window must not be negative, got -1"),
+    ],
+    ids=["negative-max-cycles", "zero-max-cycles", "negative-quiescence"],
+)
+def test_sim_bad_limit_exit_2(tmp_path, capsys, flags, message):
+    stim = tmp_path / "stim.json"
+    stim.write_text('[{"tag": "req=1", "data": {"addr": 40, "lock": 0}, "hold": 4}]')
+    rc = main(["sim", "--dut", "cacheset", "--stim", str(stim), *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"SimulationLimitError: {message}" in captured.err
+    assert "Traceback" not in captured.err and "simulated" not in captured.out
+
+
+def test_sim_smallest_limits_run(tmp_path, capsys):
+    stim = tmp_path / "stim.json"
+    stim.write_text('[{"tag": "req=1", "data": {"addr": 40, "lock": 0}, "hold": 4}]')
+    assert main(["sim", "--dut", "cacheset", "--stim", str(stim), "--max-cycles", "1"]) == 0
+    assert "simulated 1 cycles (max cycles reached)" in capsys.readouterr().out
+    assert main(["sim", "--dut", "cacheset", "--stim", str(stim), "--quiescence", "0"]) == 0
+    assert "max cycles reached" not in capsys.readouterr().out
+
+
 def test_analyze_stim_pair_and_fail_on_finding(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

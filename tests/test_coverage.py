@@ -281,7 +281,7 @@ def test_covered_branch_lines_agree_with_branch_activity(serdiv, serdiv_runs):
 
     g = ls.build_megs(serdiv.hierarchy.modules)["divider"]
     conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
-    probes = CoverageProbes("divider", g, "both")
+    probes = CoverageProbes("divider", g)
     for bundle in serdiv_runs.values():
         covered = ls.match_coverage(bundle, conditions, g, "serdiv.div").covered
         evaluate = trace_evaluator(bundle, "serdiv.div")

@@ -27,12 +27,16 @@ WIDTHS = {"dividend": 8, "divisor": 8}
 
 
 def test_structural_delete_falls_back_to_append():
-    rng = random.Random(0)
     single = _stim([_step("start=1", {"dividend": 1, "divisor": 1})])
-    out = ls.structural_mutate(
-        single, rng, tags=TAGS, widths=WIDTHS, ops=("delete",)
-    )
-    assert len(out.steps) == 2  # delete on a single step appends instead
+    # The rng seeds whose first draw picks "delete".
+    seeds = [
+        n for n in range(100)
+        if random.Random(n).choice(leakscope.fuzz.STRUCTURAL_OPS) == "delete"
+    ]
+    assert seeds
+    for n in seeds:
+        out = ls.structural_mutate(single, random.Random(n), tags=TAGS, widths=WIDTHS)
+        assert len(out.steps) == 2  # delete on a single step appends instead
 
 
 def test_structural_mutation_deterministic():
@@ -67,12 +71,12 @@ def test_structural_untouched_steps_keep_data():
 
 def test_structural_op_frequencies_near_uniform():
     rng = random.Random(99)
-    ops = ("append", "delete", "replace", "swap")
+    ops = leakscope.fuzz.STRUCTURAL_OPS
     counts = Counter()
     base = _stim([_step("start=1", {"dividend": 1, "divisor": 1}), _step("start=0"), _step("start=1")])
     for _ in range(10_000):
         before = base.steps
-        out = ls.structural_mutate(base, rng, tags=TAGS, widths=WIDTHS, ops=ops)
+        out = ls.structural_mutate(base, rng, tags=TAGS, widths=WIDTHS)
         after = out.steps
         if len(after) > len(before):
             counts["append"] += 1
@@ -154,7 +158,7 @@ def test_operand_mutation_divisor_zero_probability():
 def test_probe_items_detect_divider_activity(serdiv):
     h = serdiv.hierarchy
     g = ls.build_megs(h.modules)["divider"]
-    probes = CoverageProbes("divider", g, "both")
+    probes = CoverageProbes("divider", g)
     bundle = ls.simulate(h, _stim([_step("start=1", {"dividend": 9, "divisor": 3}, hold=2)]))
     items = probes.covered_items(TraceMasks(bundle, "serdiv.div"))
     assert any(item.startswith("branch:divider:") for item in items)
@@ -273,11 +277,35 @@ def test_seed_corpus_is_consumed(cacheset):
     assert result.seeds[0].stimulus == cacheset.stimuli["hit"]
 
 
+def test_repeated_stimulus_adds_nothing(cacheset):
+    # Why a campaign caches no run: a repeat of an earlier run reaches no
+    # uncovered code item and matches no pending path.
+    h = cacheset.hierarchy
+    megs = ls.build_megs(h.modules)
+    cfg = ls.FuzzConfig(rng_seed=0, mutants_per_seed=10, max_rounds=1)
+    stim = cacheset.stimuli["miss_replace"]
+    result = ls.fuzz_loop(h, megs, cfg, cacheset.profile, [stim, stim])
+    assert [seed.stimulus for seed in result.seeds].count(stim) == 1
+    assert result.seeds[0].stimulus == stim
+
+    campaign = leakscope.fuzz._Campaign(h, megs, cfg, cacheset.profile, None)
+    per_module = campaign.result.coverage.per_module
+    first = leakscope.fuzz._RunMasks(campaign.simulate(stim, "a"))
+    campaign.result.code_items |= campaign.code_items(first)
+    campaign.update_path_coverage(first)
+    covered = {name: set(m.covered) for name, m in per_module.items()}
+    assert campaign.result.code_items and any(covered.values())
+    again = leakscope.fuzz._RunMasks(campaign.simulate(stim, "b"))
+    assert campaign.code_items(again) == set()
+    campaign.update_path_coverage(again)
+    assert {name: m.covered for name, m in per_module.items()} == covered
+
+
 def test_probe_items_equal_per_cycle_oracle(cacheset, cacheset_multiway, serdiv, ct_alu):
     def check(dut, stimuli):
         h = dut.hierarchy
         megs = ls.build_megs(h.modules)
-        probes = {name: CoverageProbes(name, g, "both") for name, g in megs.items()}
+        probes = {name: CoverageProbes(name, g) for name, g in megs.items()}
         design = ls.compile_design(h)
         for stim in stimuli:
             bundle = ls.simulate(design, stim)
@@ -301,7 +329,7 @@ def test_probes_skip_covered_items(cacheset, serdiv):
     for dut in (cacheset, serdiv):
         h = dut.hierarchy
         megs = ls.build_megs(h.modules)
-        probes = {name: CoverageProbes(name, g, "both") for name, g in megs.items()}
+        probes = {name: CoverageProbes(name, g) for name, g in megs.items()}
         design = ls.compile_design(h)
         rng = random.Random(7)
         for stim in dut.stimuli.values():

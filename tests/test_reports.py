@@ -10,8 +10,6 @@ from leakscope.fuzz import CampaignResult, FuzzConfig
 from leakscope.reports import (
     Format,
     summarize,
-    summary_from_json,
-    summary_to_json,
     text_report,
 )
 
@@ -31,12 +29,6 @@ def test_empty_campaign_summary():
     assert summary.overall_percent == 0.0
     text = text_report(result)
     assert "(none)" in text
-
-
-def test_summary_json_roundtrip(serdiv_campaign):
-    summary = summarize(serdiv_campaign)
-    again = summary_from_json(summary_to_json(summary))
-    assert again == summary
 
 
 def test_render_json_artifacts(tmp_path, serdiv_campaign):
@@ -124,24 +116,3 @@ def test_timing_rows_shape(serdiv_campaign):
 def test_render_unknown_format_rejected(tmp_path, serdiv_campaign):
     with pytest.raises(ValueError):
         ls.render(serdiv_campaign, "yaml", tmp_path)
-
-
-def test_distributions_csv(serdiv):
-    from leakscope.reports import distributions_csv
-    from leakscope.stimulus import Stimulus, StimulusStep
-
-    bundles = [
-        ls.simulate(
-            serdiv.hierarchy,
-            Stimulus(steps=(StimulusStep(tag="start=1", data={"dividend": d, "divisor": v}, hold=2),)),
-        )
-        for d in (4, 9) for v in (0, 2)
-    ]
-    dists = ls.distributions(
-        bundles, "serdiv.div",
-        lambda s: "zero" if s.steps[0].data["divisor"] == 0 else "nonzero",
-    )
-    text = distributions_csv(dists)
-    lines = text.splitlines()
-    assert lines[0] == "instance,group,samples,median,max_deviation"
-    assert len(lines) == 3

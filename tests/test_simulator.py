@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 import time
 
 import pytest
@@ -419,3 +420,25 @@ def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
 
     for run, rows in zip(runs, before):
         assert run._rows == rows
+
+
+def test_codegen_depends_only_on_the_design(ct_alu, monkeypatch):
+    # Case temporaries are named by nesting depth, not by a process-wide
+    # counter, so one design always compiles to the same code.
+    import leakscope.simulator as simulator
+
+    emitted: list[str] = []
+    real = simulator._exec_fn
+
+    def record(lines):
+        emitted.append("\n".join(lines))
+        return real(lines)
+
+    monkeypatch.setattr(simulator, "_exec_fn", record)
+    runs = []
+    for _ in range(2):
+        emitted.clear()
+        compile_design(ls.parse_design(ct_alu.sources, top=ct_alu.profile.top))
+        runs.append(list(emitted))
+    assert runs[0] == runs[1]
+    assert any(re.search(r"^ +s\d+ = ", code, re.M) for code in runs[0])
