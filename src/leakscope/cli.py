@@ -372,6 +372,8 @@ def _load_config(path: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise LeakscopeError(f"{path}: invalid JSON: {exc}")
+    except RecursionError:
+        raise LeakscopeError(f"{path}: invalid JSON: nested too deeply")
     if not isinstance(doc, dict):
         raise LeakscopeError(f"{path}: campaign config must be a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))

@@ -15,16 +15,19 @@ has toggled for `quiescence_window` cycles, or at max_cycles (flagged).
 
 A cycle with no input write that settles to exactly the previous row is a
 fixed point of the clock step, so every later cycle up to the next input
-write repeats that row object without evaluating anything. Trace rows are
-therefore read-only, and consecutive equal rows may be one shared list.
+write repeats that row object without evaluating anything: the run appends
+the whole quiet stretch at once, up to that write, the quiescence stop or
+max_cycles. Trace rows are therefore read-only, and consecutive equal rows
+may be one shared list; consumers walk the distinct rows and expand runs.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress, islice, repeat
 from operator import is_not, itemgetter
 
 from .design import DesignHierarchy, Instance
@@ -419,6 +422,7 @@ class TraceBundle:
         self._layouts = layouts
         self._traces: dict[str, SimulationTrace] = {}
         self._new_row_cycles: list[int] | None = None
+        self._run_view: tuple[list[list[int]], Callable[[tuple], tuple]] | None = None
         self.start_cycle = start_cycle
         self.stimulus = stimulus
         self.seed_id = seed_id
@@ -450,13 +454,29 @@ class TraceBundle:
             return cached
         lo, hi, names, _ = self._require(path)
         if self._rows:
-            columns = zip(*map(itemgetter(slice(lo, hi)), self._rows))
+            # Slice only the distinct rows; one C-level gather repeats each
+            # slice over its run, and zip transposes.
+            distinct, expand = self._runs()
+            slices = tuple(map(itemgetter(slice(lo, hi)), distinct))
+            columns = zip(*expand(slices))
             values = {name: list(column) for name, column in zip(names, columns)}
         else:
             values = {name: [] for name in names}
         trace = SimulationTrace(path, values, len(self._rows))
         self._traces[path] = trace
         return trace
+
+    def _runs(self) -> tuple[list[list[int]], Callable[[tuple], tuple]]:
+        """The distinct rows, one per run of repeated rows, and a gather
+        that maps a tuple with one entry per run to the per-cycle tuple,
+        which repeats each entry over its run."""
+        if self._run_view is None:
+            rows = self._rows
+            run_of = list(accumulate(map(is_not, islice(rows, 1, None), rows), initial=0))
+            # A single index would make itemgetter return the bare entry.
+            expand = itemgetter(*run_of) if len(run_of) > 1 else tuple
+            self._run_view = ([rows[0], *map(rows.__getitem__, self._new_rows())], expand)
+        return self._run_view
 
     def last_toggle_at_or_after(self, path: str, start: int) -> int | None:
         lo, hi, _, _ = self._require(path)
@@ -470,11 +490,11 @@ class TraceBundle:
 
     def value_changes(
         self, signals: list[tuple[str, str]]
-    ) -> Iterator[Sequence[tuple[int, int]]]:
-        """Per cycle, the (position in `signals`, value) pairs the cycle
-        sets: every signal at cycle 0, later only those that differ from
-        the previous cycle. A cycle that repeats its predecessor's row
-        yields no pairs without comparing anything."""
+    ) -> Iterator[tuple[int, Sequence[tuple[int, int]]]]:
+        """(cycle, the (position in `signals`, value) pairs the cycle sets)
+        for cycle 0, which sets every signal, and for each later cycle whose
+        row is a new row object, which sets those that differ from the
+        previous cycle. A cycle not yielded repeats its predecessor's row."""
         positions: dict[tuple[str, str], int] = {}
         for path in dict.fromkeys(path for path, _ in signals):
             lo, _, names, _ = self._require(path)
@@ -482,12 +502,10 @@ class TraceBundle:
         columns = [(k, positions[signal]) for k, signal in enumerate(signals)]
         rows = self._rows
         if rows:
-            yield [(k, rows[0][i]) for k, i in columns]
-        for previous, row in zip(rows, rows[1:]):
-            if row is previous:
-                yield ()
-            else:
-                yield [(k, row[i]) for k, i in columns if row[i] != previous[i]]
+            yield 0, [(k, rows[0][i]) for k, i in columns]
+        for c in self._new_rows():
+            row, previous = rows[c], rows[c - 1]
+            yield c, [(k, row[i]) for k, i in columns if row[i] != previous[i]]
 
     def _new_rows(self) -> list[int]:
         """Cycles c >= 1 whose row is not the very row object of c - 1;
@@ -495,13 +513,14 @@ class TraceBundle:
         if self._new_row_cycles is None:
             rows = self._rows
             self._new_row_cycles = list(
-                compress(range(1, len(rows)), map(is_not, rows[1:], rows))
+                compress(range(1, len(rows)), map(is_not, islice(rows, 1, None), rows))
             )
         return self._new_row_cycles
 
     def rows_digest(self) -> str:
         """Content hash of the recorded rows; runs with identical behavior
-        share a digest, which the fuzzer exploits to skip re-analysis."""
+        share a digest. The fuzzer keys the run pairs it has already
+        diagnosed by it (`_Campaign._diagnosed`)."""
         cached = getattr(self, "_digest", None)
         if cached is None:
             import hashlib
@@ -607,6 +626,7 @@ def simulate(
     stimulus_end = cycle_cursor
 
     seq_fns = design.seq_fns
+    stops = sorted([*schedule, max_cycles])  # where a quiet stretch must end
     rows: list[list[int]] = []
     nb: dict[int, int] = {}
     last_activity = 0
@@ -614,14 +634,20 @@ def simulate(
 
     # A cycle with no input write that settles back to the previous row
     # reaches a fixed point of the clock step: all state lives in `v` and
-    # the step is deterministic. Until the next input write every cycle
-    # repeats that row object, and nothing is evaluated.
+    # the step is deterministic. Every cycle up to the next input write
+    # repeats that row object, so the whole stretch is filled at once, up
+    # to that write, the quiescence stop or max_cycles, whichever is first.
     settled = False
     cycle = 0
     while True:
         writes = schedule.get(cycle)
         if settled and writes is None:
-            rows.append(rows[-1])
+            end = min(
+                stops[bisect_right(stops, cycle)],
+                max(last_activity, stimulus_end - 1) + quiescence_window + 1,
+            )
+            rows.extend(repeat(rows[-1], end - cycle))
+            cycle = end
         else:
             if cycle > 0:
                 nb.clear()
@@ -640,11 +666,12 @@ def simulate(
                     last_activity = cycle
                 rows.append(v.copy())
                 settled = False
-        cycle += 1
+            cycle += 1
         if cycle >= max_cycles:
             max_reached = True
             break
-        if cycle >= stimulus_end and cycle - max(last_activity, stimulus_end - 1) > quiescence_window:
+        # Past the stimulus and quiescence_window cycles since the last toggle.
+        if cycle > max(last_activity, stimulus_end - 1) + quiescence_window:
             break
 
     layouts = {

@@ -105,6 +105,8 @@ def stimulus_from_json(text: str) -> Stimulus:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StimulusError(f"bad stimulus JSON: {exc}")
+    except RecursionError:
+        raise StimulusError("bad stimulus JSON: nested too deeply")
     if not isinstance(doc, list):
         raise StimulusError("stimulus JSON must be an array of steps")
     steps = []
@@ -132,7 +134,11 @@ def _require_int(value: object, index: int, what: str) -> None:
 
 
 def load_stimulus(path: str | Path) -> Stimulus:
-    return stimulus_from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise StimulusError(f"{path}: not UTF-8 text: {exc}")
+    return stimulus_from_json(text)
 
 
 def save_stimulus(stim: Stimulus, path: str | Path) -> None:

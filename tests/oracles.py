@@ -12,14 +12,22 @@ tokenizer walks the whole sequence character by character instead of
 cutting it at delay operators first; the stop-rule oracle reads the run
 length off full-length reference traces instead of deciding it cycle by
 cycle; the VCD writer oracle dumps every signal of every cycle from the
-per-signal traces instead of skipping repeated rows.
+per-signal traces instead of skipping repeated rows; the VCD loader oracle
+reads line by line, sorts every value change by time and replays them one
+at a time into per-signal columns, instead of tokenizing the text into
+timestamp blocks and building shared rows; the trace oracle slices and
+transposes every row instead of only the distinct ones.
 """
 
 from __future__ import annotations
 
 import re
 
+from itertools import groupby
+from operator import itemgetter
+
 from leakscope.design import DesignHierarchy
+from leakscope.errors import ClockNotFound, UnknownScope, VcdParseError
 from leakscope.hdl_ast import (
     AlwaysBlock,
     Assign,
@@ -30,6 +38,8 @@ from leakscope.hdl_ast import (
     expr_signals,
 )
 from leakscope.parser import CLOCK_NAME, parse_expression
+from leakscope.simulator import TraceBundle
+from leakscope.vcd import MAX_VCD_WIDTH
 from reference_sim import eval_expr
 
 
@@ -381,3 +391,217 @@ def oracle_write_vcd(bundle) -> str:
             out.append(f"#{2 * cycle + 1}")
             out.append(f"0{clk_id}")
     return "\n".join(out) + "\n"
+
+
+class _Var:
+    __slots__ = ("scope", "name", "width", "line")
+
+    def __init__(self, scope: str, name: str, width: int, line: int):
+        self.scope = scope
+        self.name = name
+        self.width = width
+        self.line = line
+
+
+def oracle_load_vcd(
+    text: str,
+    hierarchy_map: dict[str, str] | None = None,
+    *,
+    expect: DesignHierarchy | None = None,
+) -> TraceBundle:
+    """load_vcd line by line: every value change becomes a (time, code,
+    raw) tuple, the tuples are stably sorted by time and replayed one
+    by one, and the sampled values go through per-signal columns and
+    TraceBundle.from_signal_values, which shares equal consecutive rows."""
+    vars_by_code: dict[str, list[_Var]] = {}
+    scope_stack: list[str] = []
+    changes: list[tuple[int, str, str]] = []  # (time, code, raw value)
+    start_cycle = 0
+    seed_id = "vcd"
+    in_defs = True
+    time = 0
+    lineno = 0
+
+    for raw_line in text.splitlines():
+        lineno += 1
+        line = raw_line.strip()
+        if not line:
+            continue
+        if in_defs:
+            if line.startswith("$scope"):
+                parts = line.split()
+                if len(parts) < 3 or parts[1] != "module":
+                    raise VcdParseError(lineno, f"unsupported scope: {line!r}")
+                scope_stack.append(parts[2])
+            elif line.startswith("$upscope"):
+                if not scope_stack:
+                    raise VcdParseError(lineno, "unbalanced $upscope")
+                scope_stack.pop()
+            elif line.startswith("$var"):
+                parts = line.split()
+                if len(parts) < 5:
+                    raise VcdParseError(lineno, f"malformed $var: {line!r}")
+                if parts[1] not in ("wire", "reg"):
+                    raise VcdParseError(lineno, f"unsupported var type {parts[1]!r}")
+                try:
+                    width = int(parts[2])
+                except ValueError:
+                    raise VcdParseError(lineno, f"bad width in {line!r}")
+                if not 1 <= width <= MAX_VCD_WIDTH:
+                    raise VcdParseError(lineno, f"width out of range in {line!r}")
+                code = parts[3]
+                name = parts[4]
+                scope = ".".join(scope_stack)
+                vars_by_code.setdefault(code, []).append(_Var(scope, name, width, lineno))
+            elif line.startswith("$comment"):
+                for field in line.split():
+                    if field.startswith("start_cycle="):
+                        try:
+                            start_cycle = int(field.split("=", 1)[1])
+                        except ValueError:
+                            raise VcdParseError(lineno, f"bad start cycle {field!r}")
+                    elif field.startswith("seed_id="):
+                        seed_id = field.split("=", 1)[1]
+            elif line.startswith("$enddefinitions"):
+                in_defs = False
+            elif line.startswith(("$timescale", "$date", "$version")):
+                continue
+            continue
+
+        # Value-change section.
+        lead = line[0]
+        if lead in "01xXzZ":
+            code = line[1:].strip()
+            if code not in vars_by_code:
+                raise VcdParseError(lineno, f"value change for undeclared id {code!r}")
+            changes.append((time, code, lead))
+        elif lead == "#":
+            try:
+                time = int(line[1:])
+            except ValueError:
+                raise VcdParseError(lineno, f"bad timestamp {line!r}")
+        elif line.startswith(("$dumpvars", "$end", "$dumpall", "$dumpon", "$dumpoff")):
+            continue
+        elif lead in "bB":
+            parts = line[1:].split()
+            if len(parts) != 2:
+                raise VcdParseError(lineno, f"malformed vector change {line!r}")
+            if parts[0].strip("01xXzZ"):
+                raise VcdParseError(lineno, f"bad vector value in {line!r}")
+            if parts[1] not in vars_by_code:
+                raise VcdParseError(lineno, f"value change for undeclared id {parts[1]!r}")
+            changes.append((time, parts[1], parts[0]))
+        else:
+            raise VcdParseError(lineno, f"unsupported value change {line!r}")
+
+    if in_defs and vars_by_code:
+        raise VcdParseError(lineno, "missing $enddefinitions")
+
+    # Designated clock: a var literally named clk, shallowest scope wins.
+    clk_code = None
+    clk_depth = None
+    for code, vars_ in vars_by_code.items():
+        for var in vars_:
+            if var.name == CLOCK_NAME:
+                depth = var.scope.count(".")
+                if clk_depth is None or depth < clk_depth:
+                    clk_code = code
+                    clk_depth = depth
+    if clk_code is None:
+        raise ClockNotFound("no signal named 'clk' in VCD")
+    if vars_by_code[clk_code][0].width != 1:
+        raise VcdParseError(
+            vars_by_code[clk_code][0].line, f"clock id {clk_code!r} must be declared 1 bit wide"
+        )
+
+    xz_counts: dict[tuple[str, str], int] = {}
+
+    def decode(raw: str, width: int, codes: list[_Var]) -> int:
+        cleaned = []
+        had_xz = False
+        for ch in raw:
+            if ch in "xXzZ":
+                cleaned.append("0")
+                had_xz = True
+            else:
+                cleaned.append(ch)
+        if had_xz:
+            for var in codes:
+                key = (var.scope, var.name)
+                xz_counts[key] = xz_counts.get(key, 0) + 1
+        value = int("".join(cleaned), 2)
+        return value & ((1 << width) - 1)
+
+    # Replay changes in time order; snapshot all values at each clk posedge.
+    # A posedge with no other value change since the last snapshot reuses it.
+    values: dict[str, int] = {code: 0 for code in vars_by_code}
+    samples: list[dict[str, int]] = []
+    changed = True
+    clk_value = 0
+    changes.sort(key=itemgetter(0))
+    for _, batch in groupby(changes, key=itemgetter(0)):
+        posedge = False
+        for _, code, raw in batch:
+            codes = vars_by_code[code]
+            width = codes[0].width
+            if raw == "0":
+                value = 0
+            elif raw == "1":
+                value = 1 & ((1 << width) - 1)
+            else:
+                value = decode(raw, width, codes)
+            if code == clk_code:
+                if clk_value == 0 and value == 1:
+                    posedge = True
+                clk_value = value
+            elif value != values[code]:
+                changed = True
+            values[code] = value
+        if posedge:
+            if changed:
+                sample = dict(values)
+                changed = False
+            samples.append(sample)
+
+    # Regroup per instance path.
+    per_instance: dict[str, dict[str, list[int]]] = {}
+    widths: dict[str, dict[str, int]] = {}
+    for code, vars_ in vars_by_code.items():
+        for var in vars_:
+            scope = var.scope
+            if hierarchy_map is not None:
+                if scope not in hierarchy_map:
+                    raise UnknownScope(f"VCD scope {scope!r} has no instance mapping")
+                scope = hierarchy_map[scope]
+            series = list(map(itemgetter(code), samples))
+            per_instance.setdefault(scope, {})[var.name] = series
+            widths.setdefault(scope, {})[var.name] = var.width
+
+    warnings = [
+        f"{scope}.{name}: {count} x/z value(s) mapped to 0"
+        for (scope, name), count in sorted(xz_counts.items())
+    ]
+    if expect is not None:
+        for inst in expect.instances:
+            module = expect.modules[inst.module_name]
+            present = per_instance.get(inst.path, {})
+            for decl in module.all_signals():
+                if decl.name not in present:
+                    warnings.append(
+                        f"{inst.path}.{decl.name}: absent from VCD, not invented"
+                    )
+
+    return TraceBundle.from_signal_values(
+        per_instance, widths, start_cycle, seed_id=seed_id, warnings=tuple(warnings)
+    )
+
+
+def oracle_trace(bundle, path: str) -> dict[str, list[int]]:
+    """Per-signal values of one instance: every row sliced, then the
+    slices transposed."""
+    lo, hi, names, _ = bundle._require(path)
+    values = {name: [] for name in names}
+    for row in bundle._rows:
+        for name, value in zip(names, row[lo:hi]):
+            values[name].append(value)
+    return values

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import leakscope as ls
 from leakscope.cli import main
@@ -125,6 +130,48 @@ def test_sim_smallest_limits_run(tmp_path, capsys):
     assert "max cycles reached" not in capsys.readouterr().out
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# Steps near the stimulus format, so that runs get past the format checks.
+_STEP = st.fixed_dictionaries(
+    {"tag": st.sampled_from(["start=1;op=1", "start=0", "start=2", "op=1;;start=1", "clk=1", "x"])},
+    optional={
+        "data": st.dictionaries(st.sampled_from(["a", "b", "rst", "nope"]),
+                                st.integers(-1, 300) | _JSON, max_size=3),
+        "hold": st.integers(-2, 10**12) | _JSON,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_JSON, st.lists(_STEP, max_size=5)).map(json.dumps) | st.text(max_size=20),
+    st.none() | st.integers(-3, 10**5),
+    st.none() | st.integers(-3, 10**9),
+)
+@example("[" * 100_000 + "]" * 100_000, None, None)
+def test_sim_any_stimulus_and_limits_end_in_a_result_or_exit_2(text, max_cycles, quiescence):
+    """Whatever the stimulus file and the numeric flags hold, `sim` either
+    runs (0) or reports the problem (2), never with a traceback. Max cycles
+    stay at or below 10**5, so no run records more rows than that."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stim = Path(tmp) / "stim.json"
+        stim.write_text(text)
+        argv = ["sim", "--dut", "ct_alu", "--stim", str(stim)]
+        if max_cycles is not None:
+            argv += ["--max-cycles", str(max_cycles)]
+        if quiescence is not None:
+            argv += ["--quiescence", str(quiescence)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_analyze_stim_pair_and_fail_on_finding(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -166,6 +213,52 @@ def test_diagnose_hit_miss(tmp_path, cacheset, capsys):
     doc = json.loads(out.read_text())
     culprits = {c["signal"] for c in doc["diagnoses"][0]["culprits"]}
     assert "hit" in culprits
+
+
+_VCD_HEADER = (
+    "$timescale 1ns $end\n"
+    "$scope module cacheset $end\n"
+    "$var wire 1 ! clk $end\n"
+    "$var wire 8 \" addr $end\n"
+    "$upscope $end\n"
+    "$enddefinitions $end\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (_VCD_HEADER + "#0\n1!\nb12 \"\n", 9, "bad vector value in 'b12 \"'"),
+        (_VCD_HEADER.replace("wire 8", "wire -3") + "#0\n1!\n", 4, "width out of range"),
+        (_VCD_HEADER.replace("wire 8", "wire 1000000000000") + "#0\n1!\nb1 \"\n", 4,
+         "width out of range"),
+        ("$comment leakscope start_cycle=abc $end\n" + _VCD_HEADER + "#0\n1!\n", 1,
+         "bad start cycle 'start_cycle=abc'"),
+        (_VCD_HEADER + "#0\n1!\n#1\n0!\n1?\n", 11, "value change for undeclared id '?'"),
+    ],
+    ids=["bad-vector-digit", "negative-width", "huge-width", "bad-start-cycle", "undeclared-id"],
+)
+def test_malformed_vcd_exit_2_with_its_line(tmp_path, capsys, text, line, message):
+    bad, good = tmp_path / "bad.vcd", tmp_path / "good.vcd"
+    bad.write_text(text)
+    good.write_text(_VCD_HEADER + "#0\n1!\nb0 \"\n")
+    for args in (["diagnose", str(bad), str(good)], ["diagnose", str(good), str(bad)]):
+        assert main([*args, "--dut", "cacheset"]) == 2
+        err = capsys.readouterr().err
+        assert f"VcdParseError: VCD line {line}: {message}" in err and "Traceback" not in err
+
+
+def test_non_utf8_inputs_exit_2(tmp_path, capsys):
+    vcd = tmp_path / "bad.vcd"
+    vcd.write_bytes(_VCD_HEADER.encode() + b"#0\n1!\nb0 \xff\n")
+    assert main(["diagnose", str(vcd), str(vcd), "--dut", "cacheset"]) == 2
+    err = capsys.readouterr().err
+    assert "VcdParseError: VCD line 9: not UTF-8 text" in err and "Traceback" not in err
+    stim = tmp_path / "stim.json"
+    stim.write_bytes(b'[{"tag": "req=1\xff"}]')
+    assert main(["sim", "--dut", "cacheset", "--stim", str(stim)]) == 2
+    err = capsys.readouterr().err
+    assert "StimulusError" in err and "not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_coverage_emit_and_match(tmp_path, capsys):

@@ -379,6 +379,67 @@ def test_stop_rule_agrees_with_reference(name, serdiv, cacheset, ct_alu):
                             assert series == want[path][sig][: bundle.cycles], (key, path, sig)
 
 
+def _two_divides(hold):
+    """Two serdiv divides; each settles early in its start=0 hold."""
+    return Stimulus(steps=(
+        StimulusStep(tag="start=1", data={"dividend": 200, "divisor": 7}, hold=1),
+        StimulusStep(tag="start=0", data={"dividend": 200, "divisor": 7}, hold=hold),
+        StimulusStep(tag="start=1", data={"dividend": 99, "divisor": 4}, hold=1),
+        StimulusStep(tag="start=0", data={"dividend": 99, "divisor": 4}, hold=40),
+    ))
+
+
+def test_quiet_stretch_ends_agree_with_reference(serdiv):
+    """A settled run appends its quiet stretch in one step. The stretch ends
+    at the next input write, at the quiescence stop, or at max_cycles inside
+    it; each end gives the reference's rows, max_cycles flag and stop cycle."""
+    h = serdiv.hierarchy
+    stim = _two_divides(300)
+    stimulus_end = 3 + stim.total_hold()
+    second_write = 3 + 1 + 300
+    horizon = stimulus_end + 150
+    want = reference_simulate(h, stim, cycles=horizon)
+    rows = list(zip(*[series for signals in want.values() for series in signals.values()]))
+    settled = next(c for c in range(4, second_write) if rows[c] == rows[c - 1])
+    for window in (0, 5, 100):
+        natural, _ = oracle_stop(rows, stimulus_end, max_cycles=horizon, quiescence_window=window)
+        assert natural > stimulus_end + window - 1
+        inside_first = (settled + 1, settled + 2, (settled + second_write) // 2, second_write - 1)
+        at_write = (second_write, second_write + 1)
+        at_stop = (natural - 1, natural, natural + 1, horizon)
+        for max_cycles in (*inside_first, *at_write, *at_stop):
+            bundle = ls.simulate(h, stim, max_cycles=max_cycles, quiescence_window=window)
+            expected = oracle_stop(
+                rows, stimulus_end, max_cycles=max_cycles, quiescence_window=window
+            )
+            key = (window, max_cycles)
+            assert (bundle.cycles, bundle.max_cycles_reached) == expected, key
+            for path in bundle.instances():
+                for sig, series in bundle.trace(path).signal_values.items():
+                    assert series == want[path][sig][: bundle.cycles], (key, path, sig)
+        # Up to the next input write the stretch is one shared row.
+        run = ls.simulate(h, stim, quiescence_window=window)
+        assert all(run._rows[c] is run._rows[settled] for c in range(settled, second_write))
+        assert run.cycles == natural and not run.max_cycles_reached
+
+
+def test_quiet_stretch_costs_no_evaluation(serdiv, monkeypatch):
+    """Cycles of a quiet stretch settle nothing: a hold 100 times longer
+    evaluates exactly as many cycles."""
+    import leakscope.simulator as simulator
+
+    settles = []
+    real = simulator._settle
+    monkeypatch.setattr(simulator, "_settle", lambda *args: (settles.append(1), real(*args)))
+    counts = []
+    for hold in (300, 30_000):
+        settles.clear()
+        bundle = ls.simulate(serdiv.hierarchy, _two_divides(hold), max_cycles=40_000)
+        assert bundle.cycles > hold and not bundle.max_cycles_reached
+        counts.append(len(settles))
+    assert counts[0] == counts[1] < 100
+
+
 def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
     """Quiet cycles share one row object; no consumer may write through it."""
     from leakscope.coverage import TraceMasks

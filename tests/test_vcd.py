@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leakscope as ls
 from leakscope.simulator import TraceBundle
 from leakscope.stimulus import Stimulus, StimulusStep
-from oracles import oracle_write_vcd
+from oracles import oracle_load_vcd, oracle_trace, oracle_write_vcd
 
 
 def _long_hold_serdiv_runs(serdiv):
@@ -142,8 +144,9 @@ def test_writer_matches_per_cycle_oracle(cacheset_runs, serdiv_runs, serdiv, ct_
 
 
 def test_value_changes_agree_with_per_signal_series(serdiv):
-    # Signals in a mixed order across instances; each cycle sets exactly the
-    # values that differ from the previous cycle, and a repeated row none.
+    # Signals in a mixed order across instances; each yielded cycle sets
+    # exactly the values that differ from the previous cycle, and a cycle
+    # left out repeats its predecessor's row object.
     for bundle in [*_long_hold_serdiv_runs(serdiv), _assembled_bundle()]:
         signals = [(p, n) for p in reversed(bundle.instances()) for n in bundle.signal_names(p)]
         series = [bundle.trace(p).signal_values[n] for p, n in signals]
@@ -151,10 +154,11 @@ def test_value_changes_agree_with_per_signal_series(serdiv):
             [(k, s[c]) for k, s in enumerate(series) if c == 0 or s[c] != s[c - 1]]
             for c in range(bundle.cycles)
         ]
-        got = list(bundle.value_changes(signals))
-        assert [list(changes) for changes in got] == expected, bundle.seed_id
+        got = dict(bundle.value_changes(signals))
+        assert [list(got.get(c, ())) for c in range(bundle.cycles)] == expected, bundle.seed_id
         rows = bundle._rows
-        assert all(got[c] == () for c in range(1, bundle.cycles) if rows[c] is rows[c - 1])
+        repeated = [c for c in range(1, bundle.cycles) if rows[c] is rows[c - 1]]
+        assert sorted(got) == sorted(set(range(bundle.cycles)) - set(repeated))
 
 
 def test_quiet_stretch_shares_one_row(serdiv):
@@ -182,3 +186,187 @@ def test_changes_between_posedges_are_sampled():
     bundle = ls.load_vcd(_HEADER + body)
     assert bundle.trace("top").signal_values["data"] == [0, 3, 3, 3, 1, 0]
     assert any("x/z" in w for w in bundle.warnings)
+
+
+# ---------------------------------------------------------------------------
+# The loader and trace() against their line-by-line oracles
+# ---------------------------------------------------------------------------
+
+def _outcome(load, text, **kwargs):
+    """What loading `text` gives: the error's class, line and message, or
+    the rows, which of them repeat the previous row object, and the
+    bundle's layout and metadata."""
+    try:
+        bundle = load(text, **kwargs)
+    except ls.LeakscopeError as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+    rows = bundle._rows
+    return (
+        rows,
+        [rows[c] is rows[c - 1] for c in range(1, len(rows))],
+        bundle._layouts,
+        bundle.warnings,
+        bundle.start_cycle,
+        bundle.seed_id,
+    )
+
+
+def _assert_loaders_agree(text, **kwargs):
+    got = _outcome(ls.load_vcd, text, **kwargs)
+    assert got == _outcome(oracle_load_vcd, text, **kwargs)
+    return got
+
+
+_DUTS = {name: ls.load_dut(name) for name in ("serdiv", "ct_alu", "cacheset")}
+
+
+@st.composite
+def _long_hold_runs(draw):
+    """A bundled design and a run of it whose steps hold their inputs for
+    up to hundreds of cycles."""
+    dut = _DUTS[draw(st.sampled_from(sorted(_DUTS)))]
+    h = dut.hierarchy
+    widths = {p.name: p.width for p in h.modules[h.top].ports}
+    step = st.builds(
+        StimulusStep,
+        tag=st.sampled_from(dut.profile.tags),
+        data=st.fixed_dictionaries(
+            {name: st.integers(0, (1 << widths[name]) - 1) for name in dut.profile.data_inputs}
+        ),
+        hold=st.integers(1, 600),
+    )
+    stim = Stimulus(steps=tuple(draw(st.lists(step, max_size=4))))
+    return dut, ls.simulate(h, stim, seed_id=draw(st.sampled_from(["a", "run7"])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_long_hold_runs(), st.booleans())
+def test_long_hold_runs_agree_with_oracles(run, mapped):
+    dut, bundle = run
+    for path in bundle.instances():
+        assert bundle.trace(path).signal_values == oracle_trace(bundle, path)
+    text = ls.write_vcd(bundle)
+    assert text == oracle_write_vcd(bundle)
+    renamed = {path: "dut" + path[len(dut.hierarchy.top):] for path in bundle.instances()}
+    kwargs = {"expect": dut.hierarchy}
+    if mapped:
+        kwargs["hierarchy_map"] = renamed
+    rows, shared, layouts, *_ = _assert_loaders_agree(text, **kwargs)
+    assert rows == bundle._rows
+    assert shared == [bundle._rows[c] is bundle._rows[c - 1] for c in range(1, bundle.cycles)]
+    back = ls.load_vcd(text, **kwargs)
+    for path in back.instances():
+        assert back.trace(path).signal_values == oracle_trace(back, path)
+
+
+_CODES = ["!", '"', "#", "%", "a"]
+
+
+@st.composite
+def _vcd_texts(draw):
+    """VCD text from the supported subset: timestamps repeated, out of
+    order or negative, x/z bits, vectors wider than their var, ids shared by
+    two vars, the clock changing twice in one timestamp. About one text in
+    three has one flaw: a bad width or start cycle, no $enddefinitions, no
+    clock, or a body line outside the subset."""
+    flaw = draw(st.sampled_from([None] * 8 + ["width", "start", "defs", "clock", "line"]))
+    width = st.integers(1, 6).map(str)
+    if flaw == "width":
+        width = st.sampled_from(["1", "3", "-3", "0", "x", "10" * 9])
+    lines = ["$timescale 1ns $end"]
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(["abc", "", "1.5"] if flaw == "start" else ["0", "3", "-2"]))
+        lines.append(f"$comment leakscope start_cycle={start} seed_id=s{start} $end")
+    clk_name = "clock" if flaw == "clock" else "clk"
+    clk_width = draw(width) if flaw == "width" else "1"
+    lines += ["$scope module top $end", f"$var wire {clk_width} ! {clk_name} $end"]
+    declared = ["!"]
+    for name in draw(st.lists(st.sampled_from(["a", "b", "c", "clk"]), max_size=3)):
+        declared.append(draw(st.sampled_from(_CODES[1:])))
+        lines.append(f"$var {draw(st.sampled_from(['wire', 'reg']))} {draw(width)} "
+                     f"{declared[-1]} {name} $end")
+    if draw(st.booleans()):
+        declared.append(draw(st.sampled_from(_CODES)))
+        lines += ["$scope module sub $end", f"$var wire {draw(width)} {declared[-1]} q $end",
+                  "$upscope $end"]
+    lines.append("$upscope $end")
+    if flaw != "defs":
+        lines.append("$enddefinitions $end")
+    values = st.text("01" * 4 + "xzXZ", min_size=1, max_size=9)
+    value_line = st.one_of(
+        st.tuples(st.sampled_from("0011xz"), st.sampled_from(declared)).map("".join),
+        st.tuples(values, st.sampled_from(declared)).map(lambda vc: f"b{vc[0]} {vc[1]}"),
+    )
+    odd = ["$dumpvars", "$end", "", "  ", "x!"]
+    if flaw == "line":
+        odd += ["b12 !", "b101", "q! garbage", "#abc", "#", "1?", "r1.5 !"]
+    # Timestamps step forward mostly; the clock mostly toggles once in each.
+    clock, time = 0, 0
+    for step, toggles, changes in draw(st.lists(st.tuples(
+        st.sampled_from([1, 1, 1, 2, 0, -1]),
+        st.sampled_from([1, 1, 1, 0, 2]),
+        st.lists(st.one_of(value_line, value_line, st.sampled_from(odd)), max_size=3),
+    ), max_size=40)):
+        time += step
+        group = [f"#{time}", *changes]
+        for _ in range(toggles):
+            clock ^= 1
+            group.insert(draw(st.integers(1, len(group))), f"{clock}!")
+        lines += [draw(st.sampled_from(["", "", "", " ", "\t"])) + line for line in group]
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vcd_texts(), st.sampled_from([None, {"top": "dut", "top.sub": "dut.sub"}, {"top": "dut"}]))
+def test_generated_texts_agree_with_oracle(text, hierarchy_map):
+    _assert_loaders_agree(text, hierarchy_map=hierarchy_map)
+
+
+_TEXTS = {
+    "xz-values": "#0\n$dumpvars\n0!\nbxx1z \"\n$end\n#2\n1!\n#3\n0!\nz\"\n#4\nb1x10 \"\n1!\n",
+    "xz-repeated": "#0\n0!\nbx1 \"\n#1\n1!\n#2\n0!\nbx1 \"\n#3\n1!\n#4\n0!\nbx1 \"\n",
+    "changes-between-posedges": (
+        "#0\n$dumpvars\n1!\nb0 \"\n$end\n#1\n0!\nb11 \"\n#2\n1!\n"
+        "#3\n0!\nb1 \"\n#4\nb11 \"\n#5\n1!\n#6\n0!\n#7\n1!\n"
+    ),
+    "repeated-timestamps": "#0\n0!\n#2\n1!\n#2\nb101 \"\n#3\n0!\n#5\n1!\n#3\nb1 \"\n#5\n0!\n1!\n",
+    "out-of-order-timestamps": "#4\n1!\nb1 \"\n#1\n0!\n#0\nb11 \"\n#2\n1!\n#3\n0!\n#-1\n1!\n",
+    "clock-toggles-in-one-timestamp": "#0\n0!\n#1\n1!\n0!\nb1 \"\n#2\n1!\n0!\n1!\n#3\n0!\n",
+    "before-first-timestamp": "1!\nb111 \"\n#0\n0!\n#1\n1!\n#2\n0!\n#3\nb0 \"\n",
+    "indented": "#0\n  0!\n\t#1\n 1!\n  b1 \"\n   #2\n0!\n#3\n1!\n",
+    "undeclared-id": "#0\n0!\n#1\n1!\n1?\n",
+    "bad-vector-digit": "#0\n0!\n#1\nb12 \"\n",
+    "bad-timestamp": "#0\n0!\nb1 \"\n#1x\n1!\n",
+}
+
+
+@pytest.mark.parametrize("body", list(_TEXTS.values()), ids=list(_TEXTS))
+@pytest.mark.parametrize("hierarchy_map", [None, {"top": "dut"}], ids=["unmapped", "mapped"])
+def test_hand_written_texts_agree_with_oracle(body, hierarchy_map):
+    _assert_loaders_agree(_HEADER + body, hierarchy_map=hierarchy_map)
+
+
+def test_hand_written_texts_load_as_documented():
+    def data(body):
+        return ls.load_vcd(_HEADER + _TEXTS[body]).trace("top").signal_values["data"]
+
+    # Blocks of one time act as one, taken in time order then text order.
+    assert data("repeated-timestamps") == [0b101, 1]
+    assert data("out-of-order-timestamps") == [0, 3, 1]
+    # One posedge per timestamp however often the clock toggles in it.
+    assert data("clock-toggles-in-one-timestamp") == [1, 1]
+    assert data("before-first-timestamp") == [0b111, 0b111]
+    assert data("indented") == [1, 1]
+    # Every x/z change counts, also in a block text seen before.
+    assert ls.load_vcd(_HEADER + _TEXTS["xz-repeated"]).warnings == (
+        "top.data: 3 x/z value(s) mapped to 0",
+    )
+    for body, line in (("undeclared-id", 11), ("bad-vector-digit", 10), ("bad-timestamp", 10)):
+        with pytest.raises(ls.VcdParseError) as info:
+            ls.load_vcd(_HEADER + _TEXTS[body])
+        assert info.value.line == line, body
+    # A clock samples only as a 1-bit signal.
+    wide_clock = _HEADER.replace("wire 1 ! clk", "wire 2 ! clk") + "#0\nb10 !\n#1\n1!\n"
+    assert _assert_loaders_agree(wide_clock)[:2] == ("VcdParseError", 3)
+
