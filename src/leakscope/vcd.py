@@ -314,8 +314,9 @@ def load_vcd(
     warnings rather than invented.
     """
     if not text.isascii() or any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e")):
-        # Every other line break str.splitlines() knows becomes "\n".
-        text = "\n".join(text.splitlines())
+        # Every other line break str.splitlines() knows becomes "\n"; the
+        # line ending the text keeps one, so the line count is unchanged.
+        text = "\n".join(text.splitlines() + [""])
     end_defs = _END_DEFS.search(text)
     header_end, body_start = end_defs.span() if end_defs else (len(text), len(text))
     vars_by_code, start_cycle, seed_id = _read_header(text[:header_end].split("\n"))

@@ -369,4 +369,10 @@ def test_hand_written_texts_load_as_documented():
     # A clock samples only as a 1-bit signal.
     wide_clock = _HEADER.replace("wire 1 ! clk", "wire 2 ! clk") + "#0\nb10 !\n#1\n1!\n"
     assert _assert_loaders_agree(wide_clock)[:2] == ("VcdParseError", 3)
+    # A missing $enddefinitions names the last line, however lines end.
+    no_defs = "$scope module top $end\n$var wire 1 ! clk $end\n$upscope $end\n#1\n1!\n\n"
+    for ending in ("\n", "\r\n", "\r"):
+        text = no_defs.replace("\n", ending)
+        assert _assert_loaders_agree(text)[:2] == ("VcdParseError", 6), ending
+        assert _assert_loaders_agree(text[:-len(ending)])[:2] == ("VcdParseError", 5), ending
 
