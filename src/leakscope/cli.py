@@ -50,6 +50,21 @@ def _add_design_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--top", help="top module name")
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file, with line breaks read as `Path.read_text`
+    reads them; a file that is not UTF-8 is an error that names the file
+    and the line and column of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, line_start) + 1
+        col = exc.start - line_start + 1
+        raise LeakscopeError(f"{path}:{line}:{col}: not UTF-8 text: {exc}")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_design(args):
     if args.dut:
         dut = corpus_mod.load_dut(args.dut)
@@ -61,7 +76,7 @@ def _load_design(args):
         return dut.hierarchy, dut.profile, refs
     if not args.sources:
         raise LeakscopeError("no source files given (or use --dut)")
-    sources = [(Path(p).name, Path(p).read_text()) for p in args.sources]
+    sources = [(Path(p).name, _read_text(p)) for p in args.sources]
     digests = corpus_mod.source_digest(sources)
     refs = tuple((str(Path(p)), digests[Path(p).name]) for p in args.sources)
     h = parse_design(sources, top=args.top)
@@ -265,7 +280,7 @@ def _cmd_diagnose(args) -> int:
     else:
         if not args.design:
             raise LeakscopeError("need --design sources or --dut")
-        sources = [(Path(p).name, Path(p).read_text()) for p in args.design]
+        sources = [(Path(p).name, _read_text(p)) for p in args.design]
         h = parse_design(sources, top=args.top)
     megs = build_megs(h.modules)
     a = load_vcd_file(args.vcd_a, expect=h)
@@ -391,7 +406,11 @@ def _load_config(path: str) -> dict:
 def _cmd_fuzz(args) -> int:
     h, profile, refs = _load_design(args)
     if args.profile:
-        profile = corpus_mod.DutProfile.from_json(Path(args.profile).read_text())
+        text = _read_text(args.profile)
+        try:
+            profile = corpus_mod.DutProfile.from_json(text)
+        except LeakscopeError as exc:
+            raise LeakscopeError(f"{args.profile}: {exc}")
     if profile is None:
         raise LeakscopeError("fuzzing needs --profile (or --dut with a bundled profile)")
 

@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 from .design import DesignHierarchy, parse_design
-from .errors import StimulusError
+from .errors import LeakscopeError, StimulusError
 from .stimulus import Stimulus, stimulus_from_json
 
 
@@ -27,12 +27,18 @@ class DutProfile:
 
     @staticmethod
     def from_json(text: str) -> "DutProfile":
-        doc = json.loads(text)
-        return DutProfile(
-            top=doc["top"],
-            tags=tuple(doc["tags"]),
-            data_inputs=tuple(doc["data_inputs"]),
-        )
+        try:
+            doc = json.loads(text)
+            profile = DutProfile(
+                top=doc["top"],
+                tags=tuple(doc["tags"]),
+                data_inputs=tuple(doc["data_inputs"]),
+            )
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
+            raise LeakscopeError(f"invalid DUT profile: {type(exc).__name__}: {exc}")
+        if not all(isinstance(s, str) for s in (profile.top, *profile.tags, *profile.data_inputs)):
+            raise LeakscopeError("invalid DUT profile: top, tags and data_inputs must be strings")
+        return profile
 
 
 @dataclass

@@ -299,10 +299,11 @@ def parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
 # Matching against traces
 # ---------------------------------------------------------------------------
 
-# Compiled mask builders keyed by (signal layout, expression); the compiled
-# function takes the per-signal arrays explicitly so one compile serves
-# every trace with the same layout.
-_EXPR_CACHE: dict[tuple[tuple[tuple[str, int], ...], str], object] = {}
+# Compiled mask builders, one dict per signal layout, keyed by expression;
+# the compiled function takes the per-signal arrays explicitly so one
+# compile serves every trace with the same layout. `TraceMasks` looks up
+# its layout's dict once, so a mask build hashes only the expression.
+_EXPR_CACHE: dict[tuple[tuple[str, int], ...], dict[str, object]] = {}
 
 
 def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
@@ -310,10 +311,6 @@ def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
     mask of the n-cycle trace whose per-signal arrays are `sv`: bit t is
     set iff the expression holds at cycle t. The function walks only the
     columns the expression reads, all at once, in one comprehension."""
-    key = (layout, expr_text)
-    fn = _EXPR_CACHE.get(key)
-    if fn is not None:
-        return fn
     from .hdl_ast import expr_signals
     from .simulator import _ExprCompiler
 
@@ -341,9 +338,7 @@ def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
         f"    return int(''.join(['1' if {src} else '0' for {loop}])[::-1] or '0', 2)",
         namespace,
     )
-    fn = namespace["fn"]
-    _EXPR_CACHE[key] = fn
-    return fn
+    return namespace["fn"]
 
 
 class TraceMasks:
@@ -356,6 +351,7 @@ class TraceMasks:
         names = bundle.signal_names(instance_path)
         widths = bundle.signal_widths(instance_path)
         self.layout = tuple(zip(names, widths))
+        self._compiled = _EXPR_CACHE.setdefault(self.layout, {})
         self.sv = [trace.signal_values[name] for name in names]
         self.cycles = trace.cycles
         self.all = (1 << self.cycles) - 1
@@ -365,7 +361,9 @@ class TraceMasks:
     def mask(self, expr_text: str) -> int:
         m = self._masks.get(expr_text)
         if m is None:
-            fn = compile_trace_expr(expr_text, self.layout)
+            fn = self._compiled.get(expr_text)
+            if fn is None:
+                fn = self._compiled[expr_text] = compile_trace_expr(expr_text, self.layout)
             m = self._masks[expr_text] = fn(self.sv, self.cycles)
         return m
 

@@ -187,6 +187,11 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
     return tokens
 
 
+def _is_decimal(text: str) -> bool:
+    # str.isdigit alone also accepts digits that int() rejects, such as "²".
+    return text.isascii() and text.isdigit()
+
+
 def parse_number(tok: Token, file: str) -> tuple[int, int, bool]:
     """Resolve a literal token to (value, width, sized).
 
@@ -195,6 +200,8 @@ def parse_number(tok: Token, file: str) -> tuple[int, int, bool]:
     """
     raw = tok.text.replace("_", "")
     if "'" not in raw:
+        if not _is_decimal(raw):
+            raise ParseError(f"malformed literal {tok.text!r}", file, tok.line, tok.col)
         return int(raw), 32, False
     size_str, rest = raw.split("'", 1)
     if not rest:
@@ -207,7 +214,7 @@ def parse_number(tok: Token, file: str) -> tuple[int, int, bool]:
             f"unsupported literal base {base_char!r} in {tok.text!r}",
             file, tok.line, tok.col,
         )
-    if not size_str or not digits:
+    if not _is_decimal(size_str) or not digits:
         raise ParseError(f"malformed literal {tok.text!r}", file, tok.line, tok.col)
     width = int(size_str)
     try:

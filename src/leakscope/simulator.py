@@ -1,11 +1,15 @@
 """Cycle-accurate two-state simulator over the flattened instance tree.
 
-Each instance's combinational items and clocked blocks are compiled once
-into Python functions over a flat value vector (signals get contiguous
-global indices per instance), so repeated runs of the same design pay only
-per-cycle costs. Per cycle the engine: commits the clock edge (non-blocking
-writes buffered and applied atomically), drives stimulus inputs, settles
-combinational logic to a fixpoint, and records a snapshot row.
+Combinational items and clocked blocks become Python functions over a flat
+value vector (signals get contiguous global indices per instance), so
+repeated runs of the same design pay only per-cycle costs. Each module is
+compiled once per design, with indices relative to the instance's first
+one, and relocated to every instance by swapping the global indices into
+the compiled constants; port maps are compiled once per instance
+declaration and relocated to parent and child. Per cycle the engine:
+commits the clock edge (non-blocking writes buffered and applied
+atomically), drives stimulus inputs, settles combinational logic to a
+fixpoint, and records a snapshot row.
 
 Timeline convention: rst is held high for `reset_cycles` cycles, dropped for
 one settle cycle, and the first stimulus step lands on the next cycle; that
@@ -23,14 +27,16 @@ may be one shared list; consumers walk the distinct rows and expand runs.
 
 from __future__ import annotations
 
+import builtins
 import random
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, repeat
 from operator import is_not, itemgetter
+from types import CodeType, FunctionType
 
-from .design import DesignHierarchy, Instance
+from .design import DesignHierarchy
 from .errors import CombinationalLoop, SimulationLimitError, UnknownInstance
 from .hdl_ast import (
     AlwaysBlock,
@@ -43,6 +49,7 @@ from .hdl_ast import (
     ContinuousAssign,
     Expr,
     If,
+    InstanceDecl,
     ModuleAst,
     Num,
     PartSelect,
@@ -204,6 +211,11 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
             design.top_inputs[port.name] = (top_layout.index[port.name], port.width)
     design.rst_index = top_layout.index.get(RESET_NAME)
 
+    # Code is generated and compiled once per module (and per port map of
+    # an instance declaration), then relocated to each instance's base. The
+    # caches live for this call only: kept process-wide, they would hold
+    # every compiled design's code for the life of the process.
+    module_code: dict[str, list[tuple[_Relocatable, list[str] | None]]] = {}
     for inst in h.instances:
         layout = layouts[inst.path]
         if CLOCK_NAME in layout.index:
@@ -213,21 +225,81 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
                 design.reg_indices.append(
                     (inst.path, decl.name, layout.index[decl.name], decl.width)
                 )
-        _compile_instance(design, layout)
+        items = module_code.get(inst.module_name)
+        if items is None:
+            items = module_code[inst.module_name] = _module_code(layout.module)
+        for code, dests in items:
+            if dests is None:
+                design.seq_fns.append(code.bind(layout.lo))
+            else:
+                design.comb_fns.append(code.bind(layout.lo))
+                design.comb_info.append((inst.path, dests))
 
+    port_code: dict[tuple[str, str], list[tuple[_Relocatable, str, bool]]] = {}
     for inst in h.instances:
-        if inst.decl is not None:
-            _compile_connections(design, inst)
+        if inst.decl is None:
+            continue
+        parent, child = layouts[inst.parent], layouts[inst.path]
+        key = (parent.module.name, inst.decl.instance_name)
+        items = port_code.get(key)
+        if items is None:
+            items = port_code[key] = _port_code(parent.module, child.module, inst.decl)
+        for code, dest, into_child in items:
+            design.comb_fns.append(code.bind(parent.lo, child.lo))
+            design.comb_info.append(
+                (inst.parent, [f"{inst.path}.{dest}" if into_child else dest])
+            )
 
     h._compiled = design
     return design
 
 
-def _scope_for(layout: InstanceLayout) -> dict[str, tuple[str, int]]:
+# A signal is referenced by a placeholder string constant, the prefix of its
+# base followed by its index relative to that base: `v["@3"]` is signal 3 of
+# the instance (or, in a port map, of the parent) and `v["^3"]` signal 3 of
+# the child. The HDL subset has no strings, so no literal can collide.
+_BASE_PREFIXES = "@^"
+_FN_GLOBALS = {"__builtins__": builtins}
+
+
+def _slot(k: int, base: int = 0) -> str:
+    return f'"{_BASE_PREFIXES[base]}{k}"'
+
+
+def _scope_for(module: ModuleAst, base: int = 0) -> dict[str, tuple[str, int]]:
     return {
-        name: (f"v[{layout.index[name]}]", width)
-        for name, width in zip(layout.names, layout.widths)
+        d.name: (f"v[{_slot(k, base)}]", d.width) for k, d in enumerate(module.all_signals())
     }
+
+
+class _Relocatable:
+    """One generated function, compiled once with placeholder indices;
+    `bind` makes the function for given bases by swapping each placeholder
+    constant for its global index, so the bound code runs the very bytecode
+    a function compiled with literal indices would."""
+
+    __slots__ = ("code", "consts", "slots")
+
+    def __init__(self, lines: list[str]):
+        self.code = _compile_fn(lines)
+        self.consts = self.code.co_consts
+        self.slots = [
+            (pos, _BASE_PREFIXES.index(c[0]), int(c[1:]))
+            for pos, c in enumerate(self.consts)
+            if type(c) is str
+        ]
+
+    def bind(self, *bases: int):
+        consts = list(self.consts)
+        for pos, base, k in self.slots:
+            consts[pos] = bases[base] + k
+        return FunctionType(self.code.replace(co_consts=tuple(consts)), _FN_GLOBALS)
+
+
+def _compile_fn(lines: list[str]) -> CodeType:
+    """Compile the source of one `def fn` and return the function's code."""
+    module = compile("\n".join(lines), "<string>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 def _fit(src: str, width: int, dest_width: int) -> str:
@@ -237,24 +309,26 @@ def _fit(src: str, width: int, dest_width: int) -> str:
     return src
 
 
-def _compile_instance(design: CompiledDesign, layout: InstanceLayout) -> None:
-    m = layout.module
-    scope = _scope_for(layout)
+def _module_code(m: ModuleAst) -> list[tuple[_Relocatable, list[str] | None]]:
+    """The module's items as relocatable functions, each with the names it
+    drives if it is combinational (`fn(v)`) or None if clocked (`fn(v, nb)`)."""
+    scope = _scope_for(m)
+    rel = {d.name: k for k, d in enumerate(m.all_signals())}
     ec = _ExprCompiler(scope)
+    out: list[tuple[_Relocatable, list[str] | None]] = []
 
     for item in m.items:
         if isinstance(item, ContinuousAssign):
-            idx = layout.index[item.dest]
+            target = scope[item.dest][0]
             body = [
                 "def fn(v):",
                 f"    t = {_fit(*ec.compile(item.expr), scope[item.dest][1])}",
-                f"    if v[{idx}] != t:",
-                f"        v[{idx}] = t",
+                f"    if {target} != t:",
+                f"        {target} = t",
                 "        return 1",
                 "    return 0",
             ]
-            design.comb_fns.append(_exec_fn(body))
-            design.comb_info.append((layout.path, [item.dest]))
+            out.append((_Relocatable(body), [item.dest]))
         elif isinstance(item, AlwaysBlock):
             if item.trigger is AlwaysTrigger.COMBINATIONAL:
                 # The block executes to completion before anything observes
@@ -266,22 +340,19 @@ def _compile_instance(design: CompiledDesign, layout: InstanceLayout) -> None:
                 )
                 local_scope = dict(scope)
                 for name in dests:
-                    local_scope[name] = (f"b_{layout.index[name]}", scope[name][1])
+                    local_scope[name] = (f"b_{rel[name]}", scope[name][1])
                 ec_comb = _ExprCompiler(local_scope)
                 lines = ["def fn(v):"]
                 for name in dests:
-                    idx = layout.index[name]
-                    lines.append(f"    b_{idx} = v[{idx}]")
-                _emit_stmts(lines, item.body, 1, ec_comb, layout)
+                    lines.append(f"    b_{rel[name]} = {scope[name][0]}")
+                _emit_stmts(lines, item.body, 1, ec_comb, rel)
                 lines.append("    ch = 0")
                 for name in dests:
-                    idx = layout.index[name]
-                    lines.append(f"    if v[{idx}] != b_{idx}:")
-                    lines.append(f"        v[{idx}] = b_{idx}")
+                    lines.append(f"    if {scope[name][0]} != b_{rel[name]}:")
+                    lines.append(f"        {scope[name][0]} = b_{rel[name]}")
                     lines.append("        ch = 1")
                 lines.append("    return ch")
-                design.comb_fns.append(_exec_fn(lines))
-                design.comb_info.append((layout.path, dests))
+                out.append((_Relocatable(lines), dests))
             else:
                 blocking = sorted(
                     {
@@ -294,39 +365,37 @@ def _compile_instance(design: CompiledDesign, layout: InstanceLayout) -> None:
                 # reads observe the in-block update order.
                 local_scope = dict(scope)
                 for name in blocking:
-                    local_scope[name] = (f"b_{layout.index[name]}", scope[name][1])
+                    local_scope[name] = (f"b_{rel[name]}", scope[name][1])
                 ec_seq = _ExprCompiler(local_scope)
                 lines = ["def fn(v, nb):"]
                 for name in blocking:
-                    idx = layout.index[name]
-                    lines.append(f"    b_{idx} = v[{idx}]")
-                _emit_stmts(lines, item.body, 1, ec_seq, layout)
+                    lines.append(f"    b_{rel[name]} = {scope[name][0]}")
+                _emit_stmts(lines, item.body, 1, ec_seq, rel)
                 for name in blocking:
-                    idx = layout.index[name]
-                    lines.append(f"    v[{idx}] = b_{idx}")
-                design.seq_fns.append(_exec_fn(lines))
+                    lines.append(f"    {scope[name][0]} = b_{rel[name]}")
+                out.append((_Relocatable(lines), None))
+    return out
 
 
-def _emit_stmts(lines, stmts, depth, ec, layout: InstanceLayout) -> None:
+def _emit_stmts(lines, stmts, depth, ec, rel: dict[str, int]) -> None:
     pad = "    " * depth
     for stmt in stmts:
         if isinstance(stmt, Assign):
-            idx = layout.index[stmt.dest]
             target, dest_width = ec.scope[stmt.dest]
             value = _fit(*ec.compile(stmt.expr), dest_width)
             if stmt.style is AssignStyle.NON_BLOCKING:
-                lines.append(f"{pad}nb[{idx}] = {value}")
+                lines.append(f"{pad}nb[{_slot(rel[stmt.dest])}] = {value}")
             else:
                 lines.append(f"{pad}{target} = {value}")
         elif isinstance(stmt, If):
             cond, _ = ec.compile(stmt.cond)
             lines.append(f"{pad}if {cond}:")
-            _emit_stmts(lines, stmt.then, depth + 1, ec, layout)
+            _emit_stmts(lines, stmt.then, depth + 1, ec, rel)
             if not stmt.then:
                 lines.append(f"{pad}    pass")
             if stmt.other:
                 lines.append(f"{pad}else:")
-                _emit_stmts(lines, stmt.other, depth + 1, ec, layout)
+                _emit_stmts(lines, stmt.other, depth + 1, ec, rel)
         elif isinstance(stmt, Case):
             subject, _ = ec.compile(stmt.subject)
             # Named by depth: a case nested in an arm is one level deeper,
@@ -338,54 +407,50 @@ def _emit_stmts(lines, stmts, depth, ec, layout: InstanceLayout) -> None:
                 kw = "if" if first else "elif"
                 first = False
                 lines.append(f"{pad}{kw} {tmp} == {arm.match.value}:")
-                _emit_stmts(lines, arm.body, depth + 1, ec, layout)
+                _emit_stmts(lines, arm.body, depth + 1, ec, rel)
                 if not arm.body:
                     lines.append(f"{pad}    pass")
             if stmt.default:
                 lines.append(f"{pad}else:" if not first else f"{pad}if True:")
-                _emit_stmts(lines, stmt.default, depth + 1, ec, layout)
+                _emit_stmts(lines, stmt.default, depth + 1, ec, rel)
         else:
             raise TypeError(stmt)
 
 
-def _compile_connections(design: CompiledDesign, inst: Instance) -> None:
-    """Port bindings become combinational transfer functions."""
-    child_layout = design.layouts[inst.path]
-    parent_layout = design.layouts[inst.parent]
-    child_ports = {p.name: p for p in child_layout.module.ports}
-    parent_scope = _scope_for(parent_layout)
+def _port_code(
+    parent: ModuleAst, child: ModuleAst, decl: InstanceDecl
+) -> list[tuple[_Relocatable, str, bool]]:
+    """Port bindings become combinational transfer functions, bound to the
+    parent's base and the child's. Each comes with the name it drives and
+    whether that is a child port (else a parent signal)."""
+    child_ports = {p.name: p for p in child.ports}
+    parent_scope = _scope_for(parent)
+    child_scope = _scope_for(child, base=1)
     ec = _ExprCompiler(parent_scope)
+    out: list[tuple[_Relocatable, str, bool]] = []
 
-    for formal, actual in inst.decl.port_map:
+    for formal, actual in decl.port_map:
         port = child_ports[formal]
         if formal == CLOCK_NAME:
             continue
         if port.kind is SignalKind.INPUT:
             src = _fit(*ec.compile(actual), port.width)
-            dst = child_layout.index[formal]
-            dests = [f"{inst.path}.{formal}"]
+            dst = child_scope[formal][0]
+            dest, into_child = formal, True
         else:
-            src = _fit(
-                f"v[{child_layout.index[formal]}]", port.width, parent_scope[actual.name][1]
-            )
-            dst = parent_layout.index[actual.name]
-            dests = [actual.name]
+            src = _fit(child_scope[formal][0], port.width, parent_scope[actual.name][1])
+            dst = parent_scope[actual.name][0]
+            dest, into_child = actual.name, False
         body = [
             "def fn(v):",
             f"    t = {src}",
-            f"    if v[{dst}] != t:",
-            f"        v[{dst}] = t",
+            f"    if {dst} != t:",
+            f"        {dst} = t",
             "        return 1",
             "    return 0",
         ]
-        design.comb_fns.append(_exec_fn(body))
-        design.comb_info.append((inst.parent, dests))
-
-
-def _exec_fn(lines: list[str]):
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)  # noqa: S102 - compiling our own codegen
-    return namespace["fn"]
+        out.append((_Relocatable(body), dest, into_child))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,90 @@ def test_non_utf8_inputs_exit_2(tmp_path, capsys):
     assert "StimulusError" in err and "not UTF-8 text" in err and "Traceback" not in err
 
 
+def test_non_utf8_sources_and_profiles_exit_2(tmp_path, capsys, ct_alu):
+    """HDL sources and `--profile` files that are not UTF-8 exit 2 naming the
+    file and the first bad byte, in every command that reads them."""
+    hdl = tmp_path / "bad.hdl"
+    hdl.write_bytes(ct_alu.sources[0][1].encode() + b"\n// caf\xe9\n")
+    line = ct_alu.sources[0][1].count("\n") + 2
+    stim = tmp_path / "stim.json"
+    stim.write_text(json.dumps([{"tag": "start=1", "data": {}}]))
+    profile = tmp_path / "profile.json"
+    profile.write_bytes(b'{"top": "ct_alu\xff"}')
+    runs = [
+        (["parse", str(hdl)], f"{hdl}:{line}:7: not UTF-8 text"),
+        (["graph", str(hdl)], f"{hdl}:{line}:7: not UTF-8 text"),
+        (["sim", str(hdl), "--stim", str(stim)], f"{hdl}:{line}:7: not UTF-8 text"),
+        (["diagnose", "a.vcd", "b.vcd", "--design", str(hdl)], f"{hdl}:{line}:7: not UTF-8 text"),
+        (["fuzz", "--dut", "ct_alu", "--profile", str(profile)], f"{profile}:1:16: not UTF-8 text"),
+    ]
+    for argv, message in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, argv
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+_CT_ALU_DIR = Path(ls.__file__).parent / "dut" / "ct_alu"
+_JUNK = st.binary(max_size=40) | st.text(max_size=40).map(str.encode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JUNK, st.integers(0, 10**6), st.sampled_from(["parse", "graph"]))
+def test_any_source_bytes_end_in_a_result_or_exit_2(junk, at, command):
+    """Bytes spliced into a real source, UTF-8 or not, parse (0) or are
+    reported (2), never with a traceback."""
+    text = (_CT_ALU_DIR / "ct_alu.hdl").read_bytes()
+    at %= len(text) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        hdl = Path(tmp) / "spliced.hdl"
+        hdl.write_bytes(text[:at] + junk + text[at:])
+        rc, err = _run_quietly([command, str(hdl)])
+    assert rc in (0, 2) and "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(_JUNK, st.integers(0, 10**6), st.integers(0, 6))
+def test_any_profile_bytes_end_in_a_result_or_exit_2(junk, at, cut):
+    """A bundled profile with bytes spliced in, or cut out, runs a campaign
+    (0) or is reported (2), never with a traceback."""
+    text = (_CT_ALU_DIR / "profile.json").read_bytes()
+    at %= len(text) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        profile = Path(tmp) / "profile.json"
+        profile.write_bytes(text[:at] + junk + text[at + cut:])
+        rc, err = _run_quietly([
+            "fuzz", "--dut", "ct_alu", "--profile", str(profile), "--rounds", "1",
+            "--mutants", "2", "--out", str(Path(tmp) / "campaign"),
+        ])
+    assert rc in (0, 2) and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"top": "ct_alu", "tags": [', "invalid DUT profile: JSONDecodeError"),
+        ('{"top": "ct_alu"}', "invalid DUT profile: KeyError: 'tags'"),
+        ('{"top": "ct_alu", "tags": 3, "data_inputs": []}', "invalid DUT profile: TypeError"),
+        ('{"top": "ct_alu", "tags": [1], "data_inputs": []}', "invalid DUT profile: top, tags and data_inputs must be strings"),
+        ("[" * 100_000, "invalid DUT profile"),
+    ],
+    ids=["truncated", "missing-key", "not-a-list", "not-strings", "deep"],
+)
+def test_malformed_profile_exit_2(tmp_path, capsys, text, message):
+    profile = tmp_path / "profile.json"
+    profile.write_text(text)
+    assert main(["fuzz", "--dut", "ct_alu", "--profile", str(profile)]) == 2
+    err = capsys.readouterr().err
+    assert f"{profile}: {message}" in err and "Traceback" not in err
+
+
 def test_coverage_emit_and_match(tmp_path, capsys):
     stim = tmp_path / "stim.json"
     stim.write_text('[{"tag": "req=1", "data": {"addr": 40, "lock": 0}, "hold": 4}]')

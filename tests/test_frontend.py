@@ -126,6 +126,24 @@ def test_syntax_error_has_location():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("7A", "malformed literal '7A'"),
+        ("7A'd1", "malformed literal \"7A'd1\""),
+        ("²", "malformed literal '²'"),
+        ("4'd²", "bad digits in literal \"4'd²\""),
+    ],
+    ids=["letter-in-decimal", "letter-in-size", "superscript", "superscript-digits"],
+)
+def test_malformed_number_is_a_parse_error(literal, message):
+    src = f"module m(input clk, output [3:0] w);\n  assign w = {literal};\nendmodule"
+    with pytest.raises(ls.ParseError) as err:
+        parse_modules(src, "num.hdl")
+    assert (err.value.line, err.value.col) == (2, 14)
+    assert str(err.value) == f"num.hdl:2:14: {message}"
+
+
 def test_unresolved_identifier():
     src = "module m(input clk, input a, output w);\n  assign w = b;\nendmodule"
     with pytest.raises(ls.UnresolvedIdentifier):

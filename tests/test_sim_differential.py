@@ -6,6 +6,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import leakscope as ls
 from leakscope.stimulus import Stimulus, StimulusStep
 from reference_sim import reference_simulate
@@ -166,3 +170,80 @@ def test_differential_with_instance():
         except ls.CombinationalLoop:
             continue
     assert checked >= 15
+
+
+def _copies_parent(rng: random.Random, name: str, copies: int) -> str:
+    """A parent of `copies` leafmod instances, each bound to different
+    parent expressions in a shuffled port order. Copy k reads only parent
+    inputs, the parent's register and the outputs of copies before it, so
+    the design stays free of combinational loops."""
+    lines = [
+        f"module {name}(",
+        "  input clk,",
+        "  input rst,",
+        "  input [3:0] a,",
+        "  input [3:0] b,",
+        "  output [3:0] out",
+        ");",
+        "  reg [3:0] r0;",
+    ]
+    lines += [f"  wire [3:0] z{k};" for k in range(copies)]
+    reads = ["a", "b", "r0"]
+    for k in range(copies):
+        ports = [
+            ".clk(clk)",
+            ".rst(rst)",
+            f".a({_rand_expr(rng, reads, 2)})",
+            f".b({_rand_expr(rng, reads, 2)})",
+            f".out(z{k})",
+        ]
+        rng.shuffle(ports)
+        lines.append(f"  leafmod u{k}({', '.join(ports)});")
+        reads.append(f"z{k}")
+    lines.append("  always @(posedge clk) begin")
+    lines.append(f"    if (rst == 1) r0 <= {rng.randrange(16)};")
+    lines.append(f"    else r0 <= {_rand_expr(rng, reads, 2)};")
+    lines.append("  end")
+    lines.append(f"  assign out = {_rand_expr(rng, reads, 2)};")
+    lines.append("endmodule")
+    return "\n".join(lines)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_differential_repeated_instances(seed, copies):
+    """Every copy of a module runs the module's code relocated to its own
+    signals; the copies see different inputs, so a copy bound to another's
+    signals diverges from the reference."""
+    rng = random.Random(seed)
+    leaf = _random_module(rng, "leafmod", with_instance=False)
+    parent = _copies_parent(rng, "rndtop", copies)
+    h = ls.parse_design([("copies.hdl", leaf + "\n" + parent)], top="rndtop")
+    assert [i.module_name for i in h.instances].count("leafmod") == copies
+    _compare(h, _random_stim(rng))
+
+
+def test_loop_in_second_copy_names_that_copy():
+    """A loop that only the second copy's binding closes is reported with
+    that copy's path and signals, not the first copy's."""
+    src = """
+module osc(input clk, input en, input [3:0] d, output [3:0] q);
+  wire x;
+  wire z;
+  assign x = en & !z;
+  assign z = x;
+  assign q = d + 4'd1;
+endmodule
+module top(input clk, input rst, input [3:0] a, output [3:0] out);
+  wire [3:0] q0;
+  osc u0(.clk(clk), .en(1'd0), .d(a + 4'd2), .q(q0));
+  osc u1(.q(out), .d(q0 ^ a), .en(a[0]), .clk(clk));
+endmodule
+"""
+    h = ls.parse_design([("loop.hdl", src)], top="top")
+    even = Stimulus(steps=(StimulusStep(tag="drive", data={"a": 2}, hold=1),))
+    _compare(h, even)
+    odd = Stimulus(steps=(StimulusStep(tag="drive", data={"a": 3}, hold=1),))
+    with pytest.raises(ls.CombinationalLoop) as caught:
+        ls.simulate(h, odd)
+    assert (caught.value.instance, caught.value.signals) == ("top.u1", ["x", "z"])

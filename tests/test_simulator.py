@@ -483,19 +483,24 @@ def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
         assert run._rows == rows
 
 
-def test_codegen_depends_only_on_the_design(ct_alu, monkeypatch):
-    # Case temporaries are named by nesting depth, not by a process-wide
-    # counter, so one design always compiles to the same code.
+def _record_compiles(monkeypatch) -> list[str]:
     import leakscope.simulator as simulator
 
     emitted: list[str] = []
-    real = simulator._exec_fn
+    real = simulator._compile_fn
 
     def record(lines):
         emitted.append("\n".join(lines))
         return real(lines)
 
-    monkeypatch.setattr(simulator, "_exec_fn", record)
+    monkeypatch.setattr(simulator, "_compile_fn", record)
+    return emitted
+
+
+def test_codegen_depends_only_on_the_design(ct_alu, monkeypatch):
+    # Case temporaries are named by nesting depth, not by a process-wide
+    # counter, so one design always compiles to the same code.
+    emitted = _record_compiles(monkeypatch)
     runs = []
     for _ in range(2):
         emitted.clear()
@@ -503,3 +508,42 @@ def test_codegen_depends_only_on_the_design(ct_alu, monkeypatch):
         runs.append(list(emitted))
     assert runs[0] == runs[1]
     assert any(re.search(r"^ +s\d+ = ", code, re.M) for code in runs[0])
+
+
+_NESTED_COPIES = """
+module leaf(input clk, input [7:0] a, output [7:0] y);
+  reg [7:0] r;
+  always @(posedge clk) r <= a + 8'd1;
+  assign y = r ^ a;
+endmodule
+module pair(input clk, input [7:0] a, output [7:0] y);
+  wire [7:0] m;
+  leaf l0(.clk(clk), .a(a), .y(m));
+  leaf l1(.clk(clk), .a(m), .y(y));
+endmodule
+module top(input clk, input rst, input [7:0] a, output [7:0] y);
+  wire [7:0] m;
+  pair p0(.clk(clk), .a(a), .y(m));
+  pair p1(.clk(clk), .a(m ^ a), .y(y));
+endmodule
+"""
+
+
+def test_each_module_and_port_map_compiles_once(monkeypatch):
+    """Four leaf instances compile the leaf's two items once; the port maps
+    of `pair`, instantiated twice, compile once per declaration."""
+    emitted = _record_compiles(monkeypatch)
+    h = ls.parse_design([("nested.hdl", _NESTED_COPIES)], top="top")
+    design = compile_design(h)
+    assert [i.module_name for i in h.instances].count("leaf") == 4
+    # leaf: assign + always; ports: a and y of l0, l1 (in pair), p0, p1 (in top)
+    assert len(emitted) == 2 + 4 * 2
+    assert len(design.comb_fns) == 4 + 6 * 2 and len(design.seq_fns) == 4
+    assert [path for path, _ in design.comb_info[:4]] == [
+        "top.p0.l0", "top.p0.l1", "top.p1.l0", "top.p1.l1"
+    ]
+    stim = Stimulus(steps=(StimulusStep(tag="drive", data={"a": 5}, hold=3),))
+    bundle = ls.simulate(design, stim)
+    want = reference_simulate(h, stim, cycles=bundle.cycles)
+    for path in bundle.instances():
+        assert bundle.trace(path).signal_values == want[path], path
