@@ -28,7 +28,14 @@ from .errors import LeakscopeError
 from .fuzz import FuzzConfig, fuzz_loop
 from .leakage import analyze, measure
 from .meg import build_megs, enumerate_meps, export_dot, export_json
-from .reports import Format, finding_to_json, render, text_report
+from .reports import (
+    Format,
+    coverage_report_csv,
+    coverage_report_json,
+    finding_to_json,
+    render,
+    text_report,
+)
 from .simulator import InitPolicy, simulate
 from .stimulus import load_stimulus
 from .vcd import load_vcd_file, write_vcd
@@ -362,22 +369,8 @@ def _cmd_coverage(args) -> int:
             print(f"{name}: {m.covered_paths}/{m.total_paths} ({pct:.2f}%)")
         print(f"overall: {report.overall_percent:.2f}%")
         if args.out:
-            doc = {
-                "schemaVersion": 1,
-                "perModule": {
-                    name: {
-                        "totalPaths": m.total_paths,
-                        "coveredPaths": m.covered_paths,
-                        "truncated": m.truncated,
-                    }
-                    for name, m in sorted(report.per_module.items())
-                },
-                "overallPercent": round(report.overall_percent, 4),
-            }
-            Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            Path(args.out).write_text(coverage_report_json(report) + "\n")
         if args.csv:
-            from .reports import coverage_report_csv
-
             Path(args.csv).write_text(coverage_report_csv(report))
     return 0
 

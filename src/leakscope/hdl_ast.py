@@ -44,14 +44,11 @@ class SignalDecl:
 # Expressions
 # ---------------------------------------------------------------------------
 
-BINARY_OPS = {
-    "==", "!=", "<", "<=", ">", ">=",
-    "+", "-", "&", "|", "^", "&&", "||", "<<", ">>",
-}
-UNARY_OPS = {"~", "!", "-"}
-
-# Lowest binds weakest. Mirrors the (sub)set of Verilog precedence we accept.
-_BINARY_PRECEDENCE = {
+# The expression operators of the subset, the one place they are stated:
+# the lexer scans them, the parser climbs this precedence table and
+# render_expr parenthesizes by it. Lowest binds weakest, as in Verilog, and
+# every binary operator is left-associative. Prefix operators bind tightest.
+BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "|": 3,
@@ -62,7 +59,8 @@ _BINARY_PRECEDENCE = {
     "<<": 8, ">>": 8,
     "+": 9, "-": 9,
 }
-_UNARY_PRECEDENCE = 10
+PREFIX_OPS = frozenset({"~", "!", "-"})
+_UNARY_PRECEDENCE = max(BINARY_PRECEDENCE.values()) + 1
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def render_expr(e: Expr, parent_prec: int = 0) -> str:
         inner = render_expr(e.operand, _UNARY_PRECEDENCE)
         return f"{e.op}{inner}"
     if isinstance(e, Binary):
-        prec = _BINARY_PRECEDENCE[e.op]
+        prec = BINARY_PRECEDENCE[e.op]
         # Left-associative: the right child needs parens at equal precedence.
         lhs = render_expr(e.lhs, prec)
         rhs = render_expr(e.rhs, prec + 1)

@@ -6,10 +6,12 @@ assignment from less-or-equal by context, as any Verilog front end must.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
 from .errors import ParseError, UnsupportedConstruct
+from .hdl_ast import BINARY_PRECEDENCE, PREFIX_OPS
 
 
 class T(Enum):
@@ -74,10 +76,35 @@ _REJECTED_KEYWORDS = {
     "signed", "logic",
 }
 
-# Longest-match operator table; '=' and '<=' are carved out as distinct
-# token kinds because they double as assignment syntax.
-_TWO_CHAR_OPS = {"==", "!=", ">=", "&&", "||", "<<", ">>"}
-_ONE_CHAR_OPS = {"<", ">", "+", "-", "&", "|", "^", "~", "!"}
+_PUNCT = {
+    "(": T.LPAREN, ")": T.RPAREN, "[": T.LBRACKET, "]": T.RBRACKET,
+    ";": T.SEMI, ":": T.COLON, ",": T.COMMA, ".": T.DOT,
+    "@": T.AT, "*": T.STAR, "?": T.QUESTION, "=": T.EQ,
+}
+
+# Every operator of the expression table, longest first.
+_OPERATORS = sorted(BINARY_PRECEDENCE.keys() | PREFIX_OPS, key=lambda op: (-len(op), op))
+
+# One pattern scans a token and the blanks before it. Only "\n" breaks a
+# line; a column counts characters. An identifier starts with a letter or
+# "_" and goes on over `str.isalnum` characters, which is what `\w` matches;
+# a number starts with a digit, or with a "'" that is not the last
+# character, and also takes in "'". A word that starts with a non-ASCII
+# character takes the `word` branch, which sorts it by that character.
+_SCAN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + r")"
+    r"|(?P<punct>[" + re.escape("".join(_PUNCT)) + r"])"  # after "==" and "<="
+    r"|(?P<newline>\n[ \t\r\n]*)"
+    r"|(?P<number>(?:[0-9]|'(?!\Z))[\w']*)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<block>/\*)"
+    r"|(?P<word>\w[\w']*)"
+    r"|(?P<bad>.|\Z)"
+    r")",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -90,100 +117,61 @@ class Token:
 
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    scan = _SCAN.match
+    pos = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, file, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            for c in text[i:end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-
-        start_line, start_col = line, col
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+    line_start = 0  # index of the first character of the current line
+    while True:
+        m = scan(text, pos)
+        kind = m.lastgroup
+        start = m.start(kind)
+        pos = m.end()
+        col = start - line_start + 1
+        if kind == "word":
+            first = text[start]
+            if first.isdigit():
+                kind = "number"
+            elif first.isalpha() or first == "_":
+                # An identifier stops short of a "'"; the scan resumes there.
+                kind = "ident"
+                pos = start + len(m.group("word").split("'", 1)[0])
+            else:
+                kind = "bad"
+        if kind == "ident":
+            word = text[start:pos]
             if word in _REJECTED_KEYWORDS:
                 raise UnsupportedConstruct(
                     f"construct {word!r} is outside the supported HDL subset",
                     file, line, col,
                 )
-            kind = _KEYWORDS.get(word, T.IDENT)
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
+            tokens.append(Token(_KEYWORDS.get(word, T.IDENT), word, line, col))
+        elif kind == "op":
+            op = text[start:pos]
+            tokens.append(Token(T.LE if op == "<=" else T.OP, op, line, col))
+        elif kind == "punct":
+            tokens.append(Token(_PUNCT[text[start]], text[start], line, col))
+        elif kind == "number":
+            tokens.append(Token(T.NUMBER, text[start:pos], line, col))
+        elif kind == "comment":
+            if pos == len(text):
+                pos = start  # the column stays where the comment began
+                break
+        elif kind == "newline" or kind == "block":
+            if kind == "block":
+                end = text.find("*/", pos)
+                if end < 0:
+                    raise ParseError("unterminated block comment", file, line, col)
+                pos = end + 2
+            breaks = text.count("\n", start, pos)
+            if breaks:
+                line += breaks
+                line_start = text.rindex("\n", start, pos) + 1
+        elif start == len(text):
+            break
+        else:
+            raise ParseError(f"unexpected character {text[start]!r}", file, line, col)
 
-        if ch.isdigit() or (ch == "'" and i + 1 < n):
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "'_"):
-                j += 1
-            tokens.append(Token(T.NUMBER, text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        two = text[i:i + 2]
-        if two == "<=":
-            tokens.append(Token(T.LE, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(T.OP, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-
-        single = {
-            "(": T.LPAREN, ")": T.RPAREN, "[": T.LBRACKET, "]": T.RBRACKET,
-            ";": T.SEMI, ":": T.COLON, ",": T.COMMA, ".": T.DOT,
-            "@": T.AT, "*": T.STAR, "?": T.QUESTION, "=": T.EQ,
-        }
-        if ch in single:
-            tokens.append(Token(single[ch], ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(T.OP, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(T.EOF, "", line, col))
+    tokens.append(Token(T.EOF, "", line, pos - line_start + 1))
     return tokens
 
 

@@ -4,7 +4,8 @@ Accepted per module: input/output/wire/reg declarations with [msb:0] widths,
 continuous assigns, always @(posedge clk) and always @(*) blocks with
 blocking/non-blocking assigns, if/else, case, module instantiation with named
 port maps, and expressions over the operator subset (including ternary,
-bit-select and part-select reads). Everything else is rejected with a
+bit-select and part-select reads), with parentheses and select indices
+nested at most MAX_NESTING deep. Everything else is rejected with a
 ParseError pointing at the offending token.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 from .errors import ParseError, UnresolvedIdentifier
 from .hdl_ast import (
+    BINARY_PRECEDENCE,
+    PREFIX_OPS,
     AlwaysBlock,
     AlwaysTrigger,
     Assign,
@@ -41,17 +44,11 @@ from .lexer import T, Token, parse_number, tokenize
 CLOCK_NAME = "clk"
 RESET_NAME = "rst"
 
-_BINARY_LEVELS = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", "<=", ">", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-]
+# How deep parentheses and select indices may nest, so that the parser's own
+# recursion stays well inside Python's limit. It does not bound the height
+# of a long operator or ternary chain, which the tree walkers and codegen
+# after the parser still recurse over (ROADMAP item 3).
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -59,6 +56,7 @@ class _Parser:
         self.tokens = tokens
         self.file = file
         self.pos = 0
+        self.depth = 0  # of nested expressions, up to MAX_NESTING
 
     # -- token plumbing ----------------------------------------------------
 
@@ -294,43 +292,63 @@ class _Parser:
         return formal, actual
 
     # -- expressions ---------------------------------------------------------
+    # Ternary arms, binary chains and prefix runs are each read in a loop;
+    # the parser recurses only into a parenthesis or a select index, and at
+    # most MAX_NESTING deep.
 
     def parse_expr(self) -> Expr:
-        cond = self.parse_binary(0)
-        if self.eat_if(T.QUESTION):
-            q_loc = cond.loc
-            then = self.parse_expr()
-            self.eat(T.COLON)
-            other = self.parse_expr()
-            return Ternary(cond, then, other, q_loc)
-        return cond
-
-    def parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        ops = _BINARY_LEVELS[level]
-        lhs = self.parse_binary(level + 1)
+        # Each open ternary: its condition, and its then arm once read.
+        open_: list[tuple[Expr, Expr | None]] = []
         while True:
-            tok = self.cur()
-            text = tok.text
-            if tok.kind is T.LE:
-                text = "<="
-            elif tok.kind is not T.OP:
-                break
-            if text not in ops:
-                break
+            expr = self.parse_binary()
+            if self.eat_if(T.QUESTION):
+                open_.append((expr, None))
+                continue
+            while open_ and open_[-1][1] is not None:
+                cond, then = open_.pop()
+                expr = Ternary(cond, then, expr, cond.loc)
+            if not open_:
+                return expr
+            self.eat(T.COLON)
+            open_[-1] = (open_[-1][0], expr)
+
+    def parse_nested(self) -> Expr:
+        if self.depth == MAX_NESTING:
+            raise self.error(
+                f"expression nested deeper than {MAX_NESTING} levels", self.tokens[self.pos - 1]
+            )
+        self.depth += 1
+        expr = self.parse_expr()
+        self.depth -= 1
+        return expr
+
+    def parse_binary(self) -> Expr:
+        operands = [self.parse_unary()]
+        pending: list[tuple[int, Token]] = []  # operators, precedence ascending
+        while True:
+            tok = self.tokens[self.pos]
+            # Only OP and LE tokens carry an operator's text. Any other token
+            # ends the chain, and its precedence 0 reduces every pending one.
+            prec = BINARY_PRECEDENCE.get(tok.text, 0)
+            while pending and pending[-1][0] >= prec:
+                op = pending.pop()[1]
+                rhs = operands.pop()
+                operands[-1] = Binary(op.text, operands[-1], rhs, self.loc(op))
+            if not prec:
+                return operands[0]
+            pending.append((prec, tok))
             self.pos += 1
-            rhs = self.parse_binary(level + 1)
-            lhs = Binary(text, lhs, rhs, self.loc(tok))
-        return lhs
+            operands.append(self.parse_unary())
 
     def parse_unary(self) -> Expr:
-        tok = self.cur()
-        if tok.kind is T.OP and tok.text in ("~", "!", "-"):
+        start = self.pos
+        while self.tokens[self.pos].kind is T.OP and self.tokens[self.pos].text in PREFIX_OPS:
             self.pos += 1
-            operand = self.parse_unary()
-            return Unary(tok.text, operand, self.loc(tok))
-        return self.parse_primary()
+        prefixes = self.tokens[start:self.pos]
+        expr = self.parse_primary()
+        for tok in reversed(prefixes):
+            expr = Unary(tok.text, expr, self.loc(tok))
+        return expr
 
     def parse_primary(self) -> Expr:
         tok = self.cur()
@@ -339,14 +357,14 @@ class _Parser:
             value, width, sized = parse_number(tok, self.file)
             return Num(value, width, self.loc(tok), sized)
         if tok.kind is T.LPAREN:
-            self.eat(T.LPAREN)
-            inner = self.parse_expr()
+            self.pos += 1
+            inner = self.parse_nested()
             self.eat(T.RPAREN)
             return inner
         if tok.kind is T.IDENT:
             self.pos += 1
             if self.eat_if(T.LBRACKET):
-                first = self.parse_expr()
+                first = self.parse_nested()
                 if self.eat_if(T.COLON):
                     lsb_tok = self.eat(T.NUMBER, "part-select lsb")
                     lsb, _, _ = parse_number(lsb_tok, self.file)

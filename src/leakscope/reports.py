@@ -162,7 +162,8 @@ def diagnoses_json(result: CampaignResult) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def coverage_json(result: CampaignResult) -> str:
+def coverage_report_json(report) -> str:
+    """The per-module JSON document for any CoverageReport."""
     doc = {
         "schemaVersion": SCHEMA_VERSION,
         "perModule": {
@@ -171,9 +172,9 @@ def coverage_json(result: CampaignResult) -> str:
                 "coveredPaths": m.covered_paths,
                 "truncated": m.truncated,
             }
-            for name, m in sorted(result.coverage.per_module.items())
+            for name, m in sorted(report.per_module.items())
         },
-        "overallPercent": round(result.coverage.overall_percent, 4),
+        "overallPercent": round(report.overall_percent, 4),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -314,7 +315,7 @@ def render(result: CampaignResult, fmt: Format | str, outdir: str | Path) -> lis
             emit("campaign.json", campaign_json(result) + "\n")
             emit("findings.json", findings_json(result) + "\n")
             emit("diagnoses.json", diagnoses_json(result) + "\n")
-            emit("coverage.json", coverage_json(result) + "\n")
+            emit("coverage.json", coverage_report_json(result.coverage) + "\n")
             emit("summary.json", summary_to_json(summarize(result)) + "\n")
             seed_dir = outdir / "seeds"
             seed_dir.mkdir(exist_ok=True)

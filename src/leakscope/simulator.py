@@ -32,6 +32,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate, compress, islice, repeat
 from operator import is_not, itemgetter
 from types import CodeType, FunctionType
@@ -211,11 +212,13 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
             design.top_inputs[port.name] = (top_layout.index[port.name], port.width)
     design.rst_index = top_layout.index.get(RESET_NAME)
 
-    # Code is generated and compiled once per module (and per port map of
-    # an instance declaration), then relocated to each instance's base. The
-    # caches live for this call only: kept process-wide, they would hold
-    # every compiled design's code for the life of the process.
-    module_code: dict[str, list[tuple[_Relocatable, list[str] | None]]] = {}
+    # Code is generated once per module (and per port map of an instance),
+    # compiled once per distinct source text, and relocated to each
+    # instance's base. The caches live for this call only: kept
+    # process-wide, they would hold every compiled design's code for the
+    # life of the process.
+    relocatable = cache(_Relocatable)
+    module_code: dict[str, list[tuple[str, list[str] | None]]] = {}
     for inst in h.instances:
         layout = layouts[inst.path]
         if CLOCK_NAME in layout.index:
@@ -228,24 +231,19 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
         items = module_code.get(inst.module_name)
         if items is None:
             items = module_code[inst.module_name] = _module_code(layout.module)
-        for code, dests in items:
+        for src, dests in items:
             if dests is None:
-                design.seq_fns.append(code.bind(layout.lo))
+                design.seq_fns.append(relocatable(src).bind(layout.lo))
             else:
-                design.comb_fns.append(code.bind(layout.lo))
+                design.comb_fns.append(relocatable(src).bind(layout.lo))
                 design.comb_info.append((inst.path, dests))
 
-    port_code: dict[tuple[str, str], list[tuple[_Relocatable, str, bool]]] = {}
     for inst in h.instances:
         if inst.decl is None:
             continue
         parent, child = layouts[inst.parent], layouts[inst.path]
-        key = (parent.module.name, inst.decl.instance_name)
-        items = port_code.get(key)
-        if items is None:
-            items = port_code[key] = _port_code(parent.module, child.module, inst.decl)
-        for code, dest, into_child in items:
-            design.comb_fns.append(code.bind(parent.lo, child.lo))
+        for src, dest, into_child in _port_code(parent.module, child.module, inst.decl):
+            design.comb_fns.append(relocatable(src).bind(parent.lo, child.lo))
             design.comb_info.append(
                 (inst.parent, [f"{inst.path}.{dest}" if into_child else dest])
             )
@@ -280,8 +278,8 @@ class _Relocatable:
 
     __slots__ = ("code", "consts", "slots")
 
-    def __init__(self, lines: list[str]):
-        self.code = _compile_fn(lines)
+    def __init__(self, src: str):
+        self.code = _compile_fn(src)
         self.consts = self.code.co_consts
         self.slots = [
             (pos, _BASE_PREFIXES.index(c[0]), int(c[1:]))
@@ -296,9 +294,9 @@ class _Relocatable:
         return FunctionType(self.code.replace(co_consts=tuple(consts)), _FN_GLOBALS)
 
 
-def _compile_fn(lines: list[str]) -> CodeType:
+def _compile_fn(src: str) -> CodeType:
     """Compile the source of one `def fn` and return the function's code."""
-    module = compile("\n".join(lines), "<string>", "exec")
+    module = compile(src, "<string>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
@@ -309,26 +307,27 @@ def _fit(src: str, width: int, dest_width: int) -> str:
     return src
 
 
-def _module_code(m: ModuleAst) -> list[tuple[_Relocatable, list[str] | None]]:
-    """The module's items as relocatable functions, each with the names it
-    drives if it is combinational (`fn(v)`) or None if clocked (`fn(v, nb)`)."""
+def _transfer(dst: str, src: str) -> str:
+    """The source of a combinational `dst = src` that returns 1 on change."""
+    return (
+        f"def fn(v):\n    t = {src}\n"
+        f"    if {dst} != t:\n        {dst} = t\n        return 1\n    return 0"
+    )
+
+
+def _module_code(m: ModuleAst) -> list[tuple[str, list[str] | None]]:
+    """The source of the module's items as relocatable functions, each with
+    the names it drives if it is combinational (`fn(v)`) or None if clocked
+    (`fn(v, nb)`)."""
     scope = _scope_for(m)
     rel = {d.name: k for k, d in enumerate(m.all_signals())}
     ec = _ExprCompiler(scope)
-    out: list[tuple[_Relocatable, list[str] | None]] = []
+    out: list[tuple[str, list[str] | None]] = []
 
     for item in m.items:
         if isinstance(item, ContinuousAssign):
-            target = scope[item.dest][0]
-            body = [
-                "def fn(v):",
-                f"    t = {_fit(*ec.compile(item.expr), scope[item.dest][1])}",
-                f"    if {target} != t:",
-                f"        {target} = t",
-                "        return 1",
-                "    return 0",
-            ]
-            out.append((_Relocatable(body), [item.dest]))
+            target, width = scope[item.dest]
+            out.append((_transfer(target, _fit(*ec.compile(item.expr), width)), [item.dest]))
         elif isinstance(item, AlwaysBlock):
             if item.trigger is AlwaysTrigger.COMBINATIONAL:
                 # The block executes to completion before anything observes
@@ -352,7 +351,7 @@ def _module_code(m: ModuleAst) -> list[tuple[_Relocatable, list[str] | None]]:
                     lines.append(f"        {scope[name][0]} = b_{rel[name]}")
                     lines.append("        ch = 1")
                 lines.append("    return ch")
-                out.append((_Relocatable(lines), dests))
+                out.append(("\n".join(lines), dests))
             else:
                 blocking = sorted(
                     {
@@ -373,7 +372,7 @@ def _module_code(m: ModuleAst) -> list[tuple[_Relocatable, list[str] | None]]:
                 _emit_stmts(lines, item.body, 1, ec_seq, rel)
                 for name in blocking:
                     lines.append(f"    {scope[name][0]} = b_{rel[name]}")
-                out.append((_Relocatable(lines), None))
+                out.append(("\n".join(lines), None))
     return out
 
 
@@ -388,14 +387,22 @@ def _emit_stmts(lines, stmts, depth, ec, rel: dict[str, int]) -> None:
             else:
                 lines.append(f"{pad}{target} = {value}")
         elif isinstance(stmt, If):
-            cond, _ = ec.compile(stmt.cond)
-            lines.append(f"{pad}if {cond}:")
-            _emit_stmts(lines, stmt.then, depth + 1, ec, rel)
-            if not stmt.then:
-                lines.append(f"{pad}    pass")
-            if stmt.other:
-                lines.append(f"{pad}else:")
-                _emit_stmts(lines, stmt.other, depth + 1, ec, rel)
+            # An else branch that is exactly one If continues the chain as
+            # `elif`, so an else-if chain stays at one indentation level.
+            keyword = "if"
+            while True:
+                cond, _ = ec.compile(stmt.cond)
+                lines.append(f"{pad}{keyword} {cond}:")
+                _emit_stmts(lines, stmt.then, depth + 1, ec, rel)
+                if not stmt.then:
+                    lines.append(f"{pad}    pass")
+                if len(stmt.other) == 1 and isinstance(stmt.other[0], If):
+                    stmt, keyword = stmt.other[0], "elif"
+                    continue
+                if stmt.other:
+                    lines.append(f"{pad}else:")
+                    _emit_stmts(lines, stmt.other, depth + 1, ec, rel)
+                break
         elif isinstance(stmt, Case):
             subject, _ = ec.compile(stmt.subject)
             # Named by depth: a case nested in an arm is one level deeper,
@@ -419,15 +426,15 @@ def _emit_stmts(lines, stmts, depth, ec, rel: dict[str, int]) -> None:
 
 def _port_code(
     parent: ModuleAst, child: ModuleAst, decl: InstanceDecl
-) -> list[tuple[_Relocatable, str, bool]]:
-    """Port bindings become combinational transfer functions, bound to the
-    parent's base and the child's. Each comes with the name it drives and
-    whether that is a child port (else a parent signal)."""
+) -> list[tuple[str, str, bool]]:
+    """Port bindings become the source of combinational transfer functions,
+    bound to the parent's base and the child's. Each comes with the name it
+    drives and whether that is a child port (else a parent signal)."""
     child_ports = {p.name: p for p in child.ports}
     parent_scope = _scope_for(parent)
     child_scope = _scope_for(child, base=1)
     ec = _ExprCompiler(parent_scope)
-    out: list[tuple[_Relocatable, str, bool]] = []
+    out: list[tuple[str, str, bool]] = []
 
     for formal, actual in decl.port_map:
         port = child_ports[formal]
@@ -441,15 +448,7 @@ def _port_code(
             src = _fit(child_scope[formal][0], port.width, parent_scope[actual.name][1])
             dst = parent_scope[actual.name][0]
             dest, into_child = actual.name, False
-        body = [
-            "def fn(v):",
-            f"    t = {src}",
-            f"    if {dst} != t:",
-            f"        {dst} = t",
-            "        return 1",
-            "    return 0",
-        ]
-        out.append((_Relocatable(body), dest, into_child))
+        out.append((_transfer(dst, src), dest, into_child))
     return out
 
 

@@ -16,7 +16,10 @@ per-signal traces instead of skipping repeated rows; the VCD loader oracle
 reads line by line, sorts every value change by time and replays them one
 at a time into per-signal columns, instead of tokenizing the text into
 timestamp blocks and building shared rows; the trace oracle slices and
-transposes every row instead of only the distinct ones.
+transposes every row instead of only the distinct ones; the tokenizer
+oracle walks the source one character at a time instead of scanning it
+with one pattern; the expression oracle recurses once per precedence level
+and per prefix operator instead of climbing one operator table in a loop.
 """
 
 from __future__ import annotations
@@ -27,17 +30,32 @@ from itertools import groupby
 from operator import itemgetter
 
 from leakscope.design import DesignHierarchy
-from leakscope.errors import ClockNotFound, UnknownScope, VcdParseError
+from leakscope.errors import (
+    ClockNotFound,
+    ParseError,
+    UnknownScope,
+    UnsupportedConstruct,
+    VcdParseError,
+)
 from leakscope.hdl_ast import (
     AlwaysBlock,
     Assign,
+    Binary,
+    BitSelect,
     Case,
     ContinuousAssign,
+    Expr,
     If,
+    Num,
+    PartSelect,
+    Ref,
     SignalKind,
+    Ternary,
+    Unary,
     expr_signals,
 )
-from leakscope.parser import CLOCK_NAME, parse_expression
+from leakscope.lexer import _KEYWORDS, _REJECTED_KEYWORDS, T, Token, parse_number
+from leakscope.parser import CLOCK_NAME, _Parser, parse_expression
 from leakscope.simulator import TraceBundle
 from leakscope.vcd import MAX_VCD_WIDTH
 from reference_sim import eval_expr
@@ -605,3 +623,186 @@ def oracle_trace(bundle, path: str) -> dict[str, list[int]]:
         for name, value in zip(names, row[lo:hi]):
             values[name].append(value)
     return values
+
+
+# ---------------------------------------------------------------------------
+# Front end: a character-by-character tokenizer and a parser that recurses
+# once per precedence level, with its own copy of the operator levels.
+# ---------------------------------------------------------------------------
+
+_ORACLE_PUNCT = {
+    "(": T.LPAREN, ")": T.RPAREN, "[": T.LBRACKET, "]": T.RBRACKET,
+    ";": T.SEMI, ":": T.COLON, ",": T.COMMA, ".": T.DOT,
+    "@": T.AT, "*": T.STAR, "?": T.QUESTION, "=": T.EQ,
+}
+
+
+def oracle_tokenize(text: str, file: str = "<input>") -> list[Token]:
+    """Walk the text one character at a time, tracking line and column by
+    hand, and try the two-character operators before the one-character
+    ones."""
+    tokens: list[Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def error(message: str) -> ParseError:
+        return ParseError(message, file, line, col)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise error("unterminated block comment")
+            for c in text[i:end + 2]:
+                if c == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+            i = end + 2
+            continue
+
+        start_line, start_col = line, col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word in _REJECTED_KEYWORDS:
+                raise UnsupportedConstruct(
+                    f"construct {word!r} is outside the supported HDL subset",
+                    file, line, col,
+                )
+            tokens.append(Token(_KEYWORDS.get(word, T.IDENT), word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit() or (ch == "'" and i + 1 < n):
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "'_"):
+                j += 1
+            tokens.append(Token(T.NUMBER, text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+
+        two = text[i:i + 2]
+        if two == "<=":
+            kind, width = T.LE, 2
+        elif two in ("==", "!=", ">=", "&&", "||", "<<", ">>"):
+            kind, width = T.OP, 2
+        elif ch in _ORACLE_PUNCT:
+            kind, width = _ORACLE_PUNCT[ch], 1
+        elif ch in "<>+-&|^~!":
+            kind, width = T.OP, 1
+        else:
+            raise error(f"unexpected character {ch!r}")
+        tokens.append(Token(kind, text[i:i + width], start_line, start_col))
+        i += width
+        col += width
+
+    tokens.append(Token(T.EOF, "", line, col))
+    return tokens
+
+
+_ORACLE_LEVELS = [
+    ["||"],
+    ["&&"],
+    ["|"],
+    ["^"],
+    ["&"],
+    ["==", "!="],
+    ["<", "<=", ">", ">="],
+    ["<<", ">>"],
+    ["+", "-"],
+]
+
+
+class _LevelParser(_Parser):
+    """The statement parser, with expressions read by one recursive
+    function per precedence level and one call per prefix operator."""
+
+    def parse_expr(self) -> Expr:
+        cond = self.parse_binary(0)
+        if self.eat_if(T.QUESTION):
+            then = self.parse_expr()
+            self.eat(T.COLON)
+            other = self.parse_expr()
+            return Ternary(cond, then, other, cond.loc)
+        return cond
+
+    def parse_binary(self, level: int) -> Expr:
+        if level == len(_ORACLE_LEVELS):
+            return self.parse_unary()
+        lhs = self.parse_binary(level + 1)
+        while True:
+            tok = self.cur()
+            if tok.kind not in (T.OP, T.LE) or tok.text not in _ORACLE_LEVELS[level]:
+                return lhs
+            self.pos += 1
+            rhs = self.parse_binary(level + 1)
+            lhs = Binary(tok.text, lhs, rhs, self.loc(tok))
+
+    def parse_unary(self) -> Expr:
+        tok = self.cur()
+        if tok.kind is T.OP and tok.text in ("~", "!", "-"):
+            self.pos += 1
+            return Unary(tok.text, self.parse_unary(), self.loc(tok))
+        return self.parse_primary()
+
+    def parse_primary(self) -> Expr:
+        tok = self.cur()
+        if tok.kind is T.NUMBER:
+            self.pos += 1
+            value, width, sized = parse_number(tok, self.file)
+            return Num(value, width, self.loc(tok), sized)
+        if tok.kind is T.LPAREN:
+            self.pos += 1
+            inner = self.parse_expr()
+            self.eat(T.RPAREN)
+            return inner
+        if tok.kind is T.IDENT:
+            self.pos += 1
+            if self.eat_if(T.LBRACKET):
+                first = self.parse_expr()
+                if self.eat_if(T.COLON):
+                    lsb_tok = self.eat(T.NUMBER, "part-select lsb")
+                    lsb, _, _ = parse_number(lsb_tok, self.file)
+                    self.eat(T.RBRACKET)
+                    if not isinstance(first, Num):
+                        raise self.error("part-select bounds must be literals", tok)
+                    if first.value < lsb:
+                        raise self.error("part-select msb below lsb", tok)
+                    return PartSelect(tok.text, first.value, lsb, self.loc(tok))
+                self.eat(T.RBRACKET)
+                return BitSelect(tok.text, first, self.loc(tok))
+            return Ref(tok.text, self.loc(tok))
+        raise self.error(f"unexpected {tok.text!r} in expression")
+
+
+def oracle_parse_expression(text: str, file: str = "<expr>") -> Expr:
+    p = _LevelParser(oracle_tokenize(text, file), file)
+    expr = p.parse_expr()
+    if not p.at(T.EOF):
+        raise p.error("trailing input after expression")
+    return expr
+
+
+def oracle_parse_modules(text: str, file: str = "<input>") -> list:
+    return _LevelParser(oracle_tokenize(text, file), file).parse_source()

@@ -13,7 +13,12 @@ from pathlib import Path
 
 import leakscope as ls
 from leakscope.coverage import PathTrie, TraceMasks
-from leakscope.reports import campaign_json, coverage_json, diagnoses_json, findings_json
+from leakscope.reports import (
+    campaign_json,
+    coverage_report_json,
+    diagnoses_json,
+    findings_json,
+)
 from leakscope.stimulus import Stimulus, StimulusStep
 from oracles import oracle_edges, oracle_match, oracle_simple_paths, trace_evaluator
 
@@ -283,7 +288,7 @@ def test_c09_trace_function_properties(serdiv, ct_alu):
         r2 = ls.fuzz_loop(h, megs, cfg, serdiv.profile)
         assert campaign_json(r1) == campaign_json(r2)
         assert findings_json(r1) == findings_json(r2)
-        assert coverage_json(r1) == coverage_json(r2)
+        assert coverage_report_json(r1.coverage) == coverage_report_json(r2.coverage)
     elapsed = time.monotonic() - started
     _report("C9", f"P1/P2/self-pair x1000 clean, campaigns byte-identical ({elapsed:.1f}s)")
 

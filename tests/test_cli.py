@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import leakscope as ls
 from leakscope.cli import main
+from leakscope.parser import MAX_NESTING
 from oracles import validate_dot
+from reference_sim import reference_simulate
 
 
 @pytest.fixture()
@@ -529,3 +531,112 @@ def test_fuzz_bad_flag_exit_2(capsys, flags, message):
 
 def test_fuzz_jobs_flag_is_gone():
     assert main(["fuzz", "--dut", "ct_alu", "--jobs", "2"]) == 1
+
+
+def test_parse_ten_thousand_nested_parens_exit_2(tmp_path, capsys):
+    src = tmp_path / "deep.hdl"
+    src.write_text(
+        "module deep(input clk, input [7:0] a, output [7:0] y);\n"
+        f"  assign y = {'(' * 10_000}a{')' * 10_000};\nendmodule\n"
+    )
+    assert main(["parse", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert f"deep.hdl:2:{14 + MAX_NESTING}: expression nested deeper than {MAX_NESTING} levels" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, expected", [
+    ("(" * 75 + "a ^ 8'd3" + ")" * 75, lambda a: a ^ 3),
+    ("(a + " * 75 + "8'd1" + ")" * 75, lambda a: (75 * a + 1) & 0xFF),
+], ids=["parens", "right-nested-sum"])
+def test_seventy_five_nested_parens_simulate_like_reference(tmp_path, capsys, expr, expected):
+    src = tmp_path / "deep.hdl"
+    src.write_text(
+        "module deep(input clk, input rst, input [7:0] a, output [7:0] y);\n"
+        f"  assign y = {expr};\nendmodule\n"
+    )
+    stim_path = tmp_path / "stim.json"
+    stim_path.write_text('[{"tag": "a", "data": {"a": 3}, "hold": 1},'
+                         ' {"tag": "a", "data": {"a": 250}, "hold": 1}]')
+    assert main(["parse", str(src)]) == 0
+    assert main(["sim", str(src), "--stim", str(stim_path)]) == 0
+    h = ls.parse_design([(str(src), src.read_text())])
+    stim = ls.load_stimulus(str(stim_path))
+    bundle = ls.simulate(h, stim)
+    want = reference_simulate(h, stim, cycles=bundle.cycles)
+    assert bundle.trace("deep").signal_values == want["deep"]
+    assert {expected(3), expected(250)} <= set(want["deep"]["y"])
+
+
+_ELSE_CHAIN = "".join(f"a == {k} ? 8'd{k + 1} : " for k in range(150)) + "8'd0"
+_THEN_CHAIN = "".join(f"a != {k} ? " for k in range(150)) + "8'd255" + "".join(
+    f" : 8'd{k + 1}" for k in reversed(range(150))
+)
+
+
+@pytest.mark.parametrize("expr, expected", [
+    (_ELSE_CHAIN, lambda a: a + 1 if a < 150 else 0),
+    (_THEN_CHAIN, lambda a: a + 1 if a < 150 else 255),
+], ids=["else-arms", "then-arms"])
+def test_ternary_chain_of_150_arms_simulates_like_reference(tmp_path, capsys, expr, expected):
+    src = tmp_path / "mux.hdl"
+    src.write_text(
+        "module mux(input clk, input rst, input [7:0] a, output [7:0] y);\n"
+        f"  assign y = {expr};\nendmodule\n"
+    )
+    stim_path = tmp_path / "stim.json"
+    stim_path.write_text('[{"tag": "a", "data": {"a": 3}, "hold": 1},'
+                         ' {"tag": "a", "data": {"a": 149}, "hold": 1},'
+                         ' {"tag": "a", "data": {"a": 250}, "hold": 1}]')
+    assert main(["parse", str(src)]) == 0
+    assert main(["sim", str(src), "--stim", str(stim_path)]) == 0
+    h = ls.parse_design([(str(src), src.read_text())])
+    stim = ls.load_stimulus(str(stim_path))
+    bundle = ls.simulate(h, stim)
+    want = reference_simulate(h, stim, cycles=bundle.cycles)
+    assert bundle.trace("mux").signal_values == want["mux"]
+    assert {expected(3), expected(149), expected(250)} <= set(want["mux"]["y"])
+
+
+def test_sim_else_if_chain_of_99_arms(tmp_path, capsys):
+    lines = ["module chain(input clk, input rst, input [7:0] a, output reg [7:0] y);",
+             "  always @(*) begin", "    if (a == 0) y = 1;"]
+    lines += [f"    else if (a == {k}) y = {k + 1};" for k in range(1, 99)]
+    lines += ["    else y = 0;", "  end", "endmodule"]
+    src = tmp_path / "chain.hdl"
+    src.write_text("\n".join(lines) + "\n")
+    stim = tmp_path / "stim.json"
+    stim.write_text('[{"tag": "a", "data": {"a": 98}, "hold": 1}]')
+    vcd = tmp_path / "chain.vcd"
+    assert main(["sim", str(src), "--stim", str(stim), "--vcd", str(vcd)]) == 0
+    h = ls.parse_design([(str(src), src.read_text())])
+    bundle = ls.load_vcd(vcd.read_text(), expect=h)
+    want = reference_simulate(h, ls.load_stimulus(str(stim)), cycles=bundle.cycles)
+    assert bundle.trace("chain").signal_values == want["chain"]
+    assert want["chain"]["y"][-1] == 99
+
+
+def test_coverage_out_bytes_unchanged(tmp_path):
+    # `coverage --out` and a campaign's coverage.json share one serializer;
+    # these are the bytes the command wrote before they did.
+    stim = Path(ls.__file__).parent / "dut" / "serdiv" / "stim_div0.json"
+    out = tmp_path / "cov.json"
+    assert main(["coverage", "--dut", "serdiv", "--stim", str(stim), "--out", str(out)]) == 0
+    assert out.read_text() == (
+        '{\n'
+        '  "overallPercent": 55.2239,\n'
+        '  "perModule": {\n'
+        '    "divider": {\n'
+        '      "coveredPaths": 19,\n'
+        '      "totalPaths": 49,\n'
+        '      "truncated": false\n'
+        '    },\n'
+        '    "serdiv": {\n'
+        '      "coveredPaths": 18,\n'
+        '      "totalPaths": 18,\n'
+        '      "truncated": false\n'
+        '    }\n'
+        '  },\n'
+        '  "schemaVersion": 1\n'
+        '}\n'
+    )

@@ -8,17 +8,26 @@ from hypothesis import strategies as st
 
 import leakscope as ls
 from leakscope.hdl_ast import (
+    BINARY_PRECEDENCE,
     AlwaysBlock,
     Assign,
     If,
     SignalKind,
+    Ternary,
     format_module,
     render_expr,
     strip_locs,
     walk_stmts,
 )
-from leakscope.parser import parse_expression, parse_modules
-from oracles import depth_by_tree_walk
+from leakscope.lexer import tokenize
+from leakscope.parser import MAX_NESTING, parse_expression, parse_modules
+from oracles import (
+    depth_by_tree_walk,
+    oracle_parse_expression,
+    oracle_parse_modules,
+    oracle_tokenize,
+)
+from test_sim_differential import _random_module
 
 EMPTY = "module m(input clk); endmodule"
 
@@ -116,6 +125,127 @@ def test_expression_render_parse_fixpoint(text):
     again = parse_expression(rendered)
     assert render_expr(again) == rendered
     assert strip_locs(again) == strip_locs(tree)
+
+
+# -- differential: scanner and climbing parser against the oracles ------------
+
+def _outcome(fn, *args):
+    """What a front-end call returns, or its error's type, text and place."""
+    try:
+        return fn(*args)
+    except ls.ParseError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+_SOURCE_PIECES = st.sampled_from([
+    "module", "endmodule", "assign", "always", "if", "else", "begin", "end",
+    "integer", "wire", "x", "_q9", "é", "aé²", "7", "4'b1010", "8'hFF", "'", "'d3",
+    "²", "½", "<=", "<", "==", "=", "!=", "!", "~", "&&", "&", "||", "|", "^",
+    "<<", ">>", ">", ">=", "+", "-", "*", "/", "(", ")", "[", "]", ";", ":",
+    ",", ".", "@", "?", "#", " ", "\t", "\r", "\n", "\v", "\f", "\xa0",
+    "//", "// note\n", "/*", "*/", "/* a\nb */",
+])
+
+
+@given(st.lists(_SOURCE_PIECES | st.text(max_size=3), max_size=30).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_oracle(text):
+    assert _outcome(tokenize, text, "t.hdl") == _outcome(oracle_tokenize, text, "t.hdl")
+
+
+@pytest.mark.parametrize("text", [
+    "a // trailing comment", "a /* open", "x '", "'", "a'b", "é'x", "²'b1", "½",
+    "a\vb", "a\fb", "a\xa0b", "/*\n*/ b", "a\r\n  b", "",
+])
+def test_tokenize_matches_oracle_on_edge_cases(text):
+    assert _outcome(tokenize, text, "t.hdl") == _outcome(oracle_tokenize, text, "t.hdl")
+
+
+_OPERANDS = st.sampled_from(["a", "b", "sel[2]", "c[3:1]", "4'd9", "17", "(a)"])
+
+
+def _chains():
+    """Unparenthesized binary chains over every operator, with runs of
+    prefix operators, nested by parentheses, ternaries and select indices."""
+    binop = st.sampled_from(sorted(BINARY_PRECEDENCE))
+    prefix = st.text(alphabet="~!-", max_size=3)
+
+    def extend(children):
+        operand = st.tuples(prefix, children).map("".join)
+        chain = st.tuples(operand, st.lists(st.tuples(binop, operand), max_size=5)).map(
+            lambda t: " ".join([t[0], *(f"{op} {x}" for op, x in t[1])])
+        )
+        return st.one_of(
+            chain,
+            children.map(lambda x: f"({x})"),
+            children.map(lambda x: f"sel[{x}]"),
+            st.tuples(children, children, children).map(lambda t: f"{t[0]} ? {t[1]} : {t[2]}"),
+        )
+
+    return st.recursive(_OPERANDS, extend, max_leaves=12)
+
+
+@given(_exprs() | _chains())
+@settings(max_examples=300, deadline=None)
+def test_parse_expression_matches_oracle(text):
+    assert _outcome(parse_expression, text) == _outcome(oracle_parse_expression, text)
+
+
+@given(st.lists(st.sampled_from(
+    ["a", "7", "~", "!", "-", "+", "<=", "&&", "(", ")", "[", "]", ":", "?", "1:0", "*"]
+), max_size=12).map(" ".join))
+@settings(max_examples=300, deadline=None)
+def test_malformed_expression_errors_match_oracle(text):
+    assert _outcome(parse_expression, text) == _outcome(oracle_parse_expression, text)
+
+
+def test_modules_match_oracle_with_locations(cacheset, serdiv, ct_alu, cacheset_multiway):
+    sources = [src for dut in (cacheset, serdiv, ct_alu, cacheset_multiway) for src in dut.sources]
+    rng = random.Random(4242)
+    for k in range(30):
+        text = _random_module(rng, f"rnd{k}", with_instance=k % 2 == 1)
+        sources.append((f"rnd{k}.hdl", text))
+    for fname, text in sources:
+        assert parse_modules(text, fname) == oracle_parse_modules(text, fname), fname
+
+
+# -- nesting bound -------------------------------------------------------------
+
+@pytest.mark.parametrize("shape, opener_col", [
+    ("({})", lambda n: n),
+    ("~({})", lambda n: 2 * n),
+    ("sel[{}]", lambda n: 4 * n),
+    ("a + ({})", lambda n: 5 * n),
+], ids=["parens", "prefixed-parens", "select-index", "operand"])
+def test_nesting_bound_and_one_past_it(shape, opener_col):
+    text = "a"
+    for _ in range(MAX_NESTING):
+        text = shape.format(text)
+    tree = parse_expression(text)
+    assert strip_locs(parse_expression(render_expr(tree))) == strip_locs(tree)
+    with pytest.raises(ls.ParseError) as err:
+        parse_expression(shape.format(text), "deep.hdl")
+    # Reported at the token that opens the first level past the bound.
+    col = opener_col(MAX_NESTING + 1)
+    assert str(err.value) == (
+        f"deep.hdl:1:{col}: expression nested deeper than {MAX_NESTING} levels"
+    )
+
+
+@pytest.mark.parametrize("shape", ["s ? a : {}", "s ? {} : a"], ids=["else-arm", "then-arm"])
+def test_ternary_chains_do_not_count_toward_the_bound(shape):
+    # A priority mux `s0 ? a : s1 ? b : ...` is a chain, not nesting: the
+    # parser reads either arm in a loop, so a chain of any length parses.
+    text = "a"
+    for _ in range(3 * MAX_NESTING):
+        text = shape.format(text)
+    tree = parse_expression(text)
+    assert tree == oracle_parse_expression(text)
+    depth = 0
+    while isinstance(tree, Ternary):
+        depth += 1
+        tree = tree.other if shape.endswith("{}") else tree.then
+    assert depth == 3 * MAX_NESTING
 
 
 # -- errors -------------------------------------------------------------------

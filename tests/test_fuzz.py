@@ -232,14 +232,19 @@ def test_finding_pairs_share_a_seed(serdiv):
 
 
 def test_campaign_reproducible(serdiv):
-    from leakscope.reports import campaign_json, coverage_json, diagnoses_json, findings_json
+    from leakscope.reports import (
+        campaign_json,
+        coverage_report_json,
+        diagnoses_json,
+        findings_json,
+    )
 
     a = _campaign(serdiv)
     b = _campaign(serdiv)
     assert campaign_json(a) == campaign_json(b)
     assert findings_json(a) == findings_json(b)
     assert diagnoses_json(a) == diagnoses_json(b)
-    assert coverage_json(a) == coverage_json(b)
+    assert coverage_report_json(a.coverage) == coverage_report_json(b.coverage)
 
 
 def test_campaign_differs_across_rng_seeds(serdiv):

@@ -489,9 +489,9 @@ def _record_compiles(monkeypatch) -> list[str]:
     emitted: list[str] = []
     real = simulator._compile_fn
 
-    def record(lines):
-        emitted.append("\n".join(lines))
-        return real(lines)
+    def record(src):
+        emitted.append(src)
+        return real(src)
 
     monkeypatch.setattr(simulator, "_compile_fn", record)
     return emitted
@@ -531,13 +531,15 @@ endmodule
 
 def test_each_module_and_port_map_compiles_once(monkeypatch):
     """Four leaf instances compile the leaf's two items once; the port maps
-    of `pair`, instantiated twice, compile once per declaration."""
+    of `pair`, instantiated twice, compile once per distinct source text."""
     emitted = _record_compiles(monkeypatch)
     h = ls.parse_design([("nested.hdl", _NESTED_COPIES)], top="top")
     design = compile_design(h)
     assert [i.module_name for i in h.instances].count("leaf") == 4
-    # leaf: assign + always; ports: a and y of l0, l1 (in pair), p0, p1 (in top)
-    assert len(emitted) == 2 + 4 * 2
+    # leaf: assign + always; ports: a and y of l0, l1 (in pair), p0, p1 (in
+    # top), where p1's .y(y) copies child signal 2 into parent signal 3 just
+    # as l0's .y(m) does, so the two share one compile.
+    assert len(emitted) == len(set(emitted)) == 2 + 4 * 2 - 1
     assert len(design.comb_fns) == 4 + 6 * 2 and len(design.seq_fns) == 4
     assert [path for path, _ in design.comb_info[:4]] == [
         "top.p0.l0", "top.p0.l1", "top.p1.l0", "top.p1.l1"
@@ -547,3 +549,69 @@ def test_each_module_and_port_map_compiles_once(monkeypatch):
     want = reference_simulate(h, stim, cycles=bundle.cycles)
     for path in bundle.instances():
         assert bundle.trace(path).signal_values == want[path], path
+
+
+_SHARED_DECLS = """
+module leaf(input clk, input [7:0] a, output [7:0] y);
+  reg [7:0] r;
+  always @(posedge clk) r <= r + a;
+  assign y = r;
+endmodule
+module top(input clk, input rst, input [7:0] a, output [7:0] y);
+  wire [7:0] w0;
+  wire [7:0] w1;
+  wire [7:0] w2;
+  leaf u0(.clk(clk), .a(a ^ 8'd5), .y(w0));
+  leaf u1(.clk(clk), .a(a ^ 8'd5), .y(w1));
+  leaf u2(.clk(clk), .a(a ^ 8'd5), .y(w2));
+  assign y = w0 + w1 + w2;
+endmodule
+"""
+
+
+def test_identical_port_map_text_compiles_once(monkeypatch):
+    """Three declarations bind `a` to the same expression: its port-map
+    function has one source text and is compiled once for all three."""
+    emitted = _record_compiles(monkeypatch)
+    h = ls.parse_design([("shared.hdl", _SHARED_DECLS)], top="top")
+    design = compile_design(h)
+    # leaf: always + assign; top: assign; ports: one shared a, three y
+    assert len(emitted) == len(set(emitted)) == 2 + 1 + 1 + 3
+    assert sum("^ 5" in src for src in emitted) == 1
+    assert len(design.comb_fns) == 3 + 1 + 3 * 2
+    stim = Stimulus(steps=tuple(
+        StimulusStep(tag="drive", data={"a": a}, hold=2) for a in (3, 200, 77)
+    ))
+    bundle = ls.simulate(design, stim)
+    want = reference_simulate(h, stim, cycles=bundle.cycles)
+    for path in bundle.instances():
+        assert bundle.trace(path).signal_values == want[path], path
+
+
+def _else_if_chain(arms: int) -> str:
+    lines = [
+        "module chain(input clk, input rst, input [7:0] a, output reg [7:0] y);",
+        "  always @(*) begin",
+        "    if (a == 0) y = 1;",
+    ]
+    lines += [f"    else if (a == {k}) y = {(k + 1) & 0xFF};" for k in range(1, arms)]
+    lines += ["    else y = 0;", "  end", "endmodule"]
+    return "\n".join(lines) + "\n"
+
+
+def test_else_if_chain_compiles_flat_and_matches_reference(monkeypatch):
+    """A 99-arm else-if chain is one if/elif/else at one indentation level,
+    where nested `else: if` would pass Python's 100-level indentation cap."""
+    emitted = _record_compiles(monkeypatch)
+    h = ls.parse_design([("chain.hdl", _else_if_chain(99))], top="chain")
+    design = compile_design(h)
+    (block,) = emitted
+    assert block.count("elif ") == 98 and block.count("else:") == 1
+    inputs = (0, 1, 57, 98, 99, 255)
+    stim = Stimulus(steps=tuple(
+        StimulusStep(tag="drive", data={"a": a}, hold=1) for a in inputs
+    ))
+    bundle = ls.simulate(design, stim)
+    want = reference_simulate(h, stim, cycles=bundle.cycles)
+    assert bundle.trace("chain").signal_values == want["chain"]
+    assert {(a + 1) & 0xFF if a < 99 else 0 for a in inputs} <= set(want["chain"]["y"])
