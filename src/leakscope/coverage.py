@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ExpressionEvalError, PathNotInGraph
-from .meg import Meg, MicroEventPath, NodeKind, render_condition
+from .meg import Meg, MegEdge, MicroEventPath, NodeKind, render_condition
 from .parser import parse_expression
 from .simulator import DEFAULT_MAX_CYCLES, TraceBundle
 from .hdl_ast import Expr
@@ -47,14 +47,14 @@ class StepKind(Enum):
     EVENTUALLY = "##[0:$]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionStep:
     kind: StepKind
     expr: str | None = None  # BRANCH only: re-parseable boolean
     line: int | None = None  # origin of the first clause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathCondition:
     path_id: str
     module: str
@@ -62,29 +62,41 @@ class PathCondition:
     steps: tuple[ConditionStep, ...]
 
 
+def _edge_steps(edge: MegEdge, g: Meg) -> tuple[ConditionStep, ...]:
+    """The condition steps one edge of g contributes to every path on it."""
+    steps = []
+    if edge.clauses:
+        steps.append(
+            ConditionStep(StepKind.BRANCH, expr=render_condition(edge), line=min(edge.lines))
+        )
+    if g.nodes[edge.dst].clocked:
+        steps.append(ConditionStep(StepKind.ONE_CYCLE))
+    if g.nodes[edge.src].kind in (NodeKind.INSTANCE, NodeKind.INPUT):
+        steps.append(ConditionStep(StepKind.EVENTUALLY))
+    return tuple(steps)
+
+
 def path_condition(p: MicroEventPath, g: Meg) -> PathCondition:
-    """Ordered condition steps for one path, per-edge case analysis."""
+    """Ordered condition steps for one path, per-edge case analysis.
+
+    Every edge of the path must be g's edge between its nodes, or equal to
+    it. Each edge's steps are derived once per graph and kept in
+    `g.edge_steps`; an entry is used only while the edge it was derived
+    from is still g's edge.
+    """
     steps: list[ConditionStep] = []
+    cache = g.edge_steps
     for edge in p.edges:
-        if g.edges.get((edge.src, edge.dst)) is not edge:
-            known = g.edges.get((edge.src, edge.dst))
-            if known is None or known != edge:
-                raise PathNotInGraph(
-                    f"edge ({edge.src} -> {edge.dst}) is not part of MEG "
-                    f"{g.module_name!r}"
-                )
-        if edge.clauses:
-            steps.append(
-                ConditionStep(
-                    StepKind.BRANCH,
-                    expr=render_condition(edge),
-                    line=min(edge.lines),
-                )
+        key = (edge.src, edge.dst)
+        known = g.edges.get(key)
+        if known is not edge and (known is None or known != edge):
+            raise PathNotInGraph(
+                f"edge ({edge.src} -> {edge.dst}) is not part of MEG {g.module_name!r}"
             )
-        if g.nodes[edge.dst].clocked:
-            steps.append(ConditionStep(StepKind.ONE_CYCLE))
-        if g.nodes[edge.src].kind in (NodeKind.INSTANCE, NodeKind.INPUT):
-            steps.append(ConditionStep(StepKind.EVENTUALLY))
+        cached = cache.get(key)
+        if cached is None or cached[0] is not known:
+            cached = cache[key] = (known, _edge_steps(known, g))
+        steps += cached[1]
     return PathCondition(
         path_id=p.id, module=g.module_name, node_ids=p.node_ids, steps=tuple(steps)
     )

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLoc:
     file: str
     line: int
@@ -29,7 +29,7 @@ class SignalKind(Enum):
     REG = "reg"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalDecl:
     name: str
     kind: SignalKind
@@ -63,7 +63,7 @@ PREFIX_OPS = frozenset({"~", "!", "-"})
 _UNARY_PRECEDENCE = max(BINARY_PRECEDENCE.values()) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: int
     width: int  # 32 for unsized literals
@@ -71,20 +71,20 @@ class Num:
     sized: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     name: str
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitSelect:
     base: str
     index: "Expr"
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartSelect:
     base: str
     msb: int
@@ -92,14 +92,14 @@ class PartSelect:
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str
     operand: "Expr"
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str
     lhs: "Expr"
@@ -107,7 +107,7 @@ class Binary:
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ternary:
     cond: "Expr"
     then: "Expr"
@@ -191,7 +191,7 @@ class AssignStyle(Enum):
     NON_BLOCKING = "<="
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     dest: str
     expr: Expr
@@ -199,7 +199,7 @@ class Assign:
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     cond: Expr
     then: tuple["Stmt", ...]
@@ -207,14 +207,14 @@ class If:
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseArm:
     match: Num
     body: tuple["Stmt", ...]
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case:
     subject: Expr
     arms: tuple[CaseArm, ...]
@@ -230,14 +230,14 @@ class AlwaysTrigger(Enum):
     COMBINATIONAL = "star"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuousAssign:
     dest: str
     expr: Expr
     loc: SourceLoc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlwaysBlock:
     trigger: AlwaysTrigger
     body: tuple[Stmt, ...]
@@ -247,7 +247,7 @@ class AlwaysBlock:
 ModuleItem = Union[ContinuousAssign, AlwaysBlock]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceDecl:
     instance_name: str
     module_name: str

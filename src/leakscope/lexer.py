@@ -7,8 +7,8 @@ assignment from less-or-equal by context, as any Verilog front end must.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .errors import ParseError, UnsupportedConstruct
 from .hdl_ast import BINARY_PRECEDENCE, PREFIX_OPS
@@ -107,8 +107,7 @@ _SCAN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: T
     text: str
     line: int
@@ -175,6 +174,9 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
     return tokens
 
 
+_BASES = {"b": 2, "d": 10, "h": 16}
+
+
 def _is_decimal(text: str) -> bool:
     # str.isdigit alone also accepts digits that int() rejects, such as "²".
     return text.isascii() and text.isdigit()
@@ -196,8 +198,7 @@ def parse_number(tok: Token, file: str) -> tuple[int, int, bool]:
         raise ParseError(f"malformed literal {tok.text!r}", file, tok.line, tok.col)
     base_char = rest[0].lower()
     digits = rest[1:]
-    bases = {"b": 2, "d": 10, "h": 16}
-    if base_char not in bases:
+    if base_char not in _BASES:
         raise ParseError(
             f"unsupported literal base {base_char!r} in {tok.text!r}",
             file, tok.line, tok.col,
@@ -206,7 +207,7 @@ def parse_number(tok: Token, file: str) -> tuple[int, int, bool]:
         raise ParseError(f"malformed literal {tok.text!r}", file, tok.line, tok.col)
     width = int(size_str)
     try:
-        value = int(digits, bases[base_char])
+        value = int(digits, _BASES[base_char])
     except ValueError:
         raise ParseError(f"bad digits in literal {tok.text!r}", file, tok.line, tok.col)
     if width < 1:

@@ -24,7 +24,6 @@ from .hdl_ast import (
     Binary,
     Case,
     ContinuousAssign,
-    Expr,
     If,
     ModuleAst,
     Ref,
@@ -32,6 +31,7 @@ from .hdl_ast import (
     SourceLoc,
     expr_signals,
     render_expr,
+    walk_stmts,
 )
 from .parser import CLOCK_NAME
 
@@ -44,7 +44,7 @@ class NodeKind(Enum):
     INSTANCE = "instance"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MegNode:
     id: str
     kind: NodeKind
@@ -55,7 +55,7 @@ class MegNode:
     clocked: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionTerm:
     expr: str
     loc: SourceLoc
@@ -65,7 +65,7 @@ class ConditionTerm:
 Clause = tuple[ConditionTerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MegEdge:
     src: str
     dst: str
@@ -83,6 +83,12 @@ class Meg:
     module_name: str
     nodes: dict[str, MegNode] = field(default_factory=dict)
     edges: dict[tuple[str, str], MegEdge] = field(default_factory=dict)
+    # coverage.path_condition's steps per edge key, each stored with the
+    # edge they were derived from. Not an init field, so a copy made with
+    # dataclasses.replace starts with an empty cache of its own.
+    edge_steps: dict[tuple[str, str], tuple[MegEdge, tuple]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def out_edges(self, node_id: str) -> list[MegEdge]:
         return [e for (src, _), e in self.edges.items() if src == node_id]
@@ -108,16 +114,14 @@ def render_condition(edge: MegEdge) -> str | None:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _negate(e: Expr) -> str:
-    return f"!({render_expr(e)})"
+def _negate(term: ConditionTerm) -> ConditionTerm:
+    return ConditionTerm(f"!({term.expr})", term.loc)
 
 
 def _clocked_signals(m: ModuleAst) -> set[str]:
     clocked: set[str] = set()
     for item in m.items:
         if isinstance(item, AlwaysBlock) and item.trigger is AlwaysTrigger.POSEDGE_CLOCK:
-            from .hdl_ast import walk_stmts
-
             for stmt in walk_stmts(item.body):
                 if isinstance(stmt, Assign):
                     clocked.add(stmt.dest)
@@ -144,31 +148,31 @@ def build_meg(m: ModuleAst) -> Meg:
             inst.instance_name, NodeKind.INSTANCE, inst.loc, False
         )
 
-    # occurrences[(src, dst)] = (clauses in first-seen order, locs)
+    # occurrences[(src, dst)] holds the edge's clauses by their expression
+    # key and its locs, as dicts that keep one entry per key in first-seen
+    # order, and whether any occurrence was unconditional.
     occurrences: dict[tuple[str, str], dict] = {}
 
     def note(src: str, dst: str, clause: Clause, loc: SourceLoc) -> None:
         if src == CLOCK_NAME:
             return
-        slot = occurrences.setdefault(
-            (src, dst), {"clauses": [], "unconditional": False, "locs": []}
-        )
-        if loc not in slot["locs"]:
-            slot["locs"].append(loc)
+        slot = occurrences.get((src, dst))
+        if slot is None:
+            slot = occurrences[(src, dst)] = {"clauses": {}, "locs": {}, "unconditional": False}
+        slot["locs"][loc] = None
         if not clause:
             slot["unconditional"] = True
-            return
-        key = tuple(term.expr for term in clause)
-        if key not in {tuple(t.expr for t in c) for c in slot["clauses"]}:
-            slot["clauses"].append(clause)
+        else:
+            slot["clauses"].setdefault(tuple(term.expr for term in clause), clause)
 
     # Branch stack entries pair the rendered guard (what the edge carries)
-    # with the original expression (for operand extraction).
+    # with the signals it reads (the operands it adds), both derived once
+    # per branch.
     def note_assignment(dest, rhs, stack, loc):
         clause = tuple(term for term, _ in stack)
-        operands = list(expr_signals(rhs))
-        for _, guard_expr in stack:
-            for s in expr_signals(guard_expr):
+        operands = expr_signals(rhs)
+        for _, signals in stack:
+            for s in signals:
                 if s not in operands:
                     operands.append(s)
         for s in operands:
@@ -179,22 +183,24 @@ def build_meg(m: ModuleAst) -> Meg:
             if isinstance(stmt, Assign):
                 note_assignment(stmt.dest, stmt.expr, stack, stmt.loc)
             elif isinstance(stmt, If):
+                signals = expr_signals(stmt.cond)
                 term = ConditionTerm(render_expr(stmt.cond), stmt.cond.loc)
-                walk(stmt.then, stack + [(term, stmt.cond)])
+                walk(stmt.then, stack + [(term, signals)])
                 if stmt.other:
-                    neg = ConditionTerm(_negate(stmt.cond), stmt.cond.loc)
-                    walk(stmt.other, stack + [(neg, stmt.cond)])
+                    walk(stmt.other, stack + [(_negate(term), signals)])
             elif isinstance(stmt, Case):
-                for arm in stmt.arms:
-                    cond = Binary("==", stmt.subject, arm.match, arm.loc)
-                    term = ConditionTerm(render_expr(cond), arm.loc)
-                    walk(arm.body, stack + [(term, cond)])
+                # Each arm's guard `subject == match` reads the subject's signals.
+                signals = expr_signals(stmt.subject)
+                terms = [
+                    ConditionTerm(
+                        render_expr(Binary("==", stmt.subject, arm.match, arm.loc)), arm.loc
+                    )
+                    for arm in stmt.arms
+                ]
+                for arm, term in zip(stmt.arms, terms):
+                    walk(arm.body, stack + [(term, signals)])
                 if stmt.default:
-                    negated = []
-                    for arm in stmt.arms:
-                        cond = Binary("==", stmt.subject, arm.match, arm.loc)
-                        negated.append((ConditionTerm(_negate(cond), arm.loc), cond))
-                    walk(stmt.default, stack + negated)
+                    walk(stmt.default, stack + [(_negate(term), signals) for term in terms])
 
     for item in m.items:
         if isinstance(item, ContinuousAssign):
@@ -217,7 +223,7 @@ def build_meg(m: ModuleAst) -> Meg:
                     note(s, inst.instance_name, (), inst.loc)
 
     for (src, dst), slot in occurrences.items():
-        clauses = () if slot["unconditional"] else tuple(slot["clauses"])
+        clauses = () if slot["unconditional"] else tuple(slot["clauses"].values())
         lines = frozenset(loc.line for loc in slot["locs"])
         g.edges[(src, dst)] = MegEdge(src, dst, clauses, lines, tuple(slot["locs"]))
     return g
@@ -247,7 +253,7 @@ def build_megs(modules: dict[str, ModuleAst]) -> dict[str, Meg]:
 # Micro-event paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MicroEventPath:
     edges: tuple[MegEdge, ...]
 

@@ -19,7 +19,9 @@ timestamp blocks and building shared rows; the trace oracle slices and
 transposes every row instead of only the distinct ones; the tokenizer
 oracle walks the source one character at a time instead of scanning it
 with one pattern; the expression oracle recurses once per precedence level
-and per prefix operator instead of climbing one operator table in a loop.
+and per prefix operator instead of climbing one operator table in a loop;
+the path-condition oracle derives every edge's steps afresh on every path
+instead of once per graph.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ import re
 from itertools import groupby
 from operator import itemgetter
 
+from leakscope.coverage import ConditionStep, PathCondition, StepKind
 from leakscope.design import DesignHierarchy
 from leakscope.errors import (
     ClockNotFound,
     ParseError,
+    PathNotInGraph,
     UnknownScope,
     UnsupportedConstruct,
     VcdParseError,
@@ -55,6 +59,7 @@ from leakscope.hdl_ast import (
     expr_signals,
 )
 from leakscope.lexer import _KEYWORDS, _REJECTED_KEYWORDS, T, Token, parse_number
+from leakscope.meg import Meg, MicroEventPath, NodeKind, render_condition
 from leakscope.parser import CLOCK_NAME, _Parser, parse_expression
 from leakscope.simulator import TraceBundle
 from leakscope.vcd import MAX_VCD_WIDTH
@@ -142,6 +147,35 @@ def oracle_simple_paths(
     for start in input_nodes:
         extend([start])
     return found
+
+
+def oracle_path_condition(p: MicroEventPath, g: Meg) -> PathCondition:
+    """Ordered condition steps for one path, every edge's steps derived
+    anew from the edge and its end nodes on each call."""
+    steps: list[ConditionStep] = []
+    for edge in p.edges:
+        if g.edges.get((edge.src, edge.dst)) is not edge:
+            known = g.edges.get((edge.src, edge.dst))
+            if known is None or known != edge:
+                raise PathNotInGraph(
+                    f"edge ({edge.src} -> {edge.dst}) is not part of MEG "
+                    f"{g.module_name!r}"
+                )
+        if edge.clauses:
+            steps.append(
+                ConditionStep(
+                    StepKind.BRANCH,
+                    expr=render_condition(edge),
+                    line=min(edge.lines),
+                )
+            )
+        if g.nodes[edge.dst].clocked:
+            steps.append(ConditionStep(StepKind.ONE_CYCLE))
+        if g.nodes[edge.src].kind in (NodeKind.INSTANCE, NodeKind.INPUT):
+            steps.append(ConditionStep(StepKind.EVENTUALLY))
+    return PathCondition(
+        path_id=p.id, module=g.module_name, node_ids=p.node_ids, steps=tuple(steps)
+    )
 
 
 def oracle_match(steps, evaluate, cycles: int) -> bool:

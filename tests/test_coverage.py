@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
+import random
 import signal
 from contextlib import contextmanager
 
@@ -17,10 +19,17 @@ from leakscope.coverage import (
     _split_sva_seq,
     parse_sva,
 )
-from leakscope.parser import parse_expression
+from leakscope.meg import MicroEventPath
+from leakscope.parser import parse_expression, parse_modules
 from leakscope.simulator import DEFAULT_MAX_CYCLES, TraceBundle
 from leakscope.stimulus import Stimulus, StimulusStep
-from oracles import oracle_match, oracle_split_sva_seq, trace_evaluator
+from oracles import (
+    oracle_match,
+    oracle_path_condition,
+    oracle_split_sva_seq,
+    trace_evaluator,
+)
+from test_sim_differential import _random_module
 
 
 def _stim(tag, data, hold=2):
@@ -73,6 +82,74 @@ def test_path_not_in_graph(cacheset_paths, serdiv):
     other = ls.build_meg(serdiv.hierarchy.modules["divider"])
     with pytest.raises(ls.PathNotInGraph):
         ls.path_condition(hit, other)
+
+
+def _seeded_modules(count: int):
+    rng = random.Random(1107)
+    for k in range(count):
+        text = _random_module(rng, f"rnd{k}", with_instance=k % 2 == 1)
+        yield from parse_modules(text, f"rnd{k}.hdl")
+
+
+def test_path_condition_matches_oracle():
+    """Every path of every bundled DUT and of seeded random modules, on a
+    cold and a warm cache, and across two graphs built from one module,
+    whose edges are equal but not the same objects."""
+    modules = [m for name in ls.dut_names() for m in ls.load_dut(name).hierarchy.modules.values()]
+    modules += _seeded_modules(20)
+    checked = 0
+    for m in modules:
+        g, twin = ls.build_meg(m), ls.build_meg(m)
+        paths = ls.enumerate_meps(g).paths
+        want = [oracle_path_condition(p, g) for p in paths]
+        assert [ls.path_condition(p, g) for p in paths] == want, m.name
+        assert [ls.path_condition(p, g) for p in paths] == want, m.name
+        assert [ls.path_condition(p, twin) for p in paths] == want, m.name
+        twin_paths = ls.enumerate_meps(twin).paths
+        assert [ls.path_condition(p, g) for p in twin_paths] == want, m.name
+        checked += len(paths)
+    assert checked > 1000
+
+
+def test_path_condition_checks_every_edge_against_its_graph(cacheset, cacheset_paths, serdiv):
+    g, hit, miss = cacheset_paths
+    for p in (hit, miss):
+        ls.path_condition(p, g)  # every edge's steps are cached on g now
+
+    def both_raise(p, graph):
+        for check in (ls.path_condition, oracle_path_condition):
+            with pytest.raises(ls.PathNotInGraph):
+                check(p, graph)
+
+    # An equal edge that is not g's own object is accepted.
+    copy = MicroEventPath(tuple(dataclasses.replace(e) for e in hit.edges))
+    assert copy.edges[1] is not hit.edges[1]
+    assert ls.path_condition(copy, g) == oracle_path_condition(hit, g)
+
+    # An edge of another module's graph, after edges that g accepts.
+    other = ls.build_meg(serdiv.hierarchy.modules["divider"])
+    both_raise(MicroEventPath(miss.edges[:2] + (next(iter(other.edges.values())),)), g)
+
+    # A graph of the same module whose edge on hit's branch differs.
+    branch = hit.edges[1]
+    assert branch.clauses
+    key = (branch.src, branch.dst)
+    changed = dataclasses.replace(
+        g, edges={**g.edges, key: dataclasses.replace(branch, clauses=())}
+    )
+    both_raise(hit, changed)
+
+    # That edge replaced in place after its steps were cached: the old edge
+    # is no longer the graph's, and the new one gets steps of its own.
+    g2 = ls.build_meg(cacheset.hierarchy.modules["cacheset"])
+    ls.path_condition(ls.find_mep(g2, hit.node_ids), g2)
+    stale = g2.edges[key]
+    g2.edges[key] = dataclasses.replace(stale, clauses=())
+    both_raise(MicroEventPath((g2.edges[hit.node_ids[:2]], stale)), g2)
+    fresh = ls.find_mep(g2, hit.node_ids)
+    pc = ls.path_condition(fresh, g2)
+    assert pc == oracle_path_condition(fresh, g2)
+    assert [s.kind for s in pc.steps] == [StepKind.EVENTUALLY, StepKind.ONE_CYCLE]
 
 
 def test_emit_sva_hit_path(cacheset_paths):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakscope as ls
+from leakscope import coverage, hdl_ast, meg
 from leakscope.hdl_ast import (
     BINARY_PRECEDENCE,
     AlwaysBlock,
@@ -405,3 +407,86 @@ def test_ast_json_dump_stable_fields(cacheset):
     first = doc["modules"][0]["signals"][0]
     assert set(first) == {"name", "kind", "width", "loc"}
     assert set(first["loc"]) == {"file", "line", "col"}
+
+
+# One source with every kind of expression, statement and module item.
+_ALL_RECORDS = """\
+module leaf(input clk, input [3:0] a, output [3:0] y);
+  assign y = a;
+endmodule
+module top(input clk, input [3:0] a, input [3:0] b, output [3:0] y, output reg [3:0] r);
+  wire [3:0] w;
+  reg [3:0] c;
+  leaf u0(.clk(clk), .a(a), .y(w));
+  assign y = b[0] ? w[3:2] : -a;
+  always @(*) begin
+    case (a)
+      4'd1: begin
+        c = b;
+      end
+      default: begin
+        c = a + b;
+      end
+    endcase
+  end
+  always @(posedge clk) begin
+    if (c == 4'd2) begin
+      r <= c;
+    end else begin
+      r <= 0;
+    end
+  end
+endmodule
+"""
+
+
+def _records(obj, found: dict) -> None:
+    """Collect one instance of every dataclass type reachable from obj."""
+    if isinstance(obj, (list, tuple, frozenset)):
+        for x in obj:
+            _records(x, found)
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            _records(k, found)
+            _records(v, found)
+    elif dataclasses.is_dataclass(obj):
+        found.setdefault(type(obj), obj)
+        for f in dataclasses.fields(obj):
+            _records(getattr(obj, f.name), found)
+
+
+def test_front_end_records_are_slotted_and_frozen():
+    frozen = {
+        cls
+        for module in (hdl_ast, meg, coverage)
+        for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        and cls.__dataclass_params__.frozen
+    }
+    named = {
+        hdl_ast.SourceLoc, hdl_ast.Num, hdl_ast.Ref, hdl_ast.BitSelect, hdl_ast.PartSelect,
+        hdl_ast.Unary, hdl_ast.Binary, hdl_ast.Ternary, hdl_ast.Assign, hdl_ast.If,
+        hdl_ast.Case, meg.MegNode, meg.ConditionTerm, meg.MegEdge, meg.MicroEventPath,
+        coverage.ConditionStep, coverage.PathCondition,
+    }
+    assert named <= frozen
+    found: dict = {}
+    modules = parse_modules(_ALL_RECORDS, "records.hdl")
+    _records(modules, found)
+    for m in modules:
+        g = ls.build_meg(m)
+        paths = ls.enumerate_meps(g).paths
+        _records([g, paths, [ls.path_condition(p, g) for p in paths]], found)
+    assert frozen <= found.keys()
+    for cls in frozen:
+        assert "__slots__" in vars(cls), cls.__name__
+        obj = found[cls]
+        assert not hasattr(obj, "__dict__"), cls.__name__
+        with pytest.raises(AttributeError):  # FrozenInstanceError is one
+            setattr(obj, dataclasses.fields(cls)[0].name, None)
+
+    tok = tokenize("assign y = a;")[0]
+    assert tok._fields == ("kind", "text", "line", "col")
+    assert not hasattr(tok, "__dict__")
+    with pytest.raises(AttributeError):
+        tok.text = "x"
