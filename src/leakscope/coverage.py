@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ExpressionEvalError, PathNotInGraph
-from .meg import Meg, MegEdge, MicroEventPath, NodeKind, render_condition
+from .meg import Meg, MegEdge, MicroEventPath, NodeKind, mep_id, render_condition
 from .parser import parse_expression
 from .simulator import DEFAULT_MAX_CYCLES, TraceBundle
 from .hdl_ast import Expr
@@ -97,8 +97,9 @@ def path_condition(p: MicroEventPath, g: Meg) -> PathCondition:
         if cached is None or cached[0] is not known:
             cached = cache[key] = (known, _edge_steps(known, g))
         steps += cached[1]
+    node_ids = p.node_ids
     return PathCondition(
-        path_id=p.id, module=g.module_name, node_ids=p.node_ids, steps=tuple(steps)
+        path_id=mep_id(node_ids), module=g.module_name, node_ids=node_ids, steps=tuple(steps)
     )
 
 

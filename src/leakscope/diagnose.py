@@ -1,8 +1,9 @@
 """Two-phase localization of a timing difference.
 
-Phase 1 scans the two traces cycle by cycle and collects every signal that
-differs at the first diverging cycle (the instigators). Phase 2 walks the
-micro-event graph breadth-first from the instigators along outgoing edges:
+Phase 1 walks the runs of the two traces together, stopping only where
+either starts a run, and collects every signal that differs at the first
+diverging cycle (the instigators). Phase 2 walks the micro-event graph
+breadth-first from the instigators along outgoing edges:
 clocked children are recorded as culprits together with the source lines of
 the inducing edges and are not expanded further (a storage element absorbs
 the divergence into the cycle count); everything else joins the next
@@ -12,6 +13,7 @@ changing the culprit set.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import NoDivergence, SignalMismatch
@@ -38,8 +40,8 @@ class Diagnosis:
 
 
 def diagnose(st1: SimulationTrace, st2: SimulationTrace, g: Meg) -> Diagnosis:
-    signals_1 = set(st1.signal_values)
-    signals_2 = set(st2.signal_values)
+    signals_1 = set(st1.names)
+    signals_2 = set(st2.names)
     graph_signals = {
         n.id for n in g.nodes.values() if n.kind is not NodeKind.INSTANCE
     }
@@ -66,24 +68,28 @@ def diagnose(st1: SimulationTrace, st2: SimulationTrace, g: Meg) -> Diagnosis:
 
 
 def _first_divergence(st1: SimulationTrace, st2: SimulationTrace) -> tuple[list[str], int]:
-    names = sorted(st1.signal_values)
+    """The signals that differ at the first differing cycle, and that
+    cycle; values change only where a run of either trace starts."""
+    names = sorted(st1.names)
+    columns = [(st1.names.index(n), st2.names.index(n)) for n in names]
     common = min(st1.cycles, st2.cycles)
-    sv1 = st1.signal_values
-    sv2 = st2.signal_values
-    for cycle in range(common):
-        differing = [n for n in names if sv1[n][cycle] != sv2[n][cycle]]
+    for cycle in sorted({*st1.starts, *st2.starts}):
+        if cycle >= common:
+            break
+        row1 = st1.values[bisect_right(st1.starts, cycle) - 1]
+        row2 = st2.values[bisect_right(st2.starts, cycle) - 1]
+        differing = [n for n, (i, j) in zip(names, columns) if row1[i] != row2[j]]
         if differing:
             return differing, cycle
 
     if st1.cycles != st2.cycles:
         longer = st1 if st1.cycles > st2.cycles else st2
-        tail = [
-            n for n in names
-            if any(
-                longer.signal_values[n][c] != longer.signal_values[n][c - 1]
-                for c in range(max(common, 1), longer.cycles)
-            )
-        ]
+        first = bisect_left(longer.starts, max(common, 1))
+        runs = zip(longer.values[first:], longer.values[first - 1:])
+        toggled = {
+            i for now, before in runs for i, (x, y) in enumerate(zip(now, before)) if x != y
+        }
+        tail = [n for n in names if longer.names.index(n) in toggled]
         if tail:
             # A pure run-length difference is itself the timing signal.
             return tail, common

@@ -263,13 +263,18 @@ class MicroEventPath:
 
     @property
     def id(self) -> str:
-        # Stable hash over the node sequence plus the chosen clause index per
-        # edge; collapsed disjunctions always use the whole edge (-1).
-        text = ">".join(self.node_ids) + "|" + ",".join("-1" for _ in self.edges)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        return mep_id(self.node_ids)
 
     def __str__(self) -> str:
         return " -> ".join(self.node_ids)
+
+
+def mep_id(node_ids: tuple[str, ...]) -> str:
+    """The id of the path through `node_ids`: a stable hash over the node
+    sequence plus the chosen clause index per edge; collapsed disjunctions
+    always use the whole edge (-1)."""
+    text = ">".join(node_ids) + "|" + ",".join(["-1"] * (len(node_ids) - 1))
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 @dataclass

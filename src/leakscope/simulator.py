@@ -9,7 +9,7 @@ the compiled constants; port maps are compiled once per instance
 declaration and relocated to parent and child. Per cycle the engine:
 commits the clock edge (non-blocking writes buffered and applied
 atomically), drives stimulus inputs, settles combinational logic to a
-fixpoint, and records a snapshot row.
+fixpoint, and records a snapshot row when it differs from the last one.
 
 Timeline convention: rst is held high for `reset_cycles` cycles, dropped for
 one settle cycle, and the first stimulus step lands on the next cycle; that
@@ -17,12 +17,12 @@ cycle is the bundle's start_cycle and the origin all execution times are
 measured from. The run ends once the stimulus is exhausted and no signal
 has toggled for `quiescence_window` cycles, or at max_cycles (flagged).
 
-A cycle with no input write that settles to exactly the previous row is a
-fixed point of the clock step, so every later cycle up to the next input
-write repeats that row object without evaluating anything: the run appends
-the whole quiet stretch at once, up to that write, the quiescence stop or
-max_cycles. Trace rows are therefore read-only, and consecutive equal rows
-may be one shared list; consumers walk the distinct rows and expand runs.
+A trace is stored as its runs, the way a value-change dump stores it: each
+distinct row once, with the cycle its run starts at. A cycle with no input
+write that settles to exactly the previous row is a fixed point of the
+clock step, so every later cycle up to the next input write repeats that
+row without evaluating anything: the quiet stretch only advances the cycle
+count, up to that write, the quiescence stop or max_cycles.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from __future__ import annotations
 import builtins
 import random
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import accumulate, compress, islice, repeat
-from operator import is_not, itemgetter
+from functools import cache, cached_property
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter, ne
 from types import CodeType, FunctionType
 
 from .design import DesignHierarchy
@@ -458,23 +458,43 @@ def _port_code(
 
 @dataclass
 class SimulationTrace:
+    """One instance's view of a bundle's runs: the instance holds
+    `values[k]`, in the order of `names`, from cycle `starts[k]` up to the
+    next start, or to `cycles`; no two consecutive runs hold equal values."""
+
     instance_path: str
-    signal_values: dict[str, list[int]]
+    names: list[str]
+    starts: list[int]
+    values: list[list[int]]
     cycles: int
+
+    @cached_property
+    def signal_values(self) -> dict[str, list[int]]:
+        """Each signal's value at every cycle, expanded on first use: one
+        C-level gather repeats each run's values over its run, and zip
+        transposes."""
+        run_of = [0] * self.cycles
+        for start in islice(self.starts, 1, None):
+            run_of[start] = 1
+        # A single index would make itemgetter return the bare entry.
+        gather = itemgetter(*accumulate(run_of)) if self.cycles > 1 else tuple
+        columns = zip(*gather(self.values)) if self.cycles else repeat(())
+        return {name: list(column) for name, column in zip(self.names, columns)}
 
 
 class TraceBundle:
-    """Per-instance traces of one run, sampled once per clock cycle.
-
-    Rows are stored design-wide and sliced per instance on demand; all
-    per-instance arrays share the same cycle count. Rows are read-only:
-    consecutive equal rows may be one shared list, so `rows[c] is
-    rows[c - 1]` is a free "nothing changed at cycle c" test.
-    """
+    """Per-instance traces of one run, sampled once per clock cycle and
+    stored as runs: the design-wide row `rows[k]` holds from cycle
+    `starts[k]` up to the next start, or to `cycles`. Runs are maximal (no
+    two consecutive rows are equal), so a cycle other than 0 differs from
+    its predecessor exactly where a run starts, and equal traces have
+    equal runs. Each instance owns the columns `lo:hi` of every row."""
 
     def __init__(
         self,
         rows: list[list[int]],
+        starts: list[int],
+        cycles: int,
         layouts: dict[str, tuple[int, int, list[str], list[int]]],
         start_cycle: int,
         stimulus: Stimulus | None,
@@ -483,19 +503,15 @@ class TraceBundle:
         warnings: tuple[str, ...] = (),
     ):
         self._rows = rows
+        self._starts = starts
+        self.cycles = cycles
         self._layouts = layouts
         self._traces: dict[str, SimulationTrace] = {}
-        self._new_row_cycles: list[int] | None = None
-        self._run_view: tuple[list[list[int]], Callable[[tuple], tuple]] | None = None
         self.start_cycle = start_cycle
         self.stimulus = stimulus
         self.seed_id = seed_id
         self.max_cycles_reached = max_cycles_reached
         self.warnings = warnings
-
-    @property
-    def cycles(self) -> int:
-        return len(self._rows)
 
     def instances(self) -> list[str]:
         return list(self._layouts)
@@ -513,52 +529,33 @@ class TraceBundle:
         return layout
 
     def trace(self, path: str) -> SimulationTrace:
+        """The design runs sliced to the instance's columns; a slice equal
+        to the previous one extends its run."""
         cached = self._traces.get(path)
         if cached is not None:
             return cached
         lo, hi, names, _ = self._require(path)
-        if self._rows:
-            # Slice only the distinct rows; one C-level gather repeats each
-            # slice over its run, and zip transposes.
-            distinct, expand = self._runs()
-            slices = tuple(map(itemgetter(slice(lo, hi)), distinct))
-            columns = zip(*expand(slices))
-            values = {name: list(column) for name, column in zip(names, columns)}
-        else:
-            values = {name: [] for name in names}
-        trace = SimulationTrace(path, values, len(self._rows))
+        parts = list(map(itemgetter(slice(lo, hi)), self._rows))
+        new = [True, *map(ne, islice(parts, 1, None), parts)]
+        starts, values = list(compress(self._starts, new)), list(compress(parts, new))
+        trace = SimulationTrace(path, list(names), starts, values, self.cycles)
         self._traces[path] = trace
         return trace
 
-    def _runs(self) -> tuple[list[list[int]], Callable[[tuple], tuple]]:
-        """The distinct rows, one per run of repeated rows, and a gather
-        that maps a tuple with one entry per run to the per-cycle tuple,
-        which repeats each entry over its run."""
-        if self._run_view is None:
-            rows = self._rows
-            run_of = list(accumulate(map(is_not, islice(rows, 1, None), rows), initial=0))
-            # A single index would make itemgetter return the bare entry.
-            expand = itemgetter(*run_of) if len(run_of) > 1 else tuple
-            self._run_view = ([rows[0], *map(rows.__getitem__, self._new_rows())], expand)
-        return self._run_view
-
     def last_toggle_at_or_after(self, path: str, start: int) -> int | None:
-        lo, hi, _, _ = self._require(path)
-        rows = self._rows
-        for c in reversed(self._new_rows()):
-            if c < start:
-                break
-            if rows[c][lo:hi] != rows[c - 1][lo:hi]:
-                return c
-        return None
+        """The last cycle c >= start, c >= 1, at which the instance differs
+        from cycle c - 1, or None."""
+        starts = self.trace(path).starts
+        last = starts[-1] if starts else 0
+        return last if last >= max(start, 1) else None
 
     def value_changes(
         self, signals: list[tuple[str, str]]
     ) -> Iterator[tuple[int, Sequence[tuple[int, int]]]]:
         """(cycle, the (position in `signals`, value) pairs the cycle sets)
-        for cycle 0, which sets every signal, and for each later cycle whose
-        row is a new row object, which sets those that differ from the
-        previous cycle. A cycle not yielded repeats its predecessor's row."""
+        for cycle 0, which sets every signal, and for each later run start,
+        which sets those that differ from the previous run. A cycle not
+        yielded repeats its predecessor's row."""
         positions: dict[tuple[str, str], int] = {}
         for path in dict.fromkeys(path for path, _ in signals):
             lo, _, names, _ = self._require(path)
@@ -567,42 +564,28 @@ class TraceBundle:
         rows = self._rows
         if rows:
             yield 0, [(k, rows[0][i]) for k, i in columns]
-        for c in self._new_rows():
-            row, previous = rows[c], rows[c - 1]
-            yield c, [(k, row[i]) for k, i in columns if row[i] != previous[i]]
-
-    def _new_rows(self) -> list[int]:
-        """Cycles c >= 1 whose row is not the very row object of c - 1;
-        every other cycle repeats its predecessor."""
-        if self._new_row_cycles is None:
-            rows = self._rows
-            self._new_row_cycles = list(
-                compress(range(1, len(rows)), map(is_not, islice(rows, 1, None), rows))
-            )
-        return self._new_row_cycles
+        for start, row, previous in zip(islice(self._starts, 1, None), islice(rows, 1, None), rows):
+            yield start, [(k, row[i]) for k, i in columns if row[i] != previous[i]]
 
     def rows_digest(self) -> str:
-        """Content hash of the recorded rows; runs with identical behavior
+        """Content hash of the recorded runs; runs with identical behavior
         share a digest. The fuzzer keys the run pairs it has already
         diagnosed by it (`_Campaign._diagnosed`)."""
         cached = getattr(self, "_digest", None)
         if cached is None:
             import hashlib
 
-            cached = hashlib.sha1(repr(self._rows).encode()).hexdigest()
+            runs = repr((self.cycles, self._starts, self._rows))
+            cached = hashlib.sha1(runs.encode()).hexdigest()
             self._digest = cached
         return cached
 
     def equal_traces(self, other: "TraceBundle") -> bool:
-        if self.instances() != other.instances() or self.cycles != other.cycles:
-            return False
-        if self.start_cycle != other.start_cycle:
-            return False
-        for path in self.instances():
-            a, b = self._require(path), other._require(path)
-            if a[2] != b[2]:
-                return False
-        return self._rows == other._rows
+        def recorded(b: TraceBundle) -> tuple:
+            names = [(path, layout[2]) for path, layout in b._layouts.items()]
+            return names, b.start_cycle, b.cycles, b._starts, b._rows
+
+        return recorded(self) == recorded(other)
 
     @staticmethod
     def from_signal_values(
@@ -614,8 +597,8 @@ class TraceBundle:
     ) -> "TraceBundle":
         """Assemble a bundle from per-signal arrays (VCD ingestion path).
 
-        Shorter arrays are padded with 0; a row equal to its predecessor is
-        stored as the same list."""
+        Shorter arrays are padded with 0; a row equal to its predecessor
+        extends that row's run."""
         layouts: dict[str, tuple[int, int, list[str], list[int]]] = {}
         columns: list[list[int]] = []
         lo = 0
@@ -626,17 +609,17 @@ class TraceBundle:
             columns.extend(signals.values())
             lo += len(names)
         cycles = max(map(len, columns), default=0)
-        columns = [c if len(c) == cycles else list(c) + [0] * (cycles - len(c)) for c in columns]
+        padded = [chain(c, repeat(0, cycles - len(c))) for c in columns]
         rows: list[list[int]] = []
+        starts: list[int] = []
         previous = None
-        for values in zip(*columns):
-            if values == previous:
-                rows.append(rows[-1])
-            else:
+        for cycle, values in enumerate(zip(*padded)):
+            if values != previous:
+                starts.append(cycle)
                 rows.append(list(values))
                 previous = values
         return TraceBundle(
-            rows, layouts, start_cycle, None, seed_id=seed_id, warnings=warnings
+            rows, starts, cycles, layouts, start_cycle, None, seed_id=seed_id, warnings=warnings
         )
 
 
@@ -691,7 +674,8 @@ def simulate(
 
     seq_fns = design.seq_fns
     stops = sorted([*schedule, max_cycles])  # where a quiet stretch must end
-    rows: list[list[int]] = []
+    rows: list[list[int]] = []  # one per run
+    starts: list[int] = []  # the cycle each run starts at
     nb: dict[int, int] = {}
     last_activity = 0
     max_reached = False
@@ -699,19 +683,17 @@ def simulate(
     # A cycle with no input write that settles back to the previous row
     # reaches a fixed point of the clock step: all state lives in `v` and
     # the step is deterministic. Every cycle up to the next input write
-    # repeats that row object, so the whole stretch is filled at once, up
-    # to that write, the quiescence stop or max_cycles, whichever is first.
+    # repeats that row, so the whole stretch is skipped at once, up to
+    # that write, the quiescence stop or max_cycles, whichever is first.
     settled = False
     cycle = 0
     while True:
         writes = schedule.get(cycle)
         if settled and writes is None:
-            end = min(
+            cycle = min(
                 stops[bisect_right(stops, cycle)],
                 max(last_activity, stimulus_end - 1) + quiescence_window + 1,
             )
-            rows.extend(repeat(rows[-1], end - cycle))
-            cycle = end
         else:
             if cycle > 0:
                 nb.clear()
@@ -723,12 +705,12 @@ def simulate(
                 v[idx] = value
             _settle(design, v)
             if rows and v == rows[-1]:
-                rows.append(rows[-1])
                 settled = writes is None
             else:
                 if rows:
                     last_activity = cycle
                 rows.append(v.copy())
+                starts.append(cycle)
                 settled = False
             cycle += 1
         if cycle >= max_cycles:
@@ -744,6 +726,8 @@ def simulate(
     }
     return TraceBundle(
         rows,
+        starts,
+        cycle,
         layouts,
         start_cycle,
         stim,

@@ -4,9 +4,9 @@ The writer lays each clock cycle out over two timestamps (posedge at #2k,
 falling edge at #2k+1) and dumps signal values coincident with the posedge,
 so a loader sampling at rising clock edges recovers the exact per-cycle
 values. Bundle metadata (start cycle, seed id) rides in a $comment so a
-round trip reproduces the bundle bit for bit. A cycle that repeats the
-previous row has no value changes to compare, only its clock, and a quiet
-stretch of such cycles is formatted in one call.
+round trip reproduces the bundle bit for bit. The bundle's runs are the
+dump's value changes: each run start is one timestamp of changes, and the
+cycles inside a run have only their clock lines, formatted in one call.
 
 The loader accepts the IEEE-1364 subset named in the docs: $timescale,
 $scope module, $var wire/reg, $enddefinitions, #time stamps, scalar and
@@ -14,7 +14,7 @@ b-vector changes. x/z bits map to 0 and are counted per signal. It cuts the
 body at its timestamp lines into blocks and decodes each distinct block
 once. Each time step becomes a few characters of one string, so the
 posedges of a stretch without value changes are counted with str.count and
-share one row, instead of being replayed line by line.
+extend the current run, instead of being replayed line by line.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def write_vcd(bundle: TraceBundle) -> str:
             return f"{value}{code}"
         return f"b{value:b} {code}"
 
-    # A cycle that repeats its row has only its clock lines, so a stretch
-    # of them is one format call over its timestamps.
+    # A cycle inside a run has only its clock lines, so the rest of a run
+    # is one format call over its timestamps.
     if clk_id is None:
         quiet_cycle, stamp_step = "#%d", 2
     else:
@@ -373,7 +373,7 @@ def load_vcd(
         raise VcdParseError(clk_line, f"clock id {clk_code!r} must be declared 1 bit wide")
 
     layouts, column_codes = _layout(vars_by_code, codes, hierarchy_map)
-    rows = _sample(_steps(blocks, times), decoded, clk, column_codes)
+    runs = _sample(_steps(blocks, times), decoded, clk, column_codes)
 
     xz_counts: dict[tuple[str, str], int] = {}
     var_lists = list(vars_by_code.values())
@@ -395,7 +395,7 @@ def load_vcd(
                         f"{inst.path}.{decl.name}: absent from VCD, not invented"
                     )
 
-    return TraceBundle(rows, layouts, start_cycle, None, seed_id=seed_id, warnings=tuple(warnings))
+    return TraceBundle(*runs, layouts, start_cycle, None, seed_id=seed_id, warnings=tuple(warnings))
 
 
 def _layout(
@@ -452,10 +452,10 @@ def _steps(blocks: list[str], times: list[int]) -> list[str]:
 
 def _sample(
     steps: list[str], blocks: _Blocks, clk: int, column_codes: list[int]
-) -> list[list[int]]:
+) -> tuple[list[list[int]], list[int], int]:
     """Sample every id at each time step where the clock rises from 0 to 1,
-    after all of that step's changes; a sample that repeats the previous
-    row is that row object.
+    after all of that step's changes: the runs of samples (each distinct
+    row and the cycle it starts at), and the number of samples.
 
     The steps become one string (see _StepCodes), cut where a step changes
     ids other than the clock. The clock edges between two such cuts are
@@ -464,6 +464,8 @@ def _sample(
     pieces = "".join(map(step_codes.__getitem__, steps)).split(_SETS_MARK)
     values = [0] * len(blocks.codes)
     rows: list[list[int]] = []
+    starts: list[int] = []
+    cycles = 0
     changed = True
     carry = "0"  # the clock starts at 0
     for k, piece in enumerate(pieces):
@@ -481,11 +483,12 @@ def _sample(
                 head = min(p for p in (clocked.find("01") + 1, clocked.find("i")) if p > 0)
                 values[clk] = int(clocked[head + 1] == "n")
                 row = list(map(values.__getitem__, column_codes))
-                if rows and row == rows[-1]:
-                    row = rows[-1]
-            rows.extend(repeat(row, rises))
+                if not rows or row != rows[-1]:
+                    rows.append(row)
+                    starts.append(cycles)
+            cycles += rises
         carry = clocked[-1]
-    return rows
+    return rows, starts, cycles
 
 
 def load_vcd_file(path: str | Path, **kwargs) -> TraceBundle:

@@ -464,7 +464,8 @@ def oracle_load_vcd(
     """load_vcd line by line: every value change becomes a (time, code,
     raw) tuple, the tuples are stably sorted by time and replayed one
     by one, and the sampled values go through per-signal columns and
-    TraceBundle.from_signal_values, which shares equal consecutive rows."""
+    TraceBundle.from_signal_values, which merges equal consecutive rows
+    into one run."""
     vars_by_code: dict[str, list[_Var]] = {}
     scope_stack: list[str] = []
     changes: list[tuple[int, str, str]] = []  # (time, code, raw value)
@@ -649,14 +650,36 @@ def oracle_load_vcd(
 
 
 def oracle_trace(bundle, path: str) -> dict[str, list[int]]:
-    """Per-signal values of one instance: every row sliced, then the
-    slices transposed."""
+    """Per-signal values of one instance: each run's row sliced, and each
+    value appended once per cycle of its run."""
     lo, hi, names, _ = bundle._require(path)
     values = {name: [] for name in names}
-    for row in bundle._rows:
-        for name, value in zip(names, row[lo:hi]):
-            values[name].append(value)
+    ends = bundle._starts[1:] + [bundle.cycles]
+    for start, row, end in zip(bundle._starts, bundle._rows, ends):
+        for _ in range(start, end):
+            for name, value in zip(names, row[lo:hi]):
+                values[name].append(value)
     return values
+
+
+def oracle_first_divergence(sv1: dict[str, list[int]], sv2: dict[str, list[int]]):
+    """diagnose's phase 1 cycle by cycle over per-signal series: the
+    signals that differ at the first cycle both traces record, else those
+    that toggle in the longer trace's tail (at the common length), else
+    None."""
+    names = sorted(sv1)
+    cycles1, cycles2 = len(next(iter(sv1.values()), [])), len(next(iter(sv2.values()), []))
+    common = min(cycles1, cycles2)
+    for cycle in range(common):
+        differing = [n for n in names if sv1[n][cycle] != sv2[n][cycle]]
+        if differing:
+            return differing, cycle
+    longer, cycles = (sv1, cycles1) if cycles1 > cycles2 else (sv2, cycles2)
+    tail = [
+        n for n in names
+        if any(longer[n][c] != longer[n][c - 1] for c in range(max(common, 1), cycles))
+    ]
+    return (tail, common) if tail else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leakscope as ls
+from leakscope.diagnose import _first_divergence
 from leakscope.meg import NodeKind
+from leakscope.simulator import TraceBundle
 from leakscope.stimulus import Stimulus, StimulusStep
+from oracles import oracle_first_divergence
 
 
 def _stim(tag, data, hold=2):
@@ -112,15 +117,13 @@ def test_length_mismatch_reports_tail(cacheset, cacheset_meg):
     # divergence lands at the common length with tail togglers as instigators.
     h = cacheset.hierarchy
     a = ls.simulate(h, cacheset.stimuli["hit"])
-    rows = a._rows
-    lo, hi, names, widths = a._layouts["cacheset"]
-    import copy
-
-    from leakscope.simulator import TraceBundle
-
-    longer_rows = [list(r) for r in rows] + [list(rows[-1]) for _ in range(3)]
-    longer_rows[-1][names.index("way") + lo] ^= 1  # toggle in the tail
-    b = TraceBundle(longer_rows, copy.deepcopy(a._layouts), a.start_cycle, None)
+    longer = {
+        path: {name: series + series[-1:] * 3 for name, series in a.trace(path).signal_values.items()}
+        for path in a.instances()
+    }
+    longer["cacheset"]["way"][-1] ^= 1  # toggle in the tail
+    widths = {path: dict(zip(a.signal_names(path), a.signal_widths(path))) for path in a.instances()}
+    b = TraceBundle.from_signal_values(longer, widths, a.start_cycle)
     diag = ls.diagnose(a.trace("cacheset"), b.trace("cacheset"), cacheset_meg)
     assert diag.divergence_cycle == a.cycles
     assert "way" in diag.instigators
@@ -146,3 +149,40 @@ def test_frontier_trace_layers(cacheset_runs, cacheset_meg):
     assert diag.frontier_trace[0] == tuple(sorted(diag.instigators))
     flattened = [n for layer in diag.frontier_trace for n in layer]
     assert len(flattened) == len(set(flattened))
+
+
+
+@st.composite
+def _trace_pair(draw):
+    """Two per-signal series dicts of one instance with few distinct values,
+    the second listing its signals in another order and often sharing a
+    prefix with the first."""
+    def series(cycles):
+        palette = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+        return draw(st.lists(st.sampled_from(palette), min_size=cycles, max_size=cycles))
+
+    cycles1, cycles2 = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    sv1 = {name: series(cycles1) for name in "abc"}
+    if draw(st.booleans()):
+        sv2 = {name: (sv1[name] + series(cycles2))[:cycles2] for name in "cba"}
+    else:
+        sv2 = {name: series(cycles2) for name in "cba"}
+    if cycles2 and draw(st.booleans()):
+        sv2[draw(st.sampled_from("abc"))][draw(st.integers(0, cycles2 - 1))] ^= 1
+    return sv1, sv2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_pair())
+def test_first_divergence_agrees_with_per_cycle_scan(pair):
+    """Phase 1 reads only run starts; a cycle-by-cycle scan of the series
+    must find the same signals and cycle."""
+    sv1, sv2 = pair
+    a = TraceBundle.from_signal_values({"u": sv1}, {}, 0).trace("u")
+    b = TraceBundle.from_signal_values({"u": sv2}, {}, 0).trace("u")
+    want = oracle_first_divergence(sv1, sv2)
+    if want is None:
+        with pytest.raises(ls.NoDivergence):
+            _first_divergence(a, b)
+    else:
+        assert _first_divergence(a, b) == want

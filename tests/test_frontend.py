@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,17 @@ from leakscope import coverage, hdl_ast, meg
 from leakscope.hdl_ast import (
     BINARY_PRECEDENCE,
     AlwaysBlock,
+    AlwaysTrigger,
     Assign,
+    Case,
+    ContinuousAssign,
     If,
+    ModuleAst,
     SignalKind,
+    SourceLoc,
+    Stmt,
     Ternary,
-    format_module,
     render_expr,
-    strip_locs,
     walk_stmts,
 )
 from leakscope.lexer import tokenize
@@ -30,6 +35,97 @@ from oracles import (
     oracle_tokenize,
 )
 from test_sim_differential import _random_module
+
+
+# -- printing a module back to source, for the round-trip tests --------------
+
+def format_module(m: ModuleAst) -> str:
+    """Pretty-print a module back into parseable subset source."""
+    lines: list[str] = []
+    port_decls = []
+    for p in m.ports:
+        width = f" [{p.width - 1}:0]" if p.width > 1 else ""
+        reg = " reg" if p.kind is SignalKind.OUTPUT and p.is_reg else ""
+        port_decls.append(f"  {p.kind.value}{reg}{width} {p.name}")
+    if port_decls:
+        lines.append(f"module {m.name}(")
+        lines.append(",\n".join(port_decls))
+        lines.append(");")
+    else:
+        lines.append(f"module {m.name};")
+
+    for d in m.decls:
+        width = f" [{d.width - 1}:0]" if d.width > 1 else ""
+        lines.append(f"  {d.kind.value}{width} {d.name};")
+
+    def emit_stmt(stmt: Stmt, indent: int) -> None:
+        pad = "  " * indent
+        if isinstance(stmt, Assign):
+            lines.append(f"{pad}{stmt.dest} {stmt.style.value} {render_expr(stmt.expr)};")
+        elif isinstance(stmt, If):
+            lines.append(f"{pad}if ({render_expr(stmt.cond)}) begin")
+            for s in stmt.then:
+                emit_stmt(s, indent + 1)
+            if stmt.other:
+                lines.append(f"{pad}end else begin")
+                for s in stmt.other:
+                    emit_stmt(s, indent + 1)
+            lines.append(f"{pad}end")
+        elif isinstance(stmt, Case):
+            lines.append(f"{pad}case ({render_expr(stmt.subject)})")
+            for arm in stmt.arms:
+                lines.append(f"{pad}  {render_expr(arm.match)}: begin")
+                for s in arm.body:
+                    emit_stmt(s, indent + 2)
+                lines.append(f"{pad}  end")
+            if stmt.default:
+                lines.append(f"{pad}  default: begin")
+                for s in stmt.default:
+                    emit_stmt(s, indent + 2)
+                lines.append(f"{pad}  end")
+            lines.append(f"{pad}endcase")
+
+    for item in m.items:
+        if isinstance(item, ContinuousAssign):
+            lines.append(f"  assign {item.dest} = {render_expr(item.expr)};")
+        else:
+            trigger = "@(posedge clk)" if item.trigger is AlwaysTrigger.POSEDGE_CLOCK else "@(*)"
+            lines.append(f"  always {trigger} begin")
+            for s in item.body:
+                emit_stmt(s, 2)
+            lines.append("  end")
+
+    for inst in m.instances:
+        lines.append(f"  {inst.module_name} {inst.instance_name}(")
+        bindings = [
+            f"    .{formal}({render_expr(actual)})" for formal, actual in inst.port_map
+        ]
+        lines.append(",\n".join(bindings))
+        lines.append("  );")
+
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
+def strip_locs(obj):
+    """Structural fingerprint of an AST with every SourceLoc removed:
+    parse(format_module(m)) must fingerprint like m."""
+    if isinstance(obj, SourceLoc):
+        return None
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (list, tuple)):
+        return tuple(strip_locs(x) for x in obj)
+    if hasattr(obj, "__dataclass_fields__"):
+        return (
+            type(obj).__name__,
+            tuple(
+                (name, strip_locs(getattr(obj, name)))
+                for name in obj.__dataclass_fields__
+            ),
+        )
+    return obj
+
 
 EMPTY = "module m(input clk); endmodule"
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import copy
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -390,7 +395,7 @@ def _two_divides(hold):
 
 
 def test_quiet_stretch_ends_agree_with_reference(serdiv):
-    """A settled run appends its quiet stretch in one step. The stretch ends
+    """A settled run skips its quiet stretch in one step. The stretch ends
     at the next input write, at the quiescence stop, or at max_cycles inside
     it; each end gives the reference's rows, max_cycles flag and stop cycle."""
     h = serdiv.hierarchy
@@ -417,9 +422,9 @@ def test_quiet_stretch_ends_agree_with_reference(serdiv):
             for path in bundle.instances():
                 for sig, series in bundle.trace(path).signal_values.items():
                     assert series == want[path][sig][: bundle.cycles], (key, path, sig)
-        # Up to the next input write the stretch is one shared row.
+        # Up to the next input write the stretch is one run.
         run = ls.simulate(h, stim, quiescence_window=window)
-        assert all(run._rows[c] is run._rows[settled] for c in range(settled, second_write))
+        assert not [start for start in run._starts if settled <= start < second_write]
         assert run.cycles == natural and not run.max_cycles_reached
 
 
@@ -440,8 +445,9 @@ def test_quiet_stretch_costs_no_evaluation(serdiv, monkeypatch):
     assert counts[0] == counts[1] < 100
 
 
-def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
-    """Quiet cycles share one row object; no consumer may write through it."""
+def test_stored_runs_stay_unchanged_by_every_consumer(serdiv):
+    """A quiet stretch is one stored run; no consumer may write through the
+    runs, and the digest depends on the values alone, not on the producer."""
     from leakscope.coverage import TraceMasks
     from leakscope.simulator import TraceBundle
 
@@ -455,8 +461,8 @@ def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
         ))
         runs.append(ls.simulate(h, stim, seed_id=f"d{dividend}"))
     a, b = runs
-    assert a._rows[-1] is a._rows[-2]
-    before = [copy.deepcopy(run._rows) for run in runs]
+    assert a._starts[-1] < a.cycles - 100
+    before = [copy.deepcopy((run._starts, run._rows, run.cycles)) for run in runs]
 
     findings = ls.analyze([(a, b)], h)
     assert findings
@@ -474,13 +480,74 @@ def test_shared_rows_stay_unchanged_by_every_consumer(serdiv):
                 masks.toggles(i)
             ls.match_coverage(run, conditions, g, inst.path, masks=masks)
             ls.match_coverage(run, conditions, g, inst.path)
-        unshared = TraceBundle(
-            [list(row) for row in run._rows], run._layouts, run.start_cycle, run.stimulus
+        rebuilt = TraceBundle.from_signal_values(
+            {path: run.trace(path).signal_values for path in run.instances()},
+            {path: dict(zip(run.signal_names(path), run.signal_widths(path)))
+             for path in run.instances()},
+            run.start_cycle,
         )
-        assert run.rows_digest() == unshared.rows_digest()
+        assert run.rows_digest() == rebuilt.rows_digest()
 
-    for run, rows in zip(runs, before):
-        assert run._rows == rows
+    for run, stored in zip(runs, before):
+        assert (run._starts, run._rows, run.cycles) == stored
+
+
+_LONG_HOLD_CHILD = """
+import json, sys
+import leakscope as ls
+from leakscope.cli import main
+
+hold, max_cycles, stim_dir = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+h = ls.load_dut("serdiv").hierarchy
+megs = ls.build_megs(h.modules)
+runs = []
+for dividend in (200, 3):
+    data = {"dividend": dividend, "divisor": 7}
+    path = f"{stim_dir}/d{dividend}.json"
+    with open(path, "w") as f:
+        json.dump([{"tag": "start=1", "data": data, "hold": 1},
+                   {"tag": "start=0", "data": data, "hold": hold}], f)
+    assert main(["sim", "--dut", "serdiv", "--stim", path, "--max-cycles", str(max_cycles)]) == 0
+    stim = ls.load_stimulus(path)
+    runs.append(ls.simulate(h, stim, max_cycles=max_cycles, seed_id=f"d{dividend}"))
+a, b = runs
+assert a.cycles > hold and b.cycles > hold and not a.max_cycles_reached
+findings = ls.analyze([(a, b)], h)
+assert findings
+for f in findings:
+    module = h.instance(f.instance_path).module_name
+    diag = ls.diagnose(a.trace(f.instance_path), b.trace(f.instance_path), megs[module])
+    assert diag.divergence_cycle == a.start_cycle and "dividend" in diag.instigators
+"""
+
+
+def test_long_hold_runs_in_bounded_memory(tmp_path):
+    """A 10**8-cycle hold goes through `leakscope sim`, simulate, analyze
+    and diagnose in a child process whose peak RSS stays under a fixed
+    ceiling: a trace costs memory per run, not per cycle. The child's own
+    limits stop a regression before it can take the machine's memory."""
+    hold = 10**8
+    src = str(Path(ls.__file__).resolve().parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+    child = subprocess.Popen(
+        [sys.executable, "-c", _LONG_HOLD_CHILD, str(hold), str(2 * hold), str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+    )
+    output = child.stdout.read()
+    child.stdout.close()
+    # The usage of this one child, as RUSAGE_CHILDREN would report it if
+    # it were the only child the test process ever had.
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, output
+    assert output.count(f"simulated {hold + 12} cycles,") == 2, output
+    peak_mb = usage.ru_maxrss / 1024
+    assert peak_mb < 150, peak_mb
 
 
 def _record_compiles(monkeypatch) -> list[str]:

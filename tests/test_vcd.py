@@ -145,8 +145,8 @@ def test_writer_matches_per_cycle_oracle(cacheset_runs, serdiv_runs, serdiv, ct_
 
 def test_value_changes_agree_with_per_signal_series(serdiv):
     # Signals in a mixed order across instances; each yielded cycle sets
-    # exactly the values that differ from the previous cycle, and a cycle
-    # left out repeats its predecessor's row object.
+    # exactly the values that differ from the previous cycle, and the
+    # yielded cycles are the run starts.
     for bundle in [*_long_hold_serdiv_runs(serdiv), _assembled_bundle()]:
         signals = [(p, n) for p in reversed(bundle.instances()) for n in bundle.signal_names(p)]
         series = [bundle.trace(p).signal_values[n] for p, n in signals]
@@ -156,22 +156,17 @@ def test_value_changes_agree_with_per_signal_series(serdiv):
         ]
         got = dict(bundle.value_changes(signals))
         assert [list(got.get(c, ())) for c in range(bundle.cycles)] == expected, bundle.seed_id
-        rows = bundle._rows
-        repeated = [c for c in range(1, bundle.cycles) if rows[c] is rows[c - 1]]
-        assert sorted(got) == sorted(set(range(bundle.cycles)) - set(repeated))
+        assert list(got) == bundle._starts
 
 
-def test_quiet_stretch_shares_one_row(serdiv):
+def test_quiet_stretch_is_one_run(serdiv):
     bundle = _long_hold_serdiv_runs(serdiv)[0]
-    rows = bundle._rows
-    assert rows[-1] is rows[-2]
-    distinct = {id(row) for row in rows}
-    assert len(distinct) < bundle.cycles // 4
+    assert bundle._starts[-1] < bundle.cycles - 1
+    assert len(bundle._starts) < bundle.cycles // 4
     back = ls.load_vcd(ls.write_vcd(bundle))
-    assert back._rows[-1] is back._rows[-2]
-    assert len({id(row) for row in back._rows}) == len(distinct)
+    assert (back._starts, back.cycles) == (bundle._starts, bundle.cycles)
     assembled = _assembled_bundle()
-    assert assembled._rows[7] is assembled._rows[6] and assembled._rows[8] is assembled._rows[7]
+    assert (assembled._starts, assembled.cycles) == ([0, 1, 2, 3, 4, 5, 6], 9)
     assert assembled.trace("top").signal_values["n"] == [0, 0, 3, 3, 3, 9, 0, 0, 0]
 
 
@@ -194,16 +189,16 @@ def test_changes_between_posedges_are_sampled():
 
 def _outcome(load, text, **kwargs):
     """What loading `text` gives: the error's class, line and message, or
-    the rows, which of them repeat the previous row object, and the
-    bundle's layout and metadata."""
+    the runs (their starts and rows), the cycle count, and the bundle's
+    layout and metadata."""
     try:
         bundle = load(text, **kwargs)
     except ls.LeakscopeError as exc:
         return type(exc).__name__, getattr(exc, "line", None), str(exc)
-    rows = bundle._rows
     return (
-        rows,
-        [rows[c] is rows[c - 1] for c in range(1, len(rows))],
+        bundle._starts,
+        bundle._rows,
+        bundle.cycles,
         bundle._layouts,
         bundle.warnings,
         bundle.start_cycle,
@@ -251,9 +246,8 @@ def test_long_hold_runs_agree_with_oracles(run, mapped):
     kwargs = {"expect": dut.hierarchy}
     if mapped:
         kwargs["hierarchy_map"] = renamed
-    rows, shared, layouts, *_ = _assert_loaders_agree(text, **kwargs)
-    assert rows == bundle._rows
-    assert shared == [bundle._rows[c] is bundle._rows[c - 1] for c in range(1, bundle.cycles)]
+    starts, rows, cycles, *_ = _assert_loaders_agree(text, **kwargs)
+    assert (starts, rows, cycles) == (bundle._starts, bundle._rows, bundle.cycles)
     back = ls.load_vcd(text, **kwargs)
     for path in back.instances():
         assert back.trace(path).signal_values == oracle_trace(back, path)
@@ -376,3 +370,47 @@ def test_hand_written_texts_load_as_documented():
         assert _assert_loaders_agree(text)[:2] == ("VcdParseError", 6), ending
         assert _assert_loaders_agree(text[:-len(ending)])[:2] == ("VcdParseError", 5), ending
 
+
+
+def _assert_maximal_runs(bundle):
+    """One start per stored row, in increasing order from cycle 0 and
+    inside the bundle, and no run repeats the row before it."""
+    starts, rows = bundle._starts, bundle._rows
+    assert len(starts) == len(rows)
+    assert starts == sorted(set(starts))
+    assert starts[:1] == ([0] if bundle.cycles else [])
+    assert not starts or starts[-1] < bundle.cycles
+    assert all(row != previous for row, previous in zip(rows[1:], rows))
+
+
+def _vcd_text(cycles):
+    """A dump of _HEADER's clock and data: each cycle is a posedge, then
+    the cycle's data writes over two later timestamps, so a value written
+    and written back between two posedges is sampled as unchanged."""
+    body = []
+    for k, writes in enumerate(cycles):
+        body += [f"#{3 * k}", "1!", f"#{3 * k + 1}", "0!"]
+        body += [f'b{value:b} "' for value in writes[:1]]
+        body += [f"#{3 * k + 2}"] + [f'b{value:b} "' for value in writes[1:]]
+    return _HEADER + "\n".join(body) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _long_hold_runs(),
+    st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=20),
+    st.dictionaries(st.sampled_from("abc"), st.lists(st.integers(0, 2), max_size=12)),
+)
+def test_every_producer_emits_maximal_runs(run, vcd_cycles, columns):
+    """simulate, load_vcd (of our own dumps and of dumps whose changes
+    revert between posedges) and from_signal_values (of uneven, repetitive
+    columns) store no run that repeats the row before it."""
+    _, bundle = run
+    _assert_maximal_runs(bundle)
+    _assert_maximal_runs(ls.load_vcd(ls.write_vcd(bundle)))
+    text = _vcd_text(vcd_cycles)
+    _assert_maximal_runs(ls.load_vcd(text))
+    _assert_loaders_agree(text)
+    per_instance = {path: bundle.trace(path).signal_values for path in bundle.instances()}
+    _assert_maximal_runs(TraceBundle.from_signal_values(per_instance, {}, bundle.start_cycle))
+    _assert_maximal_runs(TraceBundle.from_signal_values({"u": columns}, {}, 0))
