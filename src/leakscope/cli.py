@@ -38,7 +38,7 @@ from .reports import (
 )
 from .simulator import InitPolicy, simulate
 from .stimulus import load_stimulus
-from .vcd import load_vcd_file, write_vcd
+from .vcd import load_vcd_file, save_vcd
 
 _CONFIG_KEYS = ("mutantsPerSeed", "maxRounds", "timeBudget")
 
@@ -247,7 +247,7 @@ def _cmd_sim(args) -> int:
         t = measure(bundle, path)
         print(f"  {path}: execution time {t.cycles} cycles")
     if args.vcd:
-        Path(args.vcd).write_text(write_vcd(bundle))
+        save_vcd(bundle, args.vcd)
         print(f"VCD written to {args.vcd}")
     return 0
 

@@ -6,22 +6,33 @@ so a loader sampling at rising clock edges recovers the exact per-cycle
 values. Bundle metadata (start cycle, seed id) rides in a $comment so a
 round trip reproduces the bundle bit for bit. The bundle's runs are the
 dump's value changes: each run start is one timestamp of changes, and the
-cycles inside a run have only their clock lines, formatted in one call.
+cycles inside a run are quiet, only clock lines. `_quiet_chunks` formats a
+quiet stretch in chunks of at most _QUIET_CHUNK cycles; the writer emits
+its text piece by piece, so `save_vcd` streams a long hold to its file.
 
 The loader accepts the IEEE-1364 subset named in the docs: $timescale,
 $scope module, $var wire/reg, $enddefinitions, #time stamps, scalar and
-b-vector changes. x/z bits map to 0 and are counted per signal. It cuts the
-body at its timestamp lines into blocks and decodes each distinct block
-once. Each time step becomes a few characters of one string, so the
-posedges of a stretch without value changes are counted with str.count and
-extend the current run, instead of being replayed line by line.
+b-vector changes. x/z bits map to 0 and are counted per signal. It first
+recognises the body's quiet stretches: text equal, byte for byte, to what
+`_quiet_chunks` gives from the stretch's first timestamp on, compared in
+place chunk by chunk. The rest is cut at its timestamp lines into blocks,
+and each distinct block is decoded once, by one regex pass over its lines.
+If that rest has a bad line or timestamp, or a time that would sort into
+or before a stretch, the whole body is cut at every timestamp instead, so
+results and errors are those of cutting it everywhere. Each time step
+becomes a few characters of one string, and a stretch of k quiet cycles
+is its two clock steps' characters k times over; the posedges between two
+value changes are counted with str.count and extend the current run,
+instead of being replayed line by line.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
-from itertools import compress, repeat
+from collections.abc import Iterator
+from itertools import chain, compress, repeat
 from operator import eq
 from pathlib import Path
 
@@ -43,8 +54,53 @@ def _id_code(n: int) -> str:
     return "".join(chars)
 
 
+# The most cycles one chunk of quiet text holds. A stretch's chunks double
+# in size up to it, so a short stretch costs little to write or recognise
+# and a long one is never held whole.
+_QUIET_CHUNK = 1024
+
+
+def _quiet_chunks(first: int, stop: int, clk: str | None) -> Iterator[tuple[int, str]]:
+    """The text of cycles first..stop-1 when none of them changes a value,
+    as (cycles, text) chunks: the first of one cycle, each later one about
+    twice the one before, up to _QUIET_CHUNK cycles."""
+    # The lines after a cycle's timestamps: #2c, and #2c+1 with a clock.
+    after = ("\n",) if clk is None else (f"\n1{clk}\n", f"\n0{clk}\n")
+    step = 2 // len(after)
+
+    def stamped(lo: int, hi: int) -> str:
+        return "".join([f"#{t}{after[t % len(after)]}" for t in range(2 * lo, 2 * hi, step)])
+
+    # Cycles 5q..5q+4 take the timestamps 10q+d, so for q > 0 their text is
+    # str(q) joined by these parts, each ending before a last digit d.
+    parts = ["#", *(f"{d}{after[d % len(after)]}#" for d in range(0, 10, step))]
+    parts[-1] = parts[-1][:-1]
+    size = 1
+    while first < stop:
+        end = min(first + size, stop)
+        if end // 5 * 5 > first:
+            end = end // 5 * 5  # so that later chunks are whole fives
+        lo = min(end, max(5, -(-first // 5) * 5))
+        hi = max(lo, end // 5 * 5)
+        fives = "".join(map(str.join, map(str, range(lo // 5, hi // 5)), repeat(parts)))
+        yield end - first, stamped(first, lo) + fives + stamped(hi, end)
+        first = end
+        size = min(2 * size, _QUIET_CHUNK)
+
+
 def write_vcd(bundle: TraceBundle) -> str:
     """Serialize a trace bundle; inverse of load_vcd for our own output."""
+    return "".join(_vcd_pieces(bundle))
+
+
+def save_vcd(bundle: TraceBundle, path: str | Path) -> None:
+    """write_vcd into a file, piece by piece as the text is made."""
+    with Path(path).open("w") as f:
+        f.writelines(_vcd_pieces(bundle))
+
+
+def _vcd_pieces(bundle: TraceBundle) -> Iterator[str]:
+    """The text of write_vcd in pieces, each ending with a line break."""
     paths = bundle.instances()
     # Assign one id per (instance, signal); give the top clock its own
     # toggling waveform so the output is replayable by edge-sampling tools.
@@ -106,22 +162,17 @@ def write_vcd(bundle: TraceBundle) -> str:
             return f"{value}{code}"
         return f"b{value:b} {code}"
 
-    # A cycle inside a run has only its clock lines, so the rest of a run
-    # is one format call over its timestamps.
-    if clk_id is None:
-        quiet_cycle, stamp_step = "#%d", 2
-    else:
-        clk = clk_id.replace("%", "%%")
-        quiet_cycle, stamp_step = f"#%d\n1{clk}\n#%d\n0{clk}", 1
-
-    def add_quiet(first: int, stop: int) -> None:
+    def quiet(first: int, stop: int) -> Iterator[str]:
+        """The lines so far, then the quiet cycles first..stop-1."""
         if stop > first:
-            stamps = tuple(range(2 * first, 2 * stop, stamp_step))
-            out.append("\n".join([quiet_cycle] * (stop - first)) % stamps)
+            yield "\n".join(out) + "\n"
+            out.clear()
+            for _, chunk in _quiet_chunks(first, stop, clk_id):
+                yield chunk
 
     following = 0
     for cycle, changes in bundle.value_changes(signals):
-        add_quiet(following, cycle)
+        yield from quiet(following, cycle)
         out.append(f"#{2 * cycle}")
         if cycle == 0:
             out.append("$dumpvars")
@@ -134,12 +185,9 @@ def write_vcd(bundle: TraceBundle) -> str:
             out.append(f"#{2 * cycle + 1}")
             out.append(f"0{clk_id}")
         following = cycle + 1
-    add_quiet(following, bundle.cycles)
-    return "\n".join(out) + "\n"
-
-
-def save_vcd(bundle: TraceBundle, path: str | Path) -> None:
-    Path(path).write_text(write_vcd(bundle))
+    yield from quiet(following, bundle.cycles)
+    if out:
+        yield "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +202,13 @@ MAX_VCD_WIDTH = 1 << 16
 _END_DEFS = re.compile(r"^[^\S\n]*\$enddefinitions[^\n]*", re.M)
 # A timestamp line with the line break before it; re.split keeps the time.
 _TIMESTAMP = re.compile(r"\n[^\S\n]*#([^\n]*)")
-_SKIPPED = ("$dumpvars", "$end", "$dumpall", "$dumpon", "$dumpoff")
+# One line of a block that is blank, skipped, or a value change: a scalar
+# (value, "", id) or a vector ("", value, id) in the groups.
+_LINE = re.compile(
+    r"^[^\S\n]*(?:\$(?:dumpvars|end|dumpall|dumpon|dumpoff)[^\n]*"
+    r"|(?:([01xXzZ])|[bB][^\S\n]*([01xXzZ]+)[^\S\n])[^\S\n]*(\S+))?[^\S\n]*$",
+    re.M,
+)
 _XZ_TO_0 = str.maketrans("xXzZ", "0000")
 # Enclose the number of a step with value changes in the step string.
 _SETS_MARK, _SETS_END = "\x00", "\x01"
@@ -215,6 +269,30 @@ class _BadLine(Exception):
         self.message = message
 
 
+def _bad_line(text: str, codes: dict[str, int]) -> _BadLine:
+    """The first line of a block that _LINE does not match, or that changes
+    an undeclared id, and what is wrong with it."""
+    for offset, raw_line in enumerate(text.split("\n")):
+        match = _LINE.match(raw_line)
+        if match and (not match[3] or match[3] in codes):
+            continue
+        line = raw_line.strip()
+        lead = line[0]
+        if lead in "bB":
+            parts = line[1:].split()
+            if len(parts) != 2:
+                return _BadLine(offset, f"malformed vector change {line!r}")
+            if parts[0].strip("01xXzZ"):
+                return _BadLine(offset, f"bad vector value in {line!r}")
+            code = parts[1]
+        elif lead in "01xXzZ":
+            code = line[1:].strip()
+        else:
+            return _BadLine(offset, f"unsupported value change {line!r}")
+        return _BadLine(offset, f"value change for undeclared id {code!r}")
+    raise AssertionError("a block without a bad line")
+
+
 class _Block:
     """The value changes of the lines of one time, decoded once per
     distinct text: `sets` the (id index, value) changes of ids other than
@@ -224,28 +302,19 @@ class _Block:
     __slots__ = ("sets", "clock", "xz")
 
     def __init__(self, text: str, codes: dict[str, int], widths: list[int], clk: int | None):
+        lines = _LINE.findall(text)
+        if len(lines) <= text.count("\n"):
+            raise _bad_line(text, codes)
         sets: list[tuple[int, int]] = []
         clock: list[int] = []
         self.xz: list[int] = []
-        for offset, raw_line in enumerate(text.split("\n")):
-            line = raw_line.strip()
-            if not line or line.startswith(_SKIPPED):
+        for scalar, vector, code in lines:
+            raw = scalar or vector
+            if not raw:
                 continue
-            lead = line[0]
-            if lead in "01xXzZ":
-                code, raw = line[1:].strip(), lead
-            elif lead in "bB":
-                parts = line[1:].split()
-                if len(parts) != 2:
-                    raise _BadLine(offset, f"malformed vector change {line!r}")
-                raw, code = parts
-                if raw.strip("01xXzZ"):
-                    raise _BadLine(offset, f"bad vector value in {line!r}")
-            else:
-                raise _BadLine(offset, f"unsupported value change {line!r}")
             index = codes.get(code)
             if index is None:
-                raise _BadLine(offset, f"value change for undeclared id {code!r}")
+                raise _bad_line(text, codes)
             if raw.strip("01"):
                 raw = raw.translate(_XZ_TO_0)
                 self.xz.append(index)
@@ -338,34 +407,16 @@ def load_vcd(
                     clk_depth = depth
     clk = codes.get(clk_code)
 
-    # The body, cut at its timestamp lines into blocks: blocks[k] follows
-    # stamps[k - 1], and blocks[0] belongs to time 0. Each distinct block is
-    # decoded once, in order of first appearance, so the first bad line in
-    # the text raises first.
-    parts = _TIMESTAMP.split(text[body_start:])
-    blocks, stamps = parts[0::2], parts[1::2]
-    try:
-        times = [0, *map(int, stamps)]
-        bad_stamp = None
-    except ValueError:
-        bad_stamp = next(k for k, stamp in enumerate(stamps) if not _is_int(stamp))
-        blocks = blocks[:bad_stamp + 1]
-
-    def line_of(k: int) -> int:
-        """The line blocks[k] starts on; each timestamp ends one line."""
-        body_line = text.count("\n", 0, body_start) + 1
-        return body_line + k + sum(map(str.count, blocks[:k], repeat("\n")))
-
-    occurrences = Counter(blocks)
-    decoded = _Blocks(codes, widths, clk)
-    for block in occurrences:
-        try:
-            decoded[block]
-        except _BadLine as bad:
-            raise VcdParseError(line_of(blocks.index(block)) + bad.offset, bad.message)
-    if bad_stamp is not None:
-        bad_line = line_of(bad_stamp) + blocks[bad_stamp].count("\n") + 1
-        raise VcdParseError(bad_line, f"bad timestamp {('#' + stamps[bad_stamp]).strip()!r}")
+    step_codes = _StepCodes(_Blocks(codes, widths, clk))
+    stretches = []
+    if clk is not None and widths[clk] == 1:
+        stretches = _quiet_stretches(text, body_start, clk_code)
+    body = _read_body(text, body_start, stretches, step_codes, clk_code)
+    if body is None and stretches:
+        body = _read_body(text, body_start, [], step_codes, clk_code)
+    if body is None:
+        raise _body_error(text, body_start, step_codes.blocks)
+    steps, occurrences = body
     if clk is None:
         raise ClockNotFound("no signal named 'clk' in VCD")
     if widths[clk] != 1:
@@ -373,12 +424,12 @@ def load_vcd(
         raise VcdParseError(clk_line, f"clock id {clk_code!r} must be declared 1 bit wide")
 
     layouts, column_codes = _layout(vars_by_code, codes, hierarchy_map)
-    runs = _sample(_steps(blocks, times), decoded, clk, column_codes)
+    runs = _sample(steps, step_codes, clk, column_codes)
 
     xz_counts: dict[tuple[str, str], int] = {}
     var_lists = list(vars_by_code.values())
     for block, count in occurrences.items():
-        for index in decoded[block].xz:
+        for index in step_codes.blocks[block].xz:
             for scope, name, _, _ in var_lists[index]:
                 xz_counts[(scope, name)] = xz_counts.get((scope, name), 0) + count
     warnings = [
@@ -396,6 +447,136 @@ def load_vcd(
                     )
 
     return TraceBundle(*runs, layouts, start_cycle, None, seed_id=seed_id, warnings=tuple(warnings))
+
+
+def _body_error(text: str, start: int, decoded: _Blocks) -> VcdParseError:
+    """Why the body text[start:], cut at every timestamp line, cannot be
+    read: blocks[k] follows stamps[k - 1], and blocks[0] belongs to time 0.
+    Its distinct blocks are decoded in order of first appearance up to the
+    first bad timestamp, so the first bad line in the text is reported, and
+    else that timestamp."""
+    parts = _TIMESTAMP.split(text[start:])
+    blocks, stamps = parts[0::2], parts[1::2]
+    bad_stamp = next((k for k, stamp in enumerate(stamps) if not _is_int(stamp)), len(stamps))
+    blocks = blocks[:bad_stamp + 1]
+
+    def line_of(k: int) -> int:
+        """The line blocks[k] starts on; each timestamp ends one line."""
+        body_line = text.count("\n", 0, start) + 1
+        return body_line + k + sum(map(str.count, blocks[:k], repeat("\n")))
+
+    for block in dict.fromkeys(blocks):
+        try:
+            decoded[block]
+        except _BadLine as bad:
+            return VcdParseError(line_of(blocks.index(block)) + bad.offset, bad.message)
+    bad_line = line_of(bad_stamp) + blocks[bad_stamp].count("\n") + 1
+    return VcdParseError(bad_line, f"bad timestamp {('#' + stamps[bad_stamp]).strip()!r}")
+
+
+def _quiet_stretches(text: str, start: int, clk_code: str) -> list[tuple[int, int, int, int]]:
+    """The quiet stretches of the body text[start:], in text order, each as
+    (lo, hi, first cycle, cycles): text[lo:hi] is a line break, then the
+    text _quiet_chunks gives for those cycles less its last line break, and
+    a timestamp line or the end of the text follows."""
+    find = re.compile(rf"\n#([0-9]+)\n1{re.escape(clk_code)}\n").search
+    cycle_lines = 4  # two timestamps, each with its clock value
+    stretches: list[tuple[int, int, int, int]] = []
+    pos = start
+    while match := find(text, pos):
+        lo = pos = match.start() + 1
+        first, odd = divmod(int(match[1]), 2)
+        if odd:
+            continue
+        cycles = 0
+        # Each cycle takes at least one character, so the text ends first.
+        for size, chunk in _quiet_chunks(first, first + len(text), clk_code):
+            if text.startswith(chunk, pos):
+                pos += len(chunk)
+                cycles += size
+                continue
+            # The longest prefix of the chunk that the text repeats.
+            same, differ = 0, len(chunk)
+            while differ - same > 1:
+                middle = (same + differ) // 2
+                if text.startswith(chunk[:middle], pos):
+                    same = middle
+                else:
+                    differ = middle
+            whole, part = divmod(chunk.count("\n", 0, same), cycle_lines)
+            pos += _after_line_breaks(chunk, 0, same, part + 1)
+            cycles += whole
+            break
+        if cycles and not text.startswith("#", pos) and pos < len(text):
+            # The last cycle's falling edge has more lines in the text.
+            pos = _after_line_breaks(text, lo, pos, cycle_lines + 1)
+            cycles -= 1
+        if cycles:
+            stretches.append((lo - 1, pos - 1, first, cycles))
+            pos -= 1
+        else:
+            pos = lo
+    return stretches
+
+
+def _after_line_breaks(text: str, start: int, end: int, count: int) -> int:
+    """The position after the `count`-th line break back from `end` in
+    text[start:end], or `start` if it has fewer."""
+    for _ in range(count):
+        end = text.rfind("\n", start, end)
+        if end < 0:
+            return start
+    return end + 1
+
+
+def _read_body(
+    text: str,
+    start: int,
+    stretches: list[tuple[int, int, int, int]],
+    step_codes: _StepCodes,
+    clk_code: str | None,
+) -> tuple[str, Counter[str]] | None:
+    """The step string of the body text[start:] and how often each block of
+    it occurs, given its quiet stretches. The text between stretches is cut
+    at its timestamp lines into blocks, each decoded once; its steps are in
+    time order, blocks of one time acting as one. None if that text has a
+    bad line or timestamp, or a time that is not after every time before a
+    stretch or not after the stretch before it."""
+    bounds = [start, *chain.from_iterable((lo, hi) for lo, hi, _, _ in stretches), len(text)]
+    pieces: list[str] = []
+    occurrences: Counter[str] = Counter()
+    latest = floor = -math.inf
+    for k in range(len(stretches) + 1):
+        parts = _TIMESTAMP.split(text[bounds[2 * k]:bounds[2 * k + 1]])
+        try:
+            times = [0, *map(int, parts[1::2])]
+        except ValueError:
+            return None
+        blocks = parts[0::2]
+        if k:
+            # The text before the first timestamp after a stretch is empty,
+            # or the line break that ends the text.
+            blocks, times = blocks[1:], times[1:]
+        if times:
+            if min(times) <= floor:
+                return None
+            latest = max(latest, max(times))
+        counts = Counter(blocks)
+        try:
+            for block in counts:
+                step_codes.blocks[block]
+        except _BadLine:
+            return None
+        occurrences.update(counts)
+        pieces.append("".join(map(step_codes.__getitem__, _steps(blocks, times))))
+        if k < len(stretches):
+            _, _, first, cycles = stretches[k]
+            if 2 * first <= latest:
+                return None
+            latest = floor = 2 * (first + cycles) - 1
+            quiet = step_codes["\n1" + clk_code] + step_codes["\n0" + clk_code]
+            pieces.append(quiet * cycles)
+    return "".join(pieces), occurrences
 
 
 def _layout(
@@ -451,18 +632,17 @@ def _steps(blocks: list[str], times: list[int]) -> list[str]:
 
 
 def _sample(
-    steps: list[str], blocks: _Blocks, clk: int, column_codes: list[int]
+    steps: str, step_codes: _StepCodes, clk: int, column_codes: list[int]
 ) -> tuple[list[list[int]], list[int], int]:
     """Sample every id at each time step where the clock rises from 0 to 1,
     after all of that step's changes: the runs of samples (each distinct
     row and the cycle it starts at), and the number of samples.
 
-    The steps become one string (see _StepCodes), cut where a step changes
-    ids other than the clock. The clock edges between two such cuts are
-    counted in that piece, not walked: a quiet stretch costs one count."""
-    step_codes = _StepCodes(blocks)
-    pieces = "".join(map(step_codes.__getitem__, steps)).split(_SETS_MARK)
-    values = [0] * len(blocks.codes)
+    `steps` is the step string (see _StepCodes), cut here where a step
+    changes ids other than the clock. The clock edges between two such cuts
+    are counted in that piece, not walked: a quiet stretch costs one count."""
+    pieces = steps.split(_SETS_MARK)
+    values = [0] * len(step_codes.blocks.codes)
     rows: list[list[int]] = []
     starts: list[int] = []
     cycles = 0
@@ -480,7 +660,10 @@ def _sample(
         if rises:
             if changed:
                 changed = False
-                head = min(p for p in (clocked.find("01") + 1, clocked.find("i")) if p > 0)
+                # The head of the first rising step, and its last clock value.
+                head, inner = clocked.find("01") + 1, clocked.find("i")
+                if not head or 0 <= inner < head:
+                    head = inner
                 values[clk] = int(clocked[head + 1] == "n")
                 row = list(map(values.__getitem__, column_codes))
                 if not rows or row != rows[-1]:
@@ -497,4 +680,5 @@ def load_vcd_file(path: str | Path, **kwargs) -> TraceBundle:
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise VcdParseError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}")
+    del data  # the text alone may be tens of megabytes
     return load_vcd(text, **kwargs)

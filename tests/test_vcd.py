@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import leakscope as ls
@@ -414,3 +420,117 @@ def test_every_producer_emits_maximal_runs(run, vcd_cycles, columns):
     per_instance = {path: bundle.trace(path).signal_values for path in bundle.instances()}
     _assert_maximal_runs(TraceBundle.from_signal_values(per_instance, {}, bundle.start_cycle))
     _assert_maximal_runs(TraceBundle.from_signal_values({"u": columns}, {}, 0))
+
+
+# ---------------------------------------------------------------------------
+# Quiet stretches: recognised in place, and nothing else is
+# ---------------------------------------------------------------------------
+
+_BAD_LINES = ["q! garbage", "b12 !", "#abc", "#", "1?", "b101", "r1.5 !", "$comment x $end"]
+
+
+@st.composite
+def _perturbed_dumps(draw):
+    """write_vcd of a long-hold run with one edit inside or at the edge of
+    a quiet stretch (a cycle that starts no run): lines dropped, duplicated
+    or swapped, a timestamp digit changed, a timestamp that goes back into
+    the stretch or repeats its time, an indented or CRLF line, or an
+    inserted value change, x/z value or bad line."""
+    _, bundle = draw(_long_hold_runs())
+    starts = set(bundle._starts)
+    lines = ls.write_vcd(bundle).split("\n")
+    quiet = [
+        k for k, line in enumerate(lines)
+        if line.startswith("#") and int(line[1:]) % 2 == 0 and int(line[1:]) // 2 not in starts
+    ]
+    assume(quiet)
+    codes = [line.split()[3] for line in lines if line.startswith("$var")]
+    k = min(draw(st.sampled_from(quiet)) + draw(st.integers(-1, 4)), len(lines) - 2)
+    time = next(int(line[1:]) for line in reversed(lines[:k + 1]) if line.startswith("#"))
+    edit = draw(st.sampled_from(
+        ["drop", "duplicate", "swap", "digit", "back", "indent", "crlf", "value", "xz", "bad"]
+    ))
+    if edit == "drop":
+        del lines[k]
+    elif edit == "duplicate":
+        lines.insert(k, lines[k])
+    elif edit == "swap":
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    elif edit == "digit":
+        k = next((j for j in range(k, len(lines)) if lines[j].startswith("#")), quiet[-1])
+        at = draw(st.integers(1, len(lines[k]) - 1))
+        digit = draw(st.sampled_from("0123456789".replace(lines[k][at], "")))
+        lines[k] = lines[k][:at] + digit + lines[k][at + 1:]
+    elif edit == "back":
+        # A timestamp at or before the current time, then a clock value
+        # (codes[0] is the clock of every bundled design) or a value change.
+        back = draw(st.one_of(st.integers(0, 3), st.integers(0, 60)))
+        change = draw(st.sampled_from([f"1{codes[0]}", f"0{codes[0]}", f"b{back:b} {codes[-1]}"]))
+        lines[k + 1:k + 1] = [f"#{time - back}", change]
+    elif edit in ("indent", "crlf"):
+        lines[k] = " " + lines[k] if edit == "indent" else lines[k] + "\r"
+    else:
+        code = draw(st.sampled_from(codes))
+        inserted = {
+            "value": [f"1{code}", f"0{code}", f"b{draw(st.integers(0, 255)):b} {code}"],
+            "xz": [f"x{code}", f"z{code}", f"b1x0z {code}"],
+            "bad": _BAD_LINES,
+        }[edit]
+        lines.insert(k + 1, draw(st.sampled_from(inserted)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed_dumps())
+def test_perturbed_dumps_agree_with_oracle(text):
+    _assert_loaders_agree(text)
+
+
+_LONG_VCD_CHILD = """
+import json, sys
+from leakscope.cli import main
+
+hold, out = int(sys.argv[1]), sys.argv[2]
+for dividend in (200, 3):
+    data = {"dividend": dividend, "divisor": 7}
+    with open(f"{out}/d{dividend}.json", "w") as f:
+        json.dump([{"tag": "start=1", "data": data, "hold": 1},
+                   {"tag": "start=0", "data": data, "hold": hold}], f)
+    code = main(["sim", "--dut", "serdiv", "--stim", f"{out}/d{dividend}.json",
+                 "--max-cycles", str(2 * hold), "--vcd", f"{out}/d{dividend}.vcd"])
+    print("sim exit", code)
+print("diagnose exit", main(["diagnose", f"{out}/d200.vcd", f"{out}/d3.vcd", "--dut", "serdiv"]))
+"""
+
+
+def test_long_vcd_round_trip_in_bounded_memory(tmp_path):
+    """Two serdiv runs with a 10**6-cycle hold go through `leakscope sim
+    --vcd` and `leakscope diagnose a.vcd b.vcd` in a child process whose
+    peak RSS stays under a fixed ceiling: the writer streams its chunks and
+    the loader matches the quiet stretch in place, so neither holds more
+    than the text. The child's own limits stop a regression before it can
+    take the machine's memory."""
+    hold = 10**6
+    src = str(Path(ls.__file__).resolve().parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+    child = subprocess.Popen(
+        [sys.executable, "-c", _LONG_VCD_CHILD, str(hold), str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+    )
+    output = child.stdout.read()
+    child.stdout.close()
+    # The usage of this one child, as RUSAGE_CHILDREN would report it if
+    # it were the only child the test process ever had.
+    _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, output
+    assert output.count(f"simulated {hold + 12} cycles,") == 2, output
+    assert output.count("sim exit 0") == 2 and "diagnose exit 0" in output, output
+    assert "divergence at cycle" in output and "dividend" in output, output
+    assert (tmp_path / "d200.vcd").stat().st_size > 20 * hold
+    peak_mb = usage.ru_maxrss / 1024
+    assert peak_mb < 120, peak_mb
