@@ -16,10 +16,10 @@ b-vector changes. x/z bits map to 0 and are counted per signal. It first
 recognises the body's quiet stretches: text equal, byte for byte, to what
 `_quiet_chunks` gives from the stretch's first timestamp on, compared in
 place chunk by chunk. The rest is cut at its timestamp lines into blocks,
-and each distinct block is decoded once, by one regex pass over its lines.
-If that rest has a bad line or timestamp, or a time that would sort into
-or before a stretch, the whole body is cut at every timestamp instead, so
-results and errors are those of cutting it everywhere. Each time step
+and each distinct block is decoded once, line by line. If that rest has a
+bad line or timestamp, or a time that would sort into or before a
+stretch, the whole body is cut at every timestamp instead, so results
+and errors are those of cutting it everywhere. Each time step
 becomes a few characters of one string, and a stretch of k quiet cycles
 is its two clock steps' characters k times over; the posedges between two
 value changes are counted with str.count and extend the current run,
@@ -62,28 +62,31 @@ _QUIET_CHUNK = 1024
 
 def _quiet_chunks(first: int, stop: int, clk: str | None) -> Iterator[tuple[int, str]]:
     """The text of cycles first..stop-1 when none of them changes a value,
-    as (cycles, text) chunks: the first of one cycle, each later one about
-    twice the one before, up to _QUIET_CHUNK cycles."""
+    as (cycles, text) chunks: the first of one cycle, each later one twice
+    the one before, up to _QUIET_CHUNK cycles."""
     # The lines after a cycle's timestamps: #2c, and #2c+1 with a clock.
     after = ("\n",) if clk is None else (f"\n1{clk}\n", f"\n0{clk}\n")
     step = 2 // len(after)
-
-    def stamped(lo: int, hi: int) -> str:
-        return "".join([f"#{t}{after[t % len(after)]}" for t in range(2 * lo, 2 * hi, step)])
-
     # Cycles 5q..5q+4 take the timestamps 10q+d, so for q > 0 their text is
     # str(q) joined by these parts, each ending before a last digit d.
     parts = ["#", *(f"{d}{after[d % len(after)]}#" for d in range(0, 10, step))]
     parts[-1] = parts[-1][:-1]
+
+    def stamped(lo: int, hi: int) -> str:
+        return "".join([f"#{t}{after[t % len(after)]}" for t in range(2 * lo, 2 * hi, step)])
+
+    def text(lo: int, hi: int) -> str:
+        # Cycles a..b-1 are whole fives from 5 on, one join per five; the
+        # few cycles before and after them are stamped one by one.
+        a = min(hi, max(5, -(-lo // 5) * 5))
+        b = max(a, hi // 5 * 5)
+        fives = "".join(map(str.join, map(str, range(a // 5, b // 5)), repeat(parts)))
+        return stamped(lo, a) + fives + stamped(b, hi)
+
     size = 1
     while first < stop:
         end = min(first + size, stop)
-        if end // 5 * 5 > first:
-            end = end // 5 * 5  # so that later chunks are whole fives
-        lo = min(end, max(5, -(-first // 5) * 5))
-        hi = max(lo, end // 5 * 5)
-        fives = "".join(map(str.join, map(str, range(lo // 5, hi // 5)), repeat(parts)))
-        yield end - first, stamped(first, lo) + fives + stamped(hi, end)
+        yield end - first, text(first, end)
         first = end
         size = min(2 * size, _QUIET_CHUNK)
 
@@ -202,13 +205,7 @@ MAX_VCD_WIDTH = 1 << 16
 _END_DEFS = re.compile(r"^[^\S\n]*\$enddefinitions[^\n]*", re.M)
 # A timestamp line with the line break before it; re.split keeps the time.
 _TIMESTAMP = re.compile(r"\n[^\S\n]*#([^\n]*)")
-# One line of a block that is blank, skipped, or a value change: a scalar
-# (value, "", id) or a vector ("", value, id) in the groups.
-_LINE = re.compile(
-    r"^[^\S\n]*(?:\$(?:dumpvars|end|dumpall|dumpon|dumpoff)[^\n]*"
-    r"|(?:([01xXzZ])|[bB][^\S\n]*([01xXzZ]+)[^\S\n])[^\S\n]*(\S+))?[^\S\n]*$",
-    re.M,
-)
+_SKIPPED = ("$dumpvars", "$end", "$dumpall", "$dumpon", "$dumpoff")
 _XZ_TO_0 = str.maketrans("xXzZ", "0000")
 # Enclose the number of a step with value changes in the step string.
 _SETS_MARK, _SETS_END = "\x00", "\x01"
@@ -269,30 +266,6 @@ class _BadLine(Exception):
         self.message = message
 
 
-def _bad_line(text: str, codes: dict[str, int]) -> _BadLine:
-    """The first line of a block that _LINE does not match, or that changes
-    an undeclared id, and what is wrong with it."""
-    for offset, raw_line in enumerate(text.split("\n")):
-        match = _LINE.match(raw_line)
-        if match and (not match[3] or match[3] in codes):
-            continue
-        line = raw_line.strip()
-        lead = line[0]
-        if lead in "bB":
-            parts = line[1:].split()
-            if len(parts) != 2:
-                return _BadLine(offset, f"malformed vector change {line!r}")
-            if parts[0].strip("01xXzZ"):
-                return _BadLine(offset, f"bad vector value in {line!r}")
-            code = parts[1]
-        elif lead in "01xXzZ":
-            code = line[1:].strip()
-        else:
-            return _BadLine(offset, f"unsupported value change {line!r}")
-        return _BadLine(offset, f"value change for undeclared id {code!r}")
-    raise AssertionError("a block without a bad line")
-
-
 class _Block:
     """The value changes of the lines of one time, decoded once per
     distinct text: `sets` the (id index, value) changes of ids other than
@@ -302,19 +275,28 @@ class _Block:
     __slots__ = ("sets", "clock", "xz")
 
     def __init__(self, text: str, codes: dict[str, int], widths: list[int], clk: int | None):
-        lines = _LINE.findall(text)
-        if len(lines) <= text.count("\n"):
-            raise _bad_line(text, codes)
         sets: list[tuple[int, int]] = []
         clock: list[int] = []
         self.xz: list[int] = []
-        for scalar, vector, code in lines:
-            raw = scalar or vector
-            if not raw:
+        for offset, raw_line in enumerate(text.split("\n")):
+            line = raw_line.strip()
+            if not line or line.startswith(_SKIPPED):
                 continue
+            lead = line[0]
+            if lead in "01xXzZ":
+                code, raw = line[1:].strip(), lead
+            elif lead in "bB":
+                parts = line[1:].split()
+                if len(parts) != 2:
+                    raise _BadLine(offset, f"malformed vector change {line!r}")
+                raw, code = parts
+                if raw.strip("01xXzZ"):
+                    raise _BadLine(offset, f"bad vector value in {line!r}")
+            else:
+                raise _BadLine(offset, f"unsupported value change {line!r}")
             index = codes.get(code)
             if index is None:
-                raise _bad_line(text, codes)
+                raise _BadLine(offset, f"value change for undeclared id {code!r}")
             if raw.strip("01"):
                 raw = raw.translate(_XZ_TO_0)
                 self.xz.append(index)
@@ -485,7 +467,10 @@ def _quiet_stretches(text: str, start: int, clk_code: str) -> list[tuple[int, in
     pos = start
     while match := find(text, pos):
         lo = pos = match.start() + 1
-        first, odd = divmod(int(match[1]), 2)
+        try:
+            first, odd = divmod(int(match[1]), 2)
+        except ValueError:  # more digits than int() converts: no stretch
+            continue
         if odd:
             continue
         cycles = 0

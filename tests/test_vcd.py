@@ -486,6 +486,15 @@ def test_perturbed_dumps_agree_with_oracle(text):
     _assert_loaders_agree(text)
 
 
+@pytest.mark.parametrize("last", "01")
+def test_overlong_timestamp_is_a_parse_error(last):
+    """A timestamp with more digits than int() converts, followed by a
+    rising clock as a quiet stretch starts, is a bad timestamp."""
+    stamp = "#" + "2" * 4999 + last
+    got = _assert_loaders_agree(_HEADER + f"#0\n0!\n#1\n1!\n{stamp}\n1!\n#3\n0!\n")
+    assert got[:2] == ("VcdParseError", 11)
+
+
 _LONG_VCD_CHILD = """
 import json, sys
 from leakscope.cli import main
