@@ -75,18 +75,15 @@ def _quiet_chunks(first: int, stop: int, clk: str | None) -> Iterator[tuple[int,
     def stamped(lo: int, hi: int) -> str:
         return "".join([f"#{t}{after[t % len(after)]}" for t in range(2 * lo, 2 * hi, step)])
 
-    def text(lo: int, hi: int) -> str:
-        # Cycles a..b-1 are whole fives from 5 on, one join per five; the
-        # few cycles before and after them are stamped one by one.
-        a = min(hi, max(5, -(-lo // 5) * 5))
-        b = max(a, hi // 5 * 5)
-        fives = "".join(map(str.join, map(str, range(a // 5, b // 5)), repeat(parts)))
-        return stamped(lo, a) + fives + stamped(b, hi)
-
     size = 1
     while first < stop:
         end = min(first + size, stop)
-        yield end - first, text(first, end)
+        # Cycles a..b-1 are whole fives from 5 on, one join per five; the
+        # few cycles before and after them are stamped one by one.
+        a = min(end, max(5, -(-first // 5) * 5))
+        b = max(a, end // 5 * 5)
+        fives = "".join(map(str.join, map(str, range(a // 5, b // 5)), repeat(parts)))
+        yield end - first, stamped(first, a) + fives + stamped(b, end)
         first = end
         size = min(2 * size, _QUIET_CHUNK)
 
