@@ -34,8 +34,8 @@ from enum import Enum
 from .errors import ExpressionEvalError, PathNotInGraph
 from .meg import Meg, MegEdge, MicroEventPath, NodeKind, mep_id, render_condition
 from .parser import parse_expression
-from .simulator import DEFAULT_MAX_CYCLES, TraceBundle
-from .hdl_ast import Expr
+from .simulator import DEFAULT_MAX_CYCLES, TraceBundle, _ExprCompiler
+from .hdl_ast import Expr, expr_signals
 
 log = logging.getLogger(__name__)
 
@@ -229,10 +229,18 @@ def _read_properties(
         yield lineno, m.group("name"), tokens, None
 
 
+def _delay_cycles(token: str) -> int:
+    """N of `##N`; one past the cycle bound if N has more digits than the
+    bound, since `int` refuses thousands of them."""
+    digits = token[2:].lstrip("0")
+    too_long = len(digits) > len(str(DEFAULT_MAX_CYCLES))
+    return DEFAULT_MAX_CYCLES + 1 if too_long else int(digits or "0")
+
+
 def _delay_problem(token: str) -> str | None:
     """Why a delay token is outside the subset, or None. `##N` stands for N
     one-cycle steps, so N is bounded by the longest simulated run."""
-    if token != "##[0:$]" and int(token[2:]) > DEFAULT_MAX_CYCLES:
+    if token != "##[0:$]" and _delay_cycles(token) > DEFAULT_MAX_CYCLES:
         return f"delay {token} exceeds the {DEFAULT_MAX_CYCLES}-cycle bound"
     return None
 
@@ -298,7 +306,7 @@ def parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
                     problem = _delay_problem(token)
                     if problem:
                         raise ValueError(f"line {lineno}: {problem}")
-                    interned = one * int(token[2:])
+                    interned = one * _delay_cycles(token)
                 else:
                     expr = token[1:-1] if token.startswith("(") else token
                     interned = (ConditionStep(StepKind.BRANCH, expr=expr),)
@@ -324,9 +332,6 @@ def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
     mask of the n-cycle trace whose per-signal arrays are `sv`: bit t is
     set iff the expression holds at cycle t. The function walks only the
     columns the expression reads, all at once, in one comprehension."""
-    from .hdl_ast import expr_signals
-    from .simulator import _ExprCompiler
-
     try:
         tree: Expr = parse_expression(expr_text)
     except Exception as exc:

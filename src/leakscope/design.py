@@ -17,7 +17,6 @@ from .hdl_ast import (
     Assign,
     Case,
     ContinuousAssign,
-    Expr,
     If,
     InstanceDecl,
     ModuleAst,
@@ -204,23 +203,19 @@ def _loc_json(loc: SourceLoc) -> dict:
     return {"file": loc.file, "line": loc.line, "col": loc.col}
 
 
-def _expr_json(e: Expr) -> str:
-    return render_expr(e)
-
-
 def _stmt_json(stmt) -> dict:
     if isinstance(stmt, Assign):
         return {
             "stmt": "assign",
             "dest": stmt.dest,
-            "expr": _expr_json(stmt.expr),
+            "expr": render_expr(stmt.expr),
             "style": "nonblocking" if stmt.style.value == "<=" else "blocking",
             "loc": _loc_json(stmt.loc),
         }
     if isinstance(stmt, If):
         return {
             "stmt": "if",
-            "cond": _expr_json(stmt.cond),
+            "cond": render_expr(stmt.cond),
             "then": [_stmt_json(s) for s in stmt.then],
             "else": [_stmt_json(s) for s in stmt.other],
             "loc": _loc_json(stmt.loc),
@@ -228,10 +223,10 @@ def _stmt_json(stmt) -> dict:
     if isinstance(stmt, Case):
         return {
             "stmt": "case",
-            "subject": _expr_json(stmt.subject),
+            "subject": render_expr(stmt.subject),
             "arms": [
                 {
-                    "match": _expr_json(arm.match),
+                    "match": render_expr(arm.match),
                     "body": [_stmt_json(s) for s in arm.body],
                 }
                 for arm in stmt.arms
@@ -263,7 +258,7 @@ def ast_to_json(h: DesignHierarchy) -> str:
                     {
                         "item": "assign",
                         "dest": item.dest,
-                        "expr": _expr_json(item.expr),
+                        "expr": render_expr(item.expr),
                         "loc": _loc_json(item.loc),
                     }
                 )
@@ -280,7 +275,7 @@ def ast_to_json(h: DesignHierarchy) -> str:
             {
                 "name": inst.instance_name,
                 "module": inst.module_name,
-                "ports": {f: _expr_json(a) for f, a in inst.port_map},
+                "ports": {f: render_expr(a) for f, a in inst.port_map},
                 "loc": _loc_json(inst.loc),
             }
             for inst in m.instances

@@ -1,4 +1,5 @@
-"""Typed AST for the HDL subset, plus canonical expression rendering.
+"""Typed AST for the HDL subset, the one walk of an expression tree
+(`operands` and `fold`), and canonical expression rendering.
 
 Every node carries exactly one SourceLoc (1-based line/column). Rendering is
 whitespace-normalized and fully parenthesized below the top level, so two
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,70 +117,90 @@ class Ternary:
 
 
 Expr = Union[Num, Ref, BitSelect, PartSelect, Unary, Binary, Ternary]
+_R = TypeVar("_R")
 
 
-def render_expr(e: Expr, parent_prec: int = 0) -> str:
-    """Render an expression canonically (stable spacing, minimal parens)."""
-    if isinstance(e, Num):
-        if e.sized:
-            return f"{e.width}'d{e.value}"
-        return str(e.value)
-    if isinstance(e, Ref):
-        return e.name
-    if isinstance(e, BitSelect):
-        return f"{e.base}[{render_expr(e.index)}]"
-    if isinstance(e, PartSelect):
-        return f"{e.base}[{e.msb}:{e.lsb}]"
-    if isinstance(e, Unary):
-        inner = render_expr(e.operand, _UNARY_PRECEDENCE)
-        return f"{e.op}{inner}"
-    if isinstance(e, Binary):
+def operands(e: Expr) -> tuple[Expr, ...]:
+    """The subexpressions of a node, left to right; a leaf has none."""
+    t = type(e)
+    if t is Binary:
+        return e.lhs, e.rhs
+    if t is Unary:
+        return (e.operand,)
+    if t is Ternary:
+        return e.cond, e.then, e.other
+    if t is BitSelect:
+        return (e.index,)
+    return ()
+
+
+def fold(e: Expr, rule: Callable[[Expr, list[_R]], _R]) -> _R:
+    """`rule(node, the values of its operands)` on every node of `e`,
+    operands first, left to right, with explicit stacks: a tree of any
+    depth folds without recursion."""
+    order = []  # pre-order, operands right to left: reversed, the post-order
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        subs = operands(node)
+        order.append((node, len(subs)))
+        stack.extend(subs)
+    values: list[_R] = []
+    for node, n in reversed(order):
+        k = len(values) - n
+        values[k:] = [rule(node, values[k:])]
+    return values[0]
+
+
+def _paren(sub: tuple[str, int], need: int) -> str:
+    """A rendered operand, parenthesized if it binds weaker than `need`."""
+    text, prec = sub
+    return f"({text})" if prec < need else text
+
+
+def _render(e: Expr, subs: list[tuple[str, int]]) -> tuple[str, int]:
+    """A node's canonical text and how tightly it binds: a leaf or prefix
+    operation never needs parentheses, a ternary always does."""
+    t = type(e)
+    if t is Binary:
         prec = BINARY_PRECEDENCE[e.op]
-        # Left-associative: the right child needs parens at equal precedence.
-        lhs = render_expr(e.lhs, prec)
-        rhs = render_expr(e.rhs, prec + 1)
-        text = f"{lhs} {e.op} {rhs}"
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(e, Ternary):
-        text = (
-            f"{render_expr(e.cond, 1)} ? {render_expr(e.then)} : {render_expr(e.other)}"
-        )
-        return f"({text})" if parent_prec > 0 else text
+        # Left-associative: the right operand needs parens at equal precedence.
+        return f"{_paren(subs[0], prec)} {e.op} {_paren(subs[1], prec + 1)}", prec
+    if t is Ref:
+        return e.name, _UNARY_PRECEDENCE
+    if t is Num:
+        return (f"{e.width}'d{e.value}" if e.sized else str(e.value)), _UNARY_PRECEDENCE
+    if t is Unary:
+        return f"{e.op}{_paren(subs[0], _UNARY_PRECEDENCE)}", _UNARY_PRECEDENCE
+    if t is BitSelect:
+        return f"{e.base}[{subs[0][0]}]", _UNARY_PRECEDENCE
+    if t is PartSelect:
+        return f"{e.base}[{e.msb}:{e.lsb}]", _UNARY_PRECEDENCE
+    if t is Ternary:
+        return f"{_paren(subs[0], 1)} ? {subs[1][0]} : {subs[2][0]}", 0
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def render_expr(e: Expr) -> str:
+    """Render an expression canonically (stable spacing, minimal parens)."""
+    return fold(e, _render)[0]
+
+
 def expr_signals(e: Expr) -> list[str]:
-    """Signal names read by an expression, in first-occurrence order.
-
-    Bit/part selects contribute the whole parent signal; a dynamic select
-    index contributes its own operand signals as well.
-    """
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, Ref):
-            if node.name not in seen:
-                seen.add(node.name)
-                out.append(node.name)
-        elif isinstance(node, (BitSelect, PartSelect)):
-            if node.base not in seen:
-                seen.add(node.base)
-                out.append(node.base)
-            if isinstance(node, BitSelect):
-                visit(node.index)
-        elif isinstance(node, Unary):
-            visit(node.operand)
-        elif isinstance(node, Binary):
-            visit(node.lhs)
-            visit(node.rhs)
-        elif isinstance(node, Ternary):
-            visit(node.cond)
-            visit(node.then)
-            visit(node.other)
-
-    visit(e)
-    return out
+    """Signal names read by an expression, in first-occurrence order, pre-order:
+    a bit/part select contributes its whole signal, before the signals of a
+    dynamic select index."""
+    seen: dict[str, None] = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is Ref:
+            seen.setdefault(node.name)
+        elif t is BitSelect or t is PartSelect:
+            seen.setdefault(node.base)
+        stack.extend(reversed(operands(node)))
+    return list(seen)
 
 
 # ---------------------------------------------------------------------------

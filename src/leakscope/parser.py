@@ -5,8 +5,9 @@ continuous assigns, always @(posedge clk) and always @(*) blocks with
 blocking/non-blocking assigns, if/else, case, module instantiation with named
 port maps, and expressions over the operator subset (including ternary,
 bit-select and part-select reads), with parentheses and select indices
-nested at most MAX_NESTING deep. Everything else is rejected with a
-ParseError pointing at the offending token.
+nested at most MAX_NESTING deep and statements at most MAX_STMT_NESTING
+deep. Everything else is rejected with a ParseError pointing at the
+offending token.
 """
 
 from __future__ import annotations
@@ -46,9 +47,13 @@ RESET_NAME = "rst"
 
 # How deep parentheses and select indices may nest, so that the parser's own
 # recursion stays well inside Python's limit. It does not bound the height
-# of a long operator or ternary chain, which the tree walkers and codegen
-# after the parser still recurse over (ROADMAP item 3).
+# of a long operator or ternary chain: every walk after the parser keeps its
+# own stack (`hdl_ast.fold`).
 MAX_NESTING = 100
+# How deep statements may nest, an always block's body being level one:
+# codegen indents each level once, and CPython stops at 100 levels. An
+# `else if` continues its chain at the same level, as codegen's `elif`.
+MAX_STMT_NESTING = 99
 
 
 class _Parser:
@@ -57,6 +62,7 @@ class _Parser:
         self.file = file
         self.pos = 0
         self.depth = 0  # of nested expressions, up to MAX_NESTING
+        self.stmt_depth = 0  # of nested statements, up to MAX_STMT_NESTING
 
     # -- token plumbing ----------------------------------------------------
 
@@ -207,13 +213,18 @@ class _Parser:
         return AlwaysBlock(trigger, tuple(body), self.loc(tok))
 
     def parse_stmt_or_block(self) -> list:
+        if self.stmt_depth == MAX_STMT_NESTING:
+            raise self.error(f"statements nested deeper than {MAX_STMT_NESTING} levels")
+        self.stmt_depth += 1
         if self.eat_if(T.BEGIN):
             stmts = []
             while not self.at(T.END):
                 stmts.append(self.parse_stmt())
             self.eat(T.END)
-            return stmts
-        return [self.parse_stmt()]
+        else:
+            stmts = [self.parse_stmt()]
+        self.stmt_depth -= 1
+        return stmts
 
     def parse_stmt(self):
         tok = self.cur()
@@ -225,7 +236,7 @@ class _Parser:
             then = self.parse_stmt_or_block()
             other: list = []
             if self.eat_if(T.ELSE):
-                other = self.parse_stmt_or_block()
+                other = [self.parse_stmt()] if self.at(T.IF) else self.parse_stmt_or_block()
             return If(cond, tuple(then), tuple(other), self.loc(tok))
         if tok.kind is T.CASE:
             return self.parse_case()

@@ -58,6 +58,7 @@ from .hdl_ast import (
     SignalKind,
     Ternary,
     Unary,
+    fold,
     walk_stmts,
 )
 from .parser import CLOCK_NAME, RESET_NAME
@@ -93,67 +94,92 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
+# How deep brackets may nest in one subexpression's source before it is
+# bound to a temporary; CPython's parser stops at 200 levels.
+_SPILL_DEPTH = 120
+
+
 class _ExprCompiler:
     """Compile an expression to a Python source fragment plus its width.
 
     `scope` maps a signal name to (python-access-string, width). Values are
     nonnegative ints already confined to their widths, so only operators
-    that can overflow re-mask.
+    that can overflow re-mask. A subexpression whose source nests
+    `_SPILL_DEPTH` brackets deep is bound to a temporary, giving
+    `(x0 := …, final)[-1]`, which fits in an `if` condition and in a
+    comprehension alike; subset expressions cannot fail or have side
+    effects, so evaluating every temporary up front is exact.
     """
 
     def __init__(self, scope: dict[str, tuple[str, int]]):
         self.scope = scope
 
     def compile(self, e: Expr) -> tuple[str, int]:
-        if isinstance(e, Num):
-            return str(e.value), e.width
-        if isinstance(e, Ref):
-            return self.scope[e.name]
-        if isinstance(e, BitSelect):
-            base, _ = self.scope[e.base]
-            idx, _ = self.compile(e.index)
-            return f"(({base} >> {idx}) & 1)", 1
-        if isinstance(e, PartSelect):
+        self.spilled: list[str] = []
+        src, width, _ = fold(e, self._node)
+        if self.spilled:
+            src = f"({', '.join(self.spilled)}, {src})[-1]"
+        return src, width
+
+    def _node(self, e: Expr, subs: list[tuple[str, int, int]]) -> tuple[str, int, int]:
+        """The node's source, its width and how deep brackets nest in the
+        source; a signal's access counts as one level."""
+        t = type(e)
+        if t is Ref:
+            return (*self.scope[e.name], 1)
+        if t is Num:
+            return str(e.value), e.width, 0
+        if t is PartSelect:
             base, _ = self.scope[e.base]
             width = e.msb - e.lsb + 1
-            return f"(({base} >> {e.lsb}) & {_mask(width)})", width
-        if isinstance(e, Unary):
-            a, w = self.compile(e.operand)
-            if e.op == "~":
-                return f"({_mask(w)} ^ {a})", w
-            if e.op == "!":
-                return f"(0 if {a} else 1)", 1
-            if e.op == "-":
-                return f"((-{a}) & {_mask(w)})", w
-            raise AssertionError(e.op)
-        if isinstance(e, Binary):
-            a, wa = self.compile(e.lhs)
-            b, wb = self.compile(e.rhs)
+            return f"(({base} >> {e.lsb}) & {_mask(width)})", width, 3
+        # Each source below puts `added` brackets around its deepest operand.
+        if t is Binary:
+            (a, wa, _), (b, wb, _) = subs
             op = e.op
             if op in ("==", "!=", "<", "<=", ">", ">="):
-                return f"(1 if {a} {op} {b} else 0)", 1
-            if op == "&&":
-                return f"(1 if {a} and {b} else 0)", 1
-            if op == "||":
-                return f"(1 if {a} or {b} else 0)", 1
-            if op in ("+", "-"):
-                w = max(wa, wb)
-                return f"(({a} {op} {b}) & {_mask(w)})", w
-            if op in ("&", "|", "^"):
-                return f"({a} {op} {b})", max(wa, wb)
-            if op == "<<":
+                src, width, added = f"(1 if {a} {op} {b} else 0)", 1, 1
+            elif op == "&&":
+                src, width, added = f"(1 if {a} and {b} else 0)", 1, 1
+            elif op == "||":
+                src, width, added = f"(1 if {a} or {b} else 0)", 1, 1
+            elif op in ("+", "-"):
+                width = max(wa, wb)
+                src, added = f"(({a} {op} {b}) & {_mask(width)})", 2
+            elif op in ("&", "|", "^"):
+                src, width, added = f"({a} {op} {b})", max(wa, wb), 1
+            elif op == "<<":
                 # Clamped: a shift by wa or more clears every kept bit anyway,
                 # and a huge amount would otherwise build a huge int first.
-                return f"(({a} << min({b}, {wa})) & {_mask(wa)})", wa
-            if op == ">>":
-                return f"({a} >> {b})", wa
-            raise AssertionError(op)
-        if isinstance(e, Ternary):
-            c, _ = self.compile(e.cond)
-            a, wa = self.compile(e.then)
-            b, wb = self.compile(e.other)
-            return f"({a} if {c} else {b})", max(wa, wb)
-        raise TypeError(e)
+                src, width, added = f"(({a} << min({b}, {wa})) & {_mask(wa)})", wa, 3
+            elif op == ">>":
+                src, width, added = f"({a} >> {b})", wa, 1
+            else:
+                raise AssertionError(op)
+        elif t is Unary:
+            a, width, _ = subs[0]
+            if e.op == "~":
+                src, added = f"({_mask(width)} ^ {a})", 1
+            elif e.op == "!":
+                src, width, added = f"(0 if {a} else 1)", 1, 1
+            elif e.op == "-":
+                src, added = f"((-{a}) & {_mask(width)})", 2
+            else:
+                raise AssertionError(e.op)
+        elif t is Ternary:
+            (c, _, _), (a, wa, _), (b, wb, _) = subs
+            src, width, added = f"({a} if {c} else {b})", max(wa, wb), 1
+        elif t is BitSelect:
+            base, _ = self.scope[e.base]
+            src, width, added = f"(({base} >> {subs[0][0]}) & 1)", 1, 3
+        else:
+            raise TypeError(e)
+        depth = added + max([d for _, _, d in subs])
+        if depth < _SPILL_DEPTH:
+            return src, width, depth
+        name = f"x{len(self.spilled)}"
+        self.spilled.append(f"{name} := {src}")
+        return name, width, 0
 
 
 # ---------------------------------------------------------------------------

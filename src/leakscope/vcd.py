@@ -198,6 +198,9 @@ def _vcd_pieces(bundle: TraceBundle) -> Iterator[str]:
 # at no less than 2**16 bits.
 MAX_VCD_WIDTH = 1 << 16
 
+# The line breaks of str.splitlines() other than "\n" and "\r\n".
+_LINE_BREAKS = str.maketrans(dict.fromkeys("\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\n"))
+
 # The line that ends the header.
 _END_DEFS = re.compile(r"^[^\S\n]*\$enddefinitions[^\n]*", re.M)
 # A timestamp line with the line break before it; re.split keeps the time.
@@ -362,9 +365,9 @@ def load_vcd(
     warnings rather than invented.
     """
     if not text.isascii() or any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e")):
-        # Every other line break str.splitlines() knows becomes "\n"; the
-        # line ending the text keeps one, so the line count is unchanged.
-        text = "\n".join(text.splitlines() + [""])
+        # Every other line break str.splitlines() knows becomes "\n", in
+        # one copy of the text, not one string per line.
+        text = text.replace("\r\n", "\n").translate(_LINE_BREAKS)
     end_defs = _END_DEFS.search(text)
     header_end, body_start = end_defs.span() if end_defs else (len(text), len(text))
     vars_by_code, start_cycle, seed_id = _read_header(text[:header_end].split("\n"))

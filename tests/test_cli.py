@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import leakscope as ls
 from leakscope.cli import main
-from leakscope.parser import MAX_NESTING
+from leakscope.parser import MAX_NESTING, MAX_STMT_NESTING
 from oracles import validate_dot
 from reference_sim import reference_simulate
 
@@ -614,6 +614,86 @@ def test_sim_else_if_chain_of_99_arms(tmp_path, capsys):
     want = reference_simulate(h, ls.load_stimulus(str(stim)), cycles=bundle.cycles)
     assert bundle.trace("chain").signal_values == want["chain"]
     assert want["chain"]["y"][-1] == 99
+
+
+_DEEP = {
+    "chain-101": (" + ".join(["a"] * 101), lambda a: 101 * a & 0xFF),
+    "chain-1000": (" + ".join(["a"] * 1000), lambda a: 1000 * a & 0xFF),
+    "chain-10000": (" + ".join(["a"] * 10_000), lambda a: 10_000 * a & 0xFF),
+    "not-10000": ("~" * 10_000 + "a", lambda a: a),
+    "not-9999": ("~" * 9_999 + "a", lambda a: a ^ 0xFF),
+    "nest-100": ("(a + " * 100 + "a" + ")" * 100, lambda a: 101 * a & 0xFF),
+    "select-1000": ("a[" + " + ".join(["a"] * 1000) + "]", lambda a: a >> (1000 * a & 0xFF) & 1),
+}
+
+
+@pytest.mark.parametrize("expr, expected", list(_DEEP.values()), ids=list(_DEEP))
+def test_deep_expressions_run_through_every_command(tmp_path, expr, expected):
+    """Expressions of any depth get through parse, graph, sim and coverage,
+    and simulate to the value Python's arithmetic gives."""
+    src = tmp_path / "deep.hdl"
+    src.write_text(
+        "module deep(input clk, input rst, input [7:0] a, output [7:0] y);\n"
+        f"  assign y = {expr};\nendmodule\n"
+    )
+    stim = tmp_path / "stim.json"
+    stim.write_text('[{"tag": "a", "data": {"a": 3}, "hold": 1},'
+                    ' {"tag": "a", "data": {"a": 250}, "hold": 1}]')
+    vcd, sva = tmp_path / "deep.vcd", tmp_path / "deep.sva"
+    for argv in (
+        ["parse", str(src)],
+        ["graph", str(src), "--meps"],
+        ["sim", str(src), "--stim", str(stim), "--vcd", str(vcd)],
+        ["coverage", str(src), "--stim", str(stim), "--emit-sva", str(sva)],
+    ):
+        rc, err = _run_quietly(argv)
+        assert (rc, err) == (0, ""), argv
+    y = ls.load_vcd(vcd.read_text()).trace("deep").signal_values["y"]
+    assert {expected(3), expected(250)} <= set(y)
+    assert ls.sva_lint(sva.read_text()) == []
+
+
+def _nested_statements(kind: str, levels: int) -> str:
+    """An always @(*) block with `levels` nested bodies inside its own,
+    through if bodies, else blocks or case arms; the innermost statement
+    sets y = 7 when a = 200. The k-th nested body, from 0, opens on line
+    4 + k and is statement level k + 2."""
+    opener = {
+        "if": "if (a != {k}) begin",
+        "else": "if (a == {k}) y = 1; else begin",
+        "case": "case (a) 200: begin",
+    }[kind]
+    closer = "end endcase" if kind == "case" else "end"
+    lines = ["module deep(input clk, input rst, input [7:0] a, output reg [7:0] y);",
+             "  always @(*) begin", "    y = 0;"]
+    lines += [opener.format(k=k % 200) for k in range(levels)]
+    lines += ["y = 8'd7;", *[closer] * levels, "  end", "endmodule"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["if", "else", "case"])
+def test_statement_nesting_bound(tmp_path, kind):
+    """Statements nest at most MAX_STMT_NESTING levels deep, the always
+    block's body being level one, which keeps the generated code inside
+    CPython's indentation limit: at the bound parse and sim exit 0, and one
+    level past it or far past it both exit 2 naming the body that opens the
+    level past the bound."""
+    src = tmp_path / "deep.hdl"
+    stim = tmp_path / "stim.json"
+    stim.write_text('[{"tag": "a", "data": {"a": 200}, "hold": 1}]')
+    src.write_text(_nested_statements(kind, MAX_STMT_NESTING - 1))
+    vcd = tmp_path / "deep.vcd"
+    assert _run_quietly(["parse", str(src)]) == (0, "")
+    assert _run_quietly(["sim", str(src), "--stim", str(stim), "--vcd", str(vcd)]) == (0, "")
+    assert ls.load_vcd(vcd.read_text()).trace("deep").signal_values["y"][-1] == 7
+    for levels in (MAX_STMT_NESTING, 1000):
+        src.write_text(_nested_statements(kind, levels))
+        for argv in (["parse", str(src)], ["sim", str(src), "--stim", str(stim)]):
+            rc, err = _run_quietly(argv)
+            assert rc == 2, argv
+            assert f"deep.hdl:{3 + MAX_STMT_NESTING}:" in err, err
+            assert f"statements nested deeper than {MAX_STMT_NESTING} levels" in err
+            assert "Traceback" not in err
 
 
 def test_coverage_out_bytes_unchanged(tmp_path):

@@ -242,6 +242,23 @@ def test_delay_beyond_the_cycle_bound_is_rejected():
     assert len(steps) == 10_002
 
 
+def test_overlong_delay_is_a_bound_problem():
+    # More digits than `int` converts (4,300 on CPython 3.11) is a delay
+    # past the bound, on its line, not a bare ValueError; leading zeros
+    # do not count.
+    many = "9" * 5000
+    text = "// one comment line first\n" + _prop(f"a ##{many} b")
+    with _deadline(2.0):
+        assert ls.sva_lint(text) == [f"line 2: delay ##{many} exceeds the 10000-cycle bound"]
+    with _deadline(2.0), pytest.raises(ValueError, match=f"^line 2: delay ##{many} exceeds"):
+        parse_sva(text)
+    text = _prop(f"a ##{'0' * 5000}2 b")
+    with _deadline(2.0):
+        assert ls.sva_lint(text) == []
+        [(_, steps)] = parse_sva(text)
+    assert len(steps) == 4
+
+
 def test_parse_sva_rejects_stray_hash():
     # A '#' that starts no delay used to make the tokenizer loop forever.
     with _deadline(2.0), pytest.raises(ValueError, match="stray '#'"):
@@ -570,3 +587,34 @@ def test_trace_mask_agrees_with_evaluator_bit_by_bit(series, expr):
     assert mask >> evaluate.cycles == 0
     for t in range(evaluate.cycles):
         assert (mask >> t) & 1 == bool(evaluate(expr, t)), (expr, t)
+
+
+def test_three_thousand_term_condition_masks_matches_and_replays():
+    """A Branch condition far deeper than the codegen spill depth goes
+    through `TraceMasks.mask`, whose compiled comprehension binds the
+    spilled temporaries, and through `match_coverage` and `replay_sva`,
+    which agree on every path."""
+    terms = 3000
+    chain = " + ".join(["a"] * terms)
+    src = (
+        "module deep(input clk, input rst, input [7:0] a, input [7:0] b, output reg r);\n"
+        f"  always @(posedge clk) if ({chain} == b) r <= 1; else r <= 0;\nendmodule\n"
+    )
+    h = ls.parse_design([("deep.hdl", src)])
+    steps = [
+        StimulusStep(tag="t", data={"a": a, "b": b}, hold=2)
+        for a, b in ((1, terms & 0xFF), (2, 0), (7, 7 * terms & 0xFF), (5, 5))
+    ]
+    bundle = ls.simulate(h, Stimulus(steps=tuple(steps)))
+    sv = bundle.trace("deep").signal_values
+    want = sum(
+        1 << t for t, (a, b) in enumerate(zip(sv["a"], sv["b"])) if terms * a & 0xFF == b
+    )
+    assert want and TraceMasks(bundle, "deep").mask(f"{chain} == b") == want
+    g = ls.build_meg(h.modules["deep"])
+    conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
+    assert any(len(s.expr or "") > 4 * terms for pc in conditions for s in pc.steps)
+    internal = ls.match_coverage(bundle, conditions, g, "deep")
+    replayed = ls.replay_sva(ls.emit_sva_file(conditions, "deep"), bundle, "deep")
+    assert internal.covered
+    assert replayed == {f"cp_deep_{pc.path_id}": pc.path_id in internal.covered for pc in conditions}

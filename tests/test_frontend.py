@@ -5,7 +5,7 @@ import random
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leakscope as ls
@@ -26,7 +26,7 @@ from leakscope.hdl_ast import (
     render_expr,
     walk_stmts,
 )
-from leakscope.lexer import tokenize
+from leakscope.lexer import T, tokenize
 from leakscope.parser import MAX_NESTING, parse_expression, parse_modules
 from oracles import (
     depth_by_tree_walk,
@@ -287,6 +287,21 @@ def _chains():
 @settings(max_examples=300, deadline=None)
 def test_parse_expression_matches_oracle(text):
     assert _outcome(parse_expression, text) == _outcome(oracle_parse_expression, text)
+
+
+_DEEP_NAMES = " + ".join(f"s{k % 97}[t{k % 89}]" for k in range(10_000))
+
+
+@given(_exprs() | _chains())
+@example(_DEEP_NAMES)
+@example("~" * 10_000 + "z ? y : x[w]")
+@settings(max_examples=300, deadline=None)
+def test_expr_signals_lists_names_in_source_order(text):
+    """Pre-order lists a select's base before its index's signals, and an
+    operand's signals before the next operand's: exactly the order in which
+    names first appear in the source."""
+    names = [tok.text for tok in tokenize(text) if tok.kind is T.IDENT]
+    assert hdl_ast.expr_signals(parse_expression(text)) == list(dict.fromkeys(names))
 
 
 @given(st.lists(st.sampled_from(

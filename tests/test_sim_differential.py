@@ -247,3 +247,62 @@ endmodule
     with pytest.raises(ls.CombinationalLoop) as caught:
         ls.simulate(h, odd)
     assert (caught.value.instance, caught.value.signals) == ("top.u1", ["x", "z"])
+
+
+# Sized literals only: the reference shifts without the engine's clamp, so
+# an amount like ~3 (32 bits wide) would build a 2**32-bit int there.
+_LEAVES = st.sampled_from(["a", "b", "c", "a[2]", "b[3:1]", "b[a[1:0]]", "4'd5", "2'd3"])
+_CHAIN_OPS = st.sampled_from(
+    ["+", "-", "&", "|", "^", "==", "!=", "<", ">=", "&&", "||", "<<", ">>"]
+)
+
+
+@st.composite
+def _deep_expressions(draw):
+    """A long left-leaning operator chain, a deep right-leaning nest of
+    parentheses or a long run of prefix operators, or a prefix run over
+    one of the other two: at most ~300 levels, which the recursive
+    reference still evaluates, and past the depth at which codegen binds
+    a subexpression to a temporary."""
+    shape = draw(st.sampled_from(["chain", "nest", "prefix"]))
+    if shape == "chain":
+        n = draw(st.integers(2, 300))
+        text = draw(_LEAVES)
+        for op, leaf in draw(st.lists(st.tuples(_CHAIN_OPS, _LEAVES), min_size=n - 1, max_size=n - 1)):
+            text = f"{text} {op} {leaf}"
+    elif shape == "nest":
+        pairs = draw(st.lists(st.tuples(_LEAVES, _CHAIN_OPS), min_size=1, max_size=95))
+        text = "".join(f"({leaf} {op} " for leaf, op in pairs) + draw(_LEAVES) + ")" * len(pairs)
+    else:
+        text = draw(_LEAVES)
+    prefixes = draw(st.text(alphabet="~!-", max_size=300 if shape == "prefix" else 30))
+    return f"{prefixes}({text})" if prefixes else text
+
+
+@settings(max_examples=60, deadline=None)
+@given(_deep_expressions(), _deep_expressions(), st.randoms(use_true_random=False))
+def test_deep_expressions_simulate_like_reference(expr, other, rng):
+    """Deep expressions in every place codegen puts one: a continuous
+    assign, an if condition, a non-blocking assign, a case subject and a
+    port map."""
+    src = f"""
+module leaf(input clk, input [7:0] d, output [7:0] q);
+  assign q = d;
+endmodule
+module deep(input clk, input rst, input [3:0] a, input [3:0] b, input c,
+            output [7:0] y, output reg [7:0] r, output reg [7:0] z, output [7:0] q);
+  assign y = {expr};
+  always @(posedge clk)
+    if ({other}) r <= {expr};
+    else r <= r + 1;
+  always @(*)
+    case ({other})
+      0: z = 1;
+      1: z = {expr};
+      default: z = r;
+    endcase
+  leaf u(.clk(clk), .d({other}), .q(q));
+endmodule
+"""
+    h = ls.parse_design([("deep.hdl", src)], top="deep")
+    _compare(h, _random_stim(rng))

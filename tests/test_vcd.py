@@ -349,6 +349,26 @@ def test_hand_written_texts_agree_with_oracle(body, hierarchy_map):
     _assert_loaders_agree(_HEADER + body, hierarchy_map=hierarchy_map)
 
 
+# Every line break str.splitlines() knows.
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_TEXTS)), st.sampled_from(["crlf", "mixed"]), st.booleans(), st.data())
+def test_line_breaks_agree_with_oracle(body, breaks, final_break, data):
+    """Each hand-written text with CRLF or with any mix of line breaks,
+    with and without a break after its last line: results, messages and
+    line numbers equal the oracle's."""
+    lines = (_HEADER + _TEXTS[body]).split("\n")[:-1]
+    if breaks == "crlf":
+        ends = ["\r\n"] * len(lines)
+    else:
+        ends = data.draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if not final_break:
+        ends[-1] = ""
+    _assert_loaders_agree("".join(map(str.__add__, lines, ends)))
+
+
 def test_hand_written_texts_load_as_documented():
     def data(body):
         return ls.load_vcd(_HEADER + _TEXTS[body]).trace("top").signal_values["data"]
@@ -505,16 +525,22 @@ for dividend in (200, 3):
                  "--max-cycles", str(2 * hold), "--vcd", f"{out}/d{dividend}.vcd"])
     print("sim exit", code)
 print("diagnose exit", main(["diagnose", f"{out}/d200.vcd", f"{out}/d3.vcd", "--dut", "serdiv"]))
+# The same dump with CRLF line breaks, converted a chunk at a time.
+with open(f"{out}/d200.vcd", "rb") as lf, open(f"{out}/crlf.vcd", "wb") as crlf:
+    for chunk in iter(lambda: lf.read(1 << 16), b""):
+        crlf.write(chunk.replace(b"\\n", b"\\r\\n"))
+print("diagnose exit", main(["diagnose", f"{out}/crlf.vcd", f"{out}/d3.vcd", "--dut", "serdiv"]))
 """
 
 
 def test_long_vcd_round_trip_in_bounded_memory(tmp_path):
     """Two serdiv runs with a 10**6-cycle hold go through `leakscope sim
-    --vcd` and `leakscope diagnose a.vcd b.vcd` in a child process whose
-    peak RSS stays under a fixed ceiling: the writer streams its chunks and
-    the loader matches the quiet stretch in place, so neither holds more
-    than the text. The child's own limits stop a regression before it can
-    take the machine's memory."""
+    --vcd` and `leakscope diagnose a.vcd b.vcd`, once more with a CRLF copy
+    of a.vcd, in a child process whose peak RSS stays under a fixed
+    ceiling: the writer streams its chunks and the loader matches the quiet
+    stretch in place and rewrites line breaks in one copy, so none of them
+    holds more than a few texts. The child's own limits stop a regression
+    before it can take the machine's memory."""
     hold = 10**6
     src = str(Path(ls.__file__).resolve().parents[1])
 
@@ -534,8 +560,8 @@ def test_long_vcd_round_trip_in_bounded_memory(tmp_path):
     _, status, usage = os.wait4(child.pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0, output
     assert output.count(f"simulated {hold + 12} cycles,") == 2, output
-    assert output.count("sim exit 0") == 2 and "diagnose exit 0" in output, output
-    assert "divergence at cycle" in output and "dividend" in output, output
+    assert output.count("sim exit 0") == 2 and output.count("diagnose exit 0") == 2, output
+    assert output.count("divergence at cycle") == 2 and "dividend" in output, output
     assert (tmp_path / "d200.vcd").stat().st_size > 20 * hold
     peak_mb = usage.ru_maxrss / 1024
     assert peak_mb < 120, peak_mb
