@@ -15,7 +15,6 @@ from .errors import ParseError, PortMismatch, RecursiveInstantiation
 from .hdl_ast import (
     AlwaysBlock,
     Assign,
-    Case,
     ContinuousAssign,
     If,
     InstanceDecl,
@@ -212,29 +211,19 @@ def _stmt_json(stmt) -> dict:
             "style": "nonblocking" if stmt.style.value == "<=" else "blocking",
             "loc": _loc_json(stmt.loc),
         }
+    # An if chain or a case: each arm with its guard, then the default.
     if isinstance(stmt, If):
-        return {
-            "stmt": "if",
-            "cond": render_expr(stmt.cond),
-            "then": [_stmt_json(s) for s in stmt.then],
-            "else": [_stmt_json(s) for s in stmt.other],
-            "loc": _loc_json(stmt.loc),
-        }
-    if isinstance(stmt, Case):
-        return {
-            "stmt": "case",
-            "subject": render_expr(stmt.subject),
-            "arms": [
-                {
-                    "match": render_expr(arm.match),
-                    "body": [_stmt_json(s) for s in arm.body],
-                }
-                for arm in stmt.arms
-            ],
-            "default": [_stmt_json(s) for s in stmt.default],
-            "loc": _loc_json(stmt.loc),
-        }
-    raise TypeError(stmt)
+        doc, key = {"stmt": "if"}, "cond"
+    else:
+        doc, key = {"stmt": "case", "subject": render_expr(stmt.subject)}, "match"
+    doc["arms"] = [
+        {key: render_expr(arm.guard), "body": [_stmt_json(s) for s in arm.body],
+         "loc": _loc_json(arm.loc)}
+        for arm in stmt.arms
+    ]
+    doc["default"] = [_stmt_json(s) for s in stmt.default]
+    doc["loc"] = _loc_json(stmt.loc)
+    return doc
 
 
 def ast_to_json(h: DesignHierarchy) -> str:

@@ -221,24 +221,25 @@ class Assign:
 
 
 @dataclass(frozen=True, slots=True)
-class If:
-    cond: Expr
-    then: tuple["Stmt", ...]
-    other: tuple["Stmt", ...]
+class Arm:
+    """An arm of an `if` chain, guarded by its condition, or of a `case`, by its label."""
+
+    guard: Expr
+    body: tuple["Stmt", ...]
     loc: SourceLoc
 
 
 @dataclass(frozen=True, slots=True)
-class CaseArm:
-    match: Num
-    body: tuple["Stmt", ...]
+class If:
+    arms: tuple[Arm, ...]
+    default: tuple["Stmt", ...]
     loc: SourceLoc
 
 
 @dataclass(frozen=True, slots=True)
 class Case:
     subject: Expr
-    arms: tuple[CaseArm, ...]
+    arms: tuple[Arm, ...]
     default: tuple["Stmt", ...]
     loc: SourceLoc
 
@@ -303,10 +304,7 @@ def walk_stmts(stmts: tuple[Stmt, ...] | list[Stmt]):
     """Yield every statement reachable from the given list, pre-order."""
     for stmt in stmts:
         yield stmt
-        if isinstance(stmt, If):
-            yield from walk_stmts(stmt.then)
-            yield from walk_stmts(stmt.other)
-        elif isinstance(stmt, Case):
+        if not isinstance(stmt, Assign):
             for arm in stmt.arms:
                 yield from walk_stmts(arm.body)
             yield from walk_stmts(stmt.default)

@@ -182,25 +182,23 @@ def build_meg(m: ModuleAst) -> Meg:
         for stmt in stmts:
             if isinstance(stmt, Assign):
                 note_assignment(stmt.dest, stmt.expr, stack, stmt.loc)
-            elif isinstance(stmt, If):
-                signals = expr_signals(stmt.cond)
-                term = ConditionTerm(render_expr(stmt.cond), stmt.cond.loc)
-                walk(stmt.then, stack + [(term, signals)])
-                if stmt.other:
-                    walk(stmt.other, stack + [(_negate(term), signals)])
-            elif isinstance(stmt, Case):
-                # Each arm's guard `subject == match` reads the subject's signals.
-                signals = expr_signals(stmt.subject)
-                terms = [
-                    ConditionTerm(
-                        render_expr(Binary("==", stmt.subject, arm.match, arm.loc)), arm.loc
-                    )
-                    for arm in stmt.arms
-                ]
-                for arm, term in zip(stmt.arms, terms):
-                    walk(arm.body, stack + [(term, signals)])
+            else:
+                # A case arm's guard `subject == label` reads the subject's
+                # signals. Only an if arm needs every earlier guard to fail;
+                # the default needs every guard to fail, in both kinds.
+                if isinstance(stmt, Case):
+                    signals = expr_signals(stmt.subject)
+                    guards = [(Binary("==", stmt.subject, arm.guard, arm.loc), signals)
+                              for arm in stmt.arms]
+                else:
+                    guards = [(arm.guard, expr_signals(arm.guard)) for arm in stmt.arms]
+                terms = [(ConditionTerm(render_expr(g), g.loc), signals) for g, signals in guards]
+                failed = [(_negate(term), signals) for term, signals in terms]
+                earlier = failed if isinstance(stmt, If) else []
+                for k, arm in enumerate(stmt.arms):
+                    walk(arm.body, stack + earlier[:k] + [terms[k]])
                 if stmt.default:
-                    walk(stmt.default, stack + [(_negate(term), signals) for term in terms])
+                    walk(stmt.default, stack + failed)
 
     for item in m.items:
         if isinstance(item, ContinuousAssign):

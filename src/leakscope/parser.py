@@ -18,12 +18,12 @@ from .hdl_ast import (
     PREFIX_OPS,
     AlwaysBlock,
     AlwaysTrigger,
+    Arm,
     Assign,
     AssignStyle,
     Binary,
     BitSelect,
     Case,
-    CaseArm,
     ContinuousAssign,
     Expr,
     If,
@@ -52,7 +52,7 @@ RESET_NAME = "rst"
 MAX_NESTING = 100
 # How deep statements may nest, an always block's body being level one:
 # codegen indents each level once, and CPython stops at 100 levels. An
-# `else if` continues its chain at the same level, as codegen's `elif`.
+# `else if` is one more arm of its chain, at the chain's level.
 MAX_STMT_NESTING = 99
 
 
@@ -229,15 +229,7 @@ class _Parser:
     def parse_stmt(self):
         tok = self.cur()
         if tok.kind is T.IF:
-            self.eat(T.IF)
-            self.eat(T.LPAREN)
-            cond = self.parse_expr()
-            self.eat(T.RPAREN)
-            then = self.parse_stmt_or_block()
-            other: list = []
-            if self.eat_if(T.ELSE):
-                other = [self.parse_stmt()] if self.at(T.IF) else self.parse_stmt_or_block()
-            return If(cond, tuple(then), tuple(other), self.loc(tok))
+            return self.parse_if()
         if tok.kind is T.CASE:
             return self.parse_case()
         if tok.kind is T.IDENT:
@@ -253,12 +245,32 @@ class _Parser:
             return Assign(dest.text, expr, style, self.loc(dest))
         raise self.error(f"unexpected {tok.text!r}; expected a statement")
 
+    def parse_if(self) -> If:
+        """An `if` and its `else if` arms, read in a loop. An else block that
+        is exactly one `if` continues the chain, as `else if` does."""
+        arms: list[Arm] = []
+        while True:
+            tok = self.eat(T.IF)
+            self.eat(T.LPAREN)
+            cond = self.parse_expr()
+            self.eat(T.RPAREN)
+            arms.append(Arm(cond, tuple(self.parse_stmt_or_block()), self.loc(tok)))
+            if not self.eat_if(T.ELSE):
+                return If(tuple(arms), (), arms[0].loc)
+            if not self.at(T.IF):
+                break
+        default = self.parse_stmt_or_block()
+        if len(default) == 1 and isinstance(default[0], If):
+            arms += default[0].arms
+            default = default[0].default
+        return If(tuple(arms), tuple(default), arms[0].loc)
+
     def parse_case(self) -> Case:
         tok = self.eat(T.CASE)
         self.eat(T.LPAREN)
         subject = self.parse_expr()
         self.eat(T.RPAREN)
-        arms: list[CaseArm] = []
+        arms: list[Arm] = []
         default: list = []
         saw_default = False
         while not self.at(T.ENDCASE):
@@ -273,9 +285,8 @@ class _Parser:
             value, width, sized = parse_number(label, self.file)
             self.eat(T.COLON)
             body = self.parse_stmt_or_block()
-            arms.append(
-                CaseArm(Num(value, width, self.loc(label), sized), tuple(body), self.loc(label))
-            )
+            guard = Num(value, width, self.loc(label), sized)
+            arms.append(Arm(guard, tuple(body), guard.loc))
         self.eat(T.ENDCASE)
         return Case(subject, tuple(arms), tuple(default), self.loc(tok))
 
@@ -462,10 +473,11 @@ def _check_module(m: ModuleAst, file: str) -> None:
                 if isinstance(stmt, Assign):
                     check_dest(stmt.dest, stmt.loc, stmt.style, in_posedge)
                     check_refs(stmt.expr, f"assignment to {stmt.dest!r}")
-                elif isinstance(stmt, If):
-                    check_refs(stmt.cond, "if condition")
                 elif isinstance(stmt, Case):
                     check_refs(stmt.subject, "case subject")
+                else:
+                    for arm in stmt.arms:
+                        check_refs(arm.guard, "if condition")
 
     for inst in m.instances:
         seen_formals = set()

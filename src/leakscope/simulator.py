@@ -11,7 +11,7 @@ commits the clock edge (non-blocking writes buffered and applied
 atomically), drives stimulus inputs, settles combinational logic to a
 fixpoint, and records a snapshot row when it differs from the last one.
 
-Timeline convention: rst is held high for `reset_cycles` cycles, dropped for
+Timeline convention: rst is held high for RESET_CYCLES cycles, dropped for
 one settle cycle, and the first stimulus step lands on the next cycle; that
 cycle is the bundle's start_cycle and the origin all execution times are
 measured from. The run ends once the stimulus is exhausted and no signal
@@ -38,7 +38,7 @@ from operator import itemgetter, ne
 from types import CodeType, FunctionType
 
 from .design import DesignHierarchy
-from .errors import CombinationalLoop, SimulationLimitError, UnknownInstance
+from .errors import CombinationalLoop, LeakscopeError, SimulationLimitError, UnknownInstance
 from .hdl_ast import (
     AlwaysBlock,
     AlwaysTrigger,
@@ -49,13 +49,13 @@ from .hdl_ast import (
     Case,
     ContinuousAssign,
     Expr,
-    If,
     InstanceDecl,
     ModuleAst,
     Num,
     PartSelect,
     Ref,
     SignalKind,
+    SourceLoc,
     Ternary,
     Unary,
     fold,
@@ -66,7 +66,7 @@ from .stimulus import Stimulus, validate_stimulus
 
 SETTLE_LIMIT = 1000
 DEFAULT_QUIESCENCE = 8
-DEFAULT_RESET_CYCLES = 2
+RESET_CYCLES = 2
 DEFAULT_MAX_CYCLES = 10_000
 
 
@@ -244,6 +244,15 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
     # process-wide, they would hold every compiled design's code for the
     # life of the process.
     relocatable = cache(_Relocatable)
+
+    def bind(src: str, loc: SourceLoc, *bases: int):
+        try:
+            code = relocatable(src)
+        except (RecursionError, MemoryError) as exc:  # CPython's compiler and parser limits
+            raise LeakscopeError(f"{loc}: generated code too large for CPython to compile"
+                                 f" ({type(exc).__name__})") from None
+        return code.bind(*bases)
+
     module_code: dict[str, list[tuple[str, list[str] | None]]] = {}
     for inst in h.instances:
         layout = layouts[inst.path]
@@ -257,11 +266,11 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
         items = module_code.get(inst.module_name)
         if items is None:
             items = module_code[inst.module_name] = _module_code(layout.module)
-        for src, dests in items:
+        for item, (src, dests) in zip(layout.module.items, items):
             if dests is None:
-                design.seq_fns.append(relocatable(src).bind(layout.lo))
+                design.seq_fns.append(bind(src, item.loc, layout.lo))
             else:
-                design.comb_fns.append(relocatable(src).bind(layout.lo))
+                design.comb_fns.append(bind(src, item.loc, layout.lo))
                 design.comb_info.append((inst.path, dests))
 
     for inst in h.instances:
@@ -269,7 +278,7 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
             continue
         parent, child = layouts[inst.parent], layouts[inst.path]
         for src, dest, into_child in _port_code(parent.module, child.module, inst.decl):
-            design.comb_fns.append(relocatable(src).bind(parent.lo, child.lo))
+            design.comb_fns.append(bind(src, inst.decl.loc, parent.lo, child.lo))
             design.comb_info.append(
                 (inst.parent, [f"{inst.path}.{dest}" if into_child else dest])
             )
@@ -412,42 +421,26 @@ def _emit_stmts(lines, stmts, depth, ec, rel: dict[str, int]) -> None:
                 lines.append(f"{pad}nb[{_slot(rel[stmt.dest])}] = {value}")
             else:
                 lines.append(f"{pad}{target} = {value}")
-        elif isinstance(stmt, If):
-            # An else branch that is exactly one If continues the chain as
-            # `elif`, so an else-if chain stays at one indentation level.
-            keyword = "if"
-            while True:
-                cond, _ = ec.compile(stmt.cond)
-                lines.append(f"{pad}{keyword} {cond}:")
-                _emit_stmts(lines, stmt.then, depth + 1, ec, rel)
-                if not stmt.then:
-                    lines.append(f"{pad}    pass")
-                if len(stmt.other) == 1 and isinstance(stmt.other[0], If):
-                    stmt, keyword = stmt.other[0], "elif"
-                    continue
-                if stmt.other:
-                    lines.append(f"{pad}else:")
-                    _emit_stmts(lines, stmt.other, depth + 1, ec, rel)
-                break
-        elif isinstance(stmt, Case):
-            subject, _ = ec.compile(stmt.subject)
+            continue
+        # An if chain or a case: one `if`/`elif` per arm, then the default.
+        if isinstance(stmt, Case):
             # Named by depth: a case nested in an arm is one level deeper,
             # and a later case at this depth starts after this chain is done.
             tmp = f"s{depth}"
-            lines.append(f"{pad}{tmp} = {subject}")
-            first = True
-            for arm in stmt.arms:
-                kw = "if" if first else "elif"
-                first = False
-                lines.append(f"{pad}{kw} {tmp} == {arm.match.value}:")
-                _emit_stmts(lines, arm.body, depth + 1, ec, rel)
-                if not arm.body:
-                    lines.append(f"{pad}    pass")
-            if stmt.default:
-                lines.append(f"{pad}else:" if not first else f"{pad}if True:")
-                _emit_stmts(lines, stmt.default, depth + 1, ec, rel)
+            lines.append(f"{pad}{tmp} = {ec.compile(stmt.subject)[0]}")
+            guards = [f"{tmp} == {arm.guard.value}" for arm in stmt.arms]
         else:
-            raise TypeError(stmt)
+            guards = [ec.compile(arm.guard)[0] for arm in stmt.arms]
+        keyword = "if"
+        for arm, guard in zip(stmt.arms, guards):
+            lines.append(f"{pad}{keyword} {guard}:")
+            _emit_stmts(lines, arm.body, depth + 1, ec, rel)
+            if not arm.body:
+                lines.append(f"{pad}    pass")
+            keyword = "elif"
+        if stmt.default:
+            lines.append(f"{pad}else:" if stmt.arms else f"{pad}if True:")
+            _emit_stmts(lines, stmt.default, depth + 1, ec, rel)
 
 
 def _port_code(
@@ -621,7 +614,7 @@ class TraceBundle:
         seed_id: str = "vcd",
         warnings: tuple[str, ...] = (),
     ) -> "TraceBundle":
-        """Assemble a bundle from per-signal arrays (VCD ingestion path).
+        """Assemble a bundle from per-signal arrays of per-cycle values.
 
         Shorter arrays are padded with 0; a row equal to its predecessor
         extends that row's run."""
@@ -660,7 +653,6 @@ def simulate(
     init: InitPolicy = InitPolicy(),
     *,
     quiescence_window: int = DEFAULT_QUIESCENCE,
-    reset_cycles: int = DEFAULT_RESET_CYCLES,
     seed_id: str = "run",
 ) -> TraceBundle:
     if max_cycles < 1:
@@ -685,11 +677,11 @@ def simulate(
         raise ValueError(f"unknown init policy {init.kind!r}")
 
     # Input schedule: cycle -> list of (index, value).
-    start_cycle = reset_cycles + 1
+    start_cycle = RESET_CYCLES + 1
     schedule: dict[int, list[tuple[int, int]]] = {}
     if design.rst_index is not None:
         v[design.rst_index] = 1
-        schedule.setdefault(reset_cycles, []).append((design.rst_index, 0))
+        schedule.setdefault(RESET_CYCLES, []).append((design.rst_index, 0))
     cycle_cursor = start_cycle
     for step in stim.steps:
         assigns = schedule.setdefault(cycle_cursor, [])

@@ -90,9 +90,12 @@ def oracle_edges(h: DesignHierarchy, module_name: str) -> set[tuple[str, str, fr
                 for src in operands_of(stmt.expr) + cond_signals:
                     note(src, stmt.dest, stmt.loc.line)
             elif isinstance(stmt, If):
-                inner = cond_signals + operands_of(stmt.cond)
-                walk_block(stmt.then, inner)
-                walk_block(stmt.other, inner)
+                # An arm is reached through every earlier arm's condition.
+                inner = cond_signals
+                for arm in stmt.arms:
+                    inner = inner + operands_of(arm.guard)
+                    walk_block(arm.body, inner)
+                walk_block(stmt.default, inner)
             elif isinstance(stmt, Case):
                 inner = cond_signals + operands_of(stmt.subject)
                 for arm in stmt.arms:

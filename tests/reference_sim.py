@@ -88,7 +88,10 @@ def eval_expr(e, env: dict[str, int], widths: dict[str, int]) -> tuple[int, int]
         if op == "^":
             return a ^ b, w
         if op == "<<":
-            return (a << b) & _mask(wa), wa
+            # Bits shifted to wa or past it are masked off, so clamping the
+            # amount to wa is exact and keeps a huge amount from building a
+            # huge int.
+            return (a << min(b, wa)) & _mask(wa), wa
         if op == ">>":
             return a >> b, wa
         raise AssertionError(op)
@@ -186,12 +189,16 @@ def reference_simulate(
                 else:
                     assign(inst, stmt.dest, v)
             elif isinstance(stmt, If):
-                c, _ = eval_expr(stmt.cond, inst.env, inst.widths)
-                exec_stmts(inst, stmt.then if c else stmt.other, nb)
+                for arm in stmt.arms:
+                    if eval_expr(arm.guard, inst.env, inst.widths)[0]:
+                        exec_stmts(inst, arm.body, nb)
+                        break
+                else:
+                    exec_stmts(inst, stmt.default, nb)
             elif isinstance(stmt, Case):
                 subject, _ = eval_expr(stmt.subject, inst.env, inst.widths)
                 for arm in stmt.arms:
-                    if subject == arm.match.value:
+                    if subject == arm.guard.value:
                         exec_stmts(inst, arm.body, nb)
                         break
                 else:

@@ -696,6 +696,89 @@ def test_statement_nesting_bound(tmp_path, kind):
             assert "Traceback" not in err
 
 
+def _arm_value(k: int) -> int:
+    return (7 * k + 1) & 0xFFF
+
+
+def _wide_arms(kind: str, arms: int) -> str:
+    """An always @(*) block that sets y = _arm_value(k) on arm k of an
+    `else if` chain or a case over a, and y = 0 past the last arm. Arm k
+    is on line 3 + k of a chain and 4 + k of a case."""
+    if kind == "chain":
+        body = ["    if (a == 0) y = 1;"]
+        body += [f"    else if (a == {k}) y = {_arm_value(k)};" for k in range(1, arms)]
+        body += ["    else y = 0;"]
+    else:
+        body = ["    case (a)", *(f"      {k}: y = {_arm_value(k)};" for k in range(arms)),
+                "      default: y = 0;", "    endcase"]
+    return "\n".join([
+        "module wide(input clk, input rst, input [11:0] a, output reg [11:0] y);",
+        "  always @(*) begin", *body, "  end", "endmodule", "",
+    ])
+
+
+@pytest.mark.parametrize("kind", ["chain", "case"])
+def test_two_thousand_arms_parse_and_simulate(tmp_path, kind):
+    """An `else if` chain is one flat list of arms, like a case: 2,000 arms
+    of either go through `parse --dump-ast` and `sim`, the dump lists every
+    arm at its own line, and y takes the value of the arm a selects."""
+    src, stim = tmp_path / "wide.hdl", tmp_path / "stim.json"
+    src.write_text(_wide_arms(kind, 2000))
+    inputs = [0, 1, 999, 1999, 2000, 4095]
+    stim.write_text(json.dumps([{"tag": "a", "data": {"a": a}, "hold": 1} for a in inputs]))
+    ast, vcd = tmp_path / "ast.json", tmp_path / "wide.vcd"
+    for argv in (["parse", str(src), "--dump-ast", str(ast)],
+                 ["sim", str(src), "--stim", str(stim), "--vcd", str(vcd)]):
+        assert _run_quietly(argv) == (0, ""), argv
+    (item,) = json.loads(ast.read_text())["modules"][0]["items"]
+    (stmt,) = item["body"]
+    first = 3 if kind == "chain" else 4
+    assert [arm["loc"]["line"] for arm in stmt["arms"]] == list(range(first, first + 2000))
+    assert [s["expr"] for s in stmt["default"]] == ["0"]
+    trace = ls.load_vcd(vcd.read_text()).trace("wide").signal_values
+    assert set(inputs) <= set(trace["a"])
+    for a, y in zip(trace["a"], trace["y"]):
+        assert y == (_arm_value(a) if a < 2000 else 0), a
+
+
+def test_thousand_arm_chain_graph(tmp_path, capsys):
+    """`graph` walks a 1,000-arm chain's arms in one loop: y reads a under
+    every arm and the default, so a -> y is the only edge."""
+    src = tmp_path / "wide.hdl"
+    src.write_text(_wide_arms("chain", 1000))
+    assert main(["graph", str(src)]) == 0
+    assert capsys.readouterr().out == "wide: 4 nodes, 1 edges\n"
+
+
+def _chain_past_cpython_parser_stack() -> str:
+    """96 nested ifs around a 2,500-arm `else if` chain whose last condition
+    compiles to ~118 nested brackets; the always block is on line 2."""
+    deep = "(a + " * 58 + "a" + ")" * 58
+    lines = ["module wide(input clk, input rst, input [11:0] a, output reg [11:0] y);",
+             "  always @(*) begin", *["if (a != 4095) begin"] * 96, "if (a == 0) y = 1;"]
+    lines += [f"else if (a == {k}) y = {_arm_value(k)};" for k in range(1, 2499)]
+    lines += [f"else if ({deep} == 5) y = 5;", *["end"] * 96, "  end", "endmodule", ""]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("source", [
+    lambda: _wide_arms("case", 3000), _chain_past_cpython_parser_stack,
+], ids=["case-3000", "chain-2500-deep"])
+def test_code_past_cpython_compile_limits_exit_2(tmp_path, source):
+    """An always block whose generated function CPython cannot compile, past
+    its compiler's recursion limit (a 3,000-arm case) or its parser's stack
+    ("too complex"), is an analysis error naming the block, not a
+    traceback; parse, which compiles nothing, still succeeds."""
+    src, stim = tmp_path / "wide.hdl", tmp_path / "stim.json"
+    src.write_text(source())
+    stim.write_text('[{"tag": "a", "data": {"a": 5}, "hold": 1}]')
+    assert _run_quietly(["parse", str(src)]) == (0, "")
+    rc, err = _run_quietly(["sim", str(src), "--stim", str(stim)])
+    assert rc == 2
+    assert "wide.hdl:2:3: generated code too large for CPython to compile" in err
+    assert "Traceback" not in err
+
+
 def test_coverage_out_bytes_unchanged(tmp_path):
     # `coverage --out` and a campaign's coverage.json share one serializer;
     # these are the bytes the command wrote before they did.

@@ -63,18 +63,21 @@ def format_module(m: ModuleAst) -> str:
         if isinstance(stmt, Assign):
             lines.append(f"{pad}{stmt.dest} {stmt.style.value} {render_expr(stmt.expr)};")
         elif isinstance(stmt, If):
-            lines.append(f"{pad}if ({render_expr(stmt.cond)}) begin")
-            for s in stmt.then:
-                emit_stmt(s, indent + 1)
-            if stmt.other:
+            opener = "if"
+            for arm in stmt.arms:
+                lines.append(f"{pad}{opener} ({render_expr(arm.guard)}) begin")
+                for s in arm.body:
+                    emit_stmt(s, indent + 1)
+                opener = "end else if"
+            if stmt.default:
                 lines.append(f"{pad}end else begin")
-                for s in stmt.other:
+                for s in stmt.default:
                     emit_stmt(s, indent + 1)
             lines.append(f"{pad}end")
         elif isinstance(stmt, Case):
             lines.append(f"{pad}case ({render_expr(stmt.subject)})")
             for arm in stmt.arms:
-                lines.append(f"{pad}  {render_expr(arm.match)}: begin")
+                lines.append(f"{pad}  {render_expr(arm.guard)}: begin")
                 for s in arm.body:
                     emit_stmt(s, indent + 2)
                 lines.append(f"{pad}  end")
@@ -158,12 +161,12 @@ def test_multiway_hit_under_two_compare_branches(cacheset_multiway):
         if not isinstance(item, AlwaysBlock):
             continue
         for stmt in walk_stmts(item.body):
-            if isinstance(stmt, If) and "tag_addr" in render_expr(stmt.cond):
-                dests = {
-                    s.dest for s in walk_stmts(stmt.then) if isinstance(s, Assign)
-                }
+            for arm in stmt.arms if isinstance(stmt, If) else ():
+                if "tag_addr" not in render_expr(arm.guard):
+                    continue
+                dests = {s.dest for s in walk_stmts(arm.body) if isinstance(s, Assign)}
                 if {"hit", "way"} <= dests:
-                    compare_branches.append(render_expr(stmt.cond))
+                    compare_branches.append(render_expr(arm.guard))
     assert len(compare_branches) == 2
     assert compare_branches[0] != compare_branches[1]
 
@@ -359,6 +362,42 @@ def test_ternary_chains_do_not_count_toward_the_bound(shape):
         depth += 1
         tree = tree.other if shape.endswith("{}") else tree.then
     assert depth == 3 * MAX_NESTING
+
+
+# -- if chains ------------------------------------------------------------------
+
+# Each chain spelled with `else if`, then with else blocks that are one `if`.
+_ELSE_SPELLINGS = [
+    ("if (a == 0) y = 1; else if (a == 1) y = 2;",
+     "if (a == 0) y = 1; else begin if (a == 1) y = 2; end"),
+    ("if (a == 0) y = 1; else if (a == 1) begin end else if (b) y = 3; else y = 4;",
+     "if (a == 0) y = 1; else begin if (a == 1) begin end"
+     " else begin if (b) y = 3; else y = 4; end end"),
+    ("if (a == 0) y = 1; else if (a == 1) y = 2; else if (b) begin if (a) y = 5; end",
+     "if (a == 0) y = 1; else begin if (a == 1) y = 2; else if (b) begin if (a) y = 5; end end"),
+]
+
+
+def _always_body(stmt: str) -> tuple[Stmt, ...]:
+    src = ("module m(input clk, input [3:0] a, input b, output reg [3:0] y);\n"
+           f"always @(*) {stmt}\nendmodule\n")
+    return parse_modules(src, "chain.hdl")[0].items[0].body
+
+
+@pytest.mark.parametrize("chain, block", _ELSE_SPELLINGS)
+def test_else_if_and_else_block_of_one_if_parse_alike(chain, block):
+    """Both spellings give one flat chain, an arm per `if`, each arm at its
+    own `if` token; an else block of more than one statement stays the
+    default."""
+    (stmt,) = _always_body(chain)
+    assert strip_locs(_always_body(block)) == strip_locs((stmt,))
+    opener = len("always @(*) ") + 1
+    cols = [opener + k for k in range(len(chain))
+            if chain.startswith("if (", k) and (k == 0 or chain.endswith("else ", 0, k))]
+    assert isinstance(stmt, If)
+    assert [(arm.loc.line, arm.loc.col) for arm in stmt.arms] == [(2, c) for c in cols]
+    (outer,) = _always_body(f"if (b) y = 0; else begin {chain} y = 7; end")
+    assert len(outer.arms) == 1 and len(outer.default) == 2
 
 
 # -- errors -------------------------------------------------------------------
@@ -576,8 +615,8 @@ def test_front_end_records_are_slotted_and_frozen():
     }
     named = {
         hdl_ast.SourceLoc, hdl_ast.Num, hdl_ast.Ref, hdl_ast.BitSelect, hdl_ast.PartSelect,
-        hdl_ast.Unary, hdl_ast.Binary, hdl_ast.Ternary, hdl_ast.Assign, hdl_ast.If,
-        hdl_ast.Case, meg.MegNode, meg.ConditionTerm, meg.MegEdge, meg.MicroEventPath,
+        hdl_ast.Unary, hdl_ast.Binary, hdl_ast.Ternary, hdl_ast.Assign, hdl_ast.Arm,
+        hdl_ast.If, hdl_ast.Case, meg.MegNode, meg.ConditionTerm, meg.MegEdge, meg.MicroEventPath,
         coverage.ConditionStep, coverage.PathCondition,
     }
     assert named <= frozen

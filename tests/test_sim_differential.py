@@ -52,14 +52,7 @@ def _rand_stmts(rng: random.Random, reads: list[str], targets: list[str],
             dest = rng.choice(targets)
             out.append(f"{dest} {style} {_rand_expr(rng, reads, 2)};")
         elif roll < 0.8:
-            cond = _rand_expr(rng, reads, 2)
-            body = _rand_stmts(rng, reads, targets, style, depth - 1)
-            block = [f"if ({cond}) begin"] + ["  " + s for s in body]
-            if rng.random() < 0.5:
-                block.append("end else begin")
-                block += ["  " + s for s in _rand_stmts(rng, reads, targets, style, depth - 1)]
-            block.append("end")
-            out += block
+            out += _rand_if(rng, reads, targets, style, depth, rng.randint(1, 6))
         else:
             subject = _rand_expr(rng, reads, 1)
             block = [f"case ({subject})"]
@@ -74,6 +67,26 @@ def _rand_stmts(rng: random.Random, reads: list[str], targets: list[str],
             block.append("endcase")
             out += block
     return out
+
+
+def _rand_if(rng: random.Random, reads: list[str], targets: list[str],
+             style: str, depth: int, arms: int) -> list[str]:
+    """An if chain of `arms` arms, some of them empty, with or without a
+    final else; each `else if` is sometimes spelled `else begin if … end`."""
+    def body() -> list[str]:
+        if rng.random() < 0.2:
+            return []
+        return ["  " + s for s in _rand_stmts(rng, reads, targets, style, depth - 1)]
+
+    lines = [f"if ({_rand_expr(rng, reads, 2)}) begin", *body()]
+    if arms > 1:
+        rest = _rand_if(rng, reads, targets, style, depth, arms - 1)
+        if rng.random() < 0.3:
+            return [*lines, "end else begin", *("  " + s for s in rest), "end"]
+        return [*lines, f"end else {rest[0]}", *rest[1:]]
+    if rng.random() < 0.5:
+        lines += ["end else begin", *body()]
+    return [*lines, "end"]
 
 
 def _random_module(rng: random.Random, name: str, with_instance: bool) -> str:
@@ -249,9 +262,7 @@ endmodule
     assert (caught.value.instance, caught.value.signals) == ("top.u1", ["x", "z"])
 
 
-# Sized literals only: the reference shifts without the engine's clamp, so
-# an amount like ~3 (32 bits wide) would build a 2**32-bit int there.
-_LEAVES = st.sampled_from(["a", "b", "c", "a[2]", "b[3:1]", "b[a[1:0]]", "4'd5", "2'd3"])
+_LEAVES = st.sampled_from(["a", "b", "c", "a[2]", "b[3:1]", "b[a[1:0]]", "4'd5", "2'd3", "3", "9"])
 _CHAIN_OPS = st.sampled_from(
     ["+", "-", "&", "|", "^", "==", "!=", "<", ">=", "&&", "||", "<<", ">>"]
 )
