@@ -1,12 +1,13 @@
 """What the front end and the code generator produce, pinned by digest.
 
-Per design, one SHA-256 over the source of every generated function
-(`_module_code` per module, `_port_code` per instance), every MEG edge
-with its clauses, lines and locs, and every enumerated path condition. A
+Per design, three SHA-256 digests, one per layer: `codegen` over the
+source of every generated function (`_module_code` per module,
+`_port_code` per instance), `meg` over every MEG edge with its clauses,
+lines and locs, and `paths` over every enumerated path condition. A
 refactor of the AST, the parser, the MEG builder or codegen must leave
-all of it byte-identical. Regenerate tests/golden/codegen_digests.json
-only for an intended change, and state the reason where the change is
-recorded.
+all of it byte-identical. Regenerate an entry of
+tests/golden/codegen_digests.json only for an intended change to its
+layer, and state the reason where the change is recorded.
 """
 
 from __future__ import annotations
@@ -109,27 +110,30 @@ def _design(name: str) -> ls.DesignHierarchy:
     return ls.load_dut(name).hierarchy
 
 
-def codegen_digest(h: ls.DesignHierarchy) -> str:
-    """SHA-256 over the design's generated sources, MEG edges and path
-    conditions, module by module in name order, then port maps by
-    instance."""
-    parts = []
+def codegen_digests(h: ls.DesignHierarchy) -> dict[str, str]:
+    """Per layer, the SHA-256 of its parts: generated sources, module by
+    module in name order, then port maps by instance; MEG edges and path
+    conditions, module by module in name order."""
+    parts: dict[str, list[str]] = {"codegen": [], "meg": [], "paths": []}
     for name in sorted(h.modules):
         m = h.modules[name]
-        parts.append(repr(_module_code(m)))
+        parts["codegen"].append(repr(_module_code(m)))
         g = build_meg(m)
         for key in sorted(g.edges):
             edge = g.edges[key]
-            parts.append(repr((key, edge.clauses, sorted(edge.lines), edge.locs)))
-        parts += [repr(path_condition(p, g)) for p in enumerate_meps(g)]
+            parts["meg"].append(repr((key, edge.clauses, sorted(edge.lines), edge.locs)))
+        parts["paths"] += [repr(path_condition(p, g)) for p in enumerate_meps(g)]
     modules = {inst.path: h.modules[inst.module_name] for inst in h.instances}
     for inst in h.instances:
         if inst.decl is not None:
             code = _port_code(modules[inst.parent], modules[inst.path], inst.decl)
-            parts.append(repr(code))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+            parts["codegen"].append(repr(code))
+    return {
+        layer: hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        for layer, texts in parts.items()
+    }
 
 
 @pytest.mark.parametrize("name", _DUTS + list(_LOCAL))
 def test_codegen_matches_golden_digest(name):
-    assert codegen_digest(_design(name)) == json.loads(_GOLDEN.read_text())[name]
+    assert codegen_digests(_design(name)) == json.loads(_GOLDEN.read_text())[name]
