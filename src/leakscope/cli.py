@@ -217,8 +217,10 @@ def _cmd_graph(args) -> int:
             raise LeakscopeError(f"no module {name!r} in design")
         g = megs[name]
         print(f"{name}: {len(g.nodes)} nodes, {len(g.edges)} edges")
-        dots.append(export_dot(g))
-        jsons.append(export_json(g))
+        if args.dot:
+            dots.append(export_dot(g))
+        if args.json:
+            jsons.append(export_json(g))
         if args.meps:
             result = enumerate_meps(g, args.max_paths, args.max_len)
             flag = " (truncated)" if result.truncated else ""

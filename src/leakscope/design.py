@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError, PortMismatch, RecursiveInstantiation
 from .hdl_ast import (
     AlwaysBlock,
+    AlwaysTrigger,
     Assign,
     ContinuousAssign,
     If,
@@ -23,6 +24,7 @@ from .hdl_ast import (
     SignalKind,
     SourceLoc,
     render_expr,
+    walk_stmts,
 )
 from .parser import parse_modules
 
@@ -80,6 +82,7 @@ def parse_design(
         raise ParseError("no modules found in input")
 
     _check_instantiations(modules)
+    _check_drivers(modules)
     top_name = top or _infer_top(modules)
     if top_name not in modules:
         raise ParseError(f"top module {top_name!r} not found")
@@ -145,6 +148,38 @@ def _check_instantiations(modules: dict[str, ModuleAst]) -> None:
                     f"{', '.join(sorted(missing))}",
                     loc.file, loc.line, loc.col,
                 )
+
+
+def _check_drivers(modules: dict[str, ModuleAst]) -> None:
+    """Each signal has at most one combinational driver: a continuous
+    assign, an always @(*) block or an instance output. A two-state subset
+    has no resolution function for two, and settling relies on it: a pass
+    then stores each signal at most once. Clocked blocks write outside
+    settling and do not count."""
+    for m in modules.values():
+        drivers: list[tuple[SourceLoc, str]] = []
+        for item in m.items:
+            if isinstance(item, ContinuousAssign):
+                drivers.append((item.loc, item.dest))
+            elif item.trigger is AlwaysTrigger.COMBINATIONAL:
+                first: dict[str, SourceLoc] = {}
+                for stmt in walk_stmts(item.body):
+                    if isinstance(stmt, Assign):
+                        first.setdefault(stmt.dest, stmt.loc)
+                drivers += [(loc, name) for name, loc in first.items()]
+        for inst in m.instances:
+            child = modules[inst.module_name]
+            outputs = {p.name for p in child.ports if p.kind is SignalKind.OUTPUT}
+            drivers += [(a.loc, a.name) for formal, a in inst.port_map if formal in outputs]
+        driven: dict[str, SourceLoc] = {}
+        for loc, name in sorted(drivers, key=lambda d: (d[0].line, d[0].col)):
+            if name in driven:
+                raise ParseError(
+                    f"{name!r} has a second combinational driver; the first is on line "
+                    f"{driven[name].line}",
+                    loc.file, loc.line, loc.col,
+                )
+            driven[name] = loc
 
 
 def _check_acyclic(modules: dict[str, ModuleAst], top: str) -> None:

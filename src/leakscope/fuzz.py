@@ -394,16 +394,13 @@ class _Campaign:
         coverage-increasing test and seeds another exploitation batch.
         """
         batch = operand_mutate(seed, self.cfg, self.widths)
-        bundles = [
-            self.simulate(stim, f"{seed.id}.m{j}")
-            for j, stim in enumerate(batch.mutants)
-        ]
-
         self.result.sims += batch.count
         self.result.mutant_sims += batch.count
         new_findings = 0
         admitted: list[tuple[Seed, TraceBundle]] = []
-        for stim, bundle in zip(batch.mutants, bundles):
+        # One mutant's run at a time: simulation reads no campaign state.
+        for j, stim in enumerate(batch.mutants):
+            bundle = self.simulate(stim, f"{seed.id}.m{j}")
             findings = analyze([(seed_bundle, bundle)], self.h)
             for finding in findings:
                 key = (

@@ -8,8 +8,14 @@ one, and relocated to every instance by swapping the global indices into
 the compiled constants; port maps are compiled once per instance
 declaration and relocated to parent and child. Per cycle the engine:
 commits the clock edge (non-blocking writes buffered and applied
-atomically), drives stimulus inputs, settles combinational logic to a
-fixpoint, and records a snapshot row when it differs from the last one.
+atomically), drives stimulus inputs, settles combinational logic, and
+records a snapshot row when it differs from the last one.
+
+Generated functions only store into the value vector `v`. To settle, the
+engine copies `v`, runs every combinational function once (instance items,
+then port maps) and repeats until `v` equals the copy. The linker admits
+one combinational driver per signal, so a pass stores each signal at most
+once, and an unchanged `v` means no store changed a value.
 
 Timeline convention: rst is held high for RESET_CYCLES cycles, dropped for
 one settle cycle, and the first stimulus step lands on the next cycle; that
@@ -59,7 +65,6 @@ from .hdl_ast import (
     Ternary,
     Unary,
     fold,
-    walk_stmts,
 )
 from .parser import CLOCK_NAME, RESET_NAME
 from .stimulus import Stimulus, validate_stimulus
@@ -204,8 +209,6 @@ class CompiledDesign:
     size: int
     comb_fns: list = field(default_factory=list)
     seq_fns: list = field(default_factory=list)
-    # (instance path, dest names) per comb fn, for loop diagnostics
-    comb_info: list[tuple[str, list[str]]] = field(default_factory=list)
     reg_indices: list[tuple[str, str, int, int]] = field(default_factory=list)
     clk_indices: list[int] = field(default_factory=list)
     top_inputs: dict[str, tuple[int, int]] = field(default_factory=dict)  # name -> (idx, width)
@@ -253,7 +256,7 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
                                  f" ({type(exc).__name__})") from None
         return code.bind(*bases)
 
-    module_code: dict[str, list[tuple[str, list[str] | None]]] = {}
+    module_code: dict[str, list[str]] = {}
     for inst in h.instances:
         layout = layouts[inst.path]
         if CLOCK_NAME in layout.index:
@@ -266,22 +269,16 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
         items = module_code.get(inst.module_name)
         if items is None:
             items = module_code[inst.module_name] = _module_code(layout.module)
-        for item, (src, dests) in zip(layout.module.items, items):
-            if dests is None:
-                design.seq_fns.append(bind(src, item.loc, layout.lo))
-            else:
-                design.comb_fns.append(bind(src, item.loc, layout.lo))
-                design.comb_info.append((inst.path, dests))
+        for item, src in zip(layout.module.items, items):
+            clocked = isinstance(item, AlwaysBlock) and item.trigger is AlwaysTrigger.POSEDGE_CLOCK
+            (design.seq_fns if clocked else design.comb_fns).append(bind(src, item.loc, layout.lo))
 
     for inst in h.instances:
         if inst.decl is None:
             continue
         parent, child = layouts[inst.parent], layouts[inst.path]
-        for src, dest, into_child in _port_code(parent.module, child.module, inst.decl):
+        for src in _port_code(parent.module, child.module, inst.decl):
             design.comb_fns.append(bind(src, inst.decl.loc, parent.lo, child.lo))
-            design.comb_info.append(
-                (inst.parent, [f"{inst.path}.{dest}" if into_child else dest])
-            )
 
     h._compiled = design
     return design
@@ -343,71 +340,29 @@ def _fit(src: str, width: int, dest_width: int) -> str:
 
 
 def _transfer(dst: str, src: str) -> str:
-    """The source of a combinational `dst = src` that returns 1 on change."""
-    return (
-        f"def fn(v):\n    t = {src}\n"
-        f"    if {dst} != t:\n        {dst} = t\n        return 1\n    return 0"
-    )
+    """The source of a combinational `dst = src`."""
+    return f"def fn(v):\n    {dst} = {src}"
 
 
-def _module_code(m: ModuleAst) -> list[tuple[str, list[str] | None]]:
-    """The source of the module's items as relocatable functions, each with
-    the names it drives if it is combinational (`fn(v)`) or None if clocked
-    (`fn(v, nb)`)."""
+def _module_code(m: ModuleAst) -> list[str]:
+    """The source of each of the module's items as a relocatable function:
+    `fn(v)` for a continuous assign or an always @(*) block, `fn(v, nb)`
+    for a clocked block. Every function stores straight into `v`."""
     scope = _scope_for(m)
     rel = {d.name: k for k, d in enumerate(m.all_signals())}
     ec = _ExprCompiler(scope)
-    out: list[tuple[str, list[str] | None]] = []
-
+    out: list[str] = []
     for item in m.items:
         if isinstance(item, ContinuousAssign):
             target, width = scope[item.dest]
-            out.append((_transfer(target, _fit(*ec.compile(item.expr), width)), [item.dest]))
-        elif isinstance(item, AlwaysBlock):
-            if item.trigger is AlwaysTrigger.COMBINATIONAL:
-                # The block executes to completion before anything observes
-                # its writes: buffer them in locals and diff only the final
-                # values, otherwise transient rewrites within one pass would
-                # read as perpetual change and fail settling.
-                dests = sorted(
-                    {s.dest for s in walk_stmts(item.body) if isinstance(s, Assign)}
-                )
-                local_scope = dict(scope)
-                for name in dests:
-                    local_scope[name] = (f"b_{rel[name]}", scope[name][1])
-                ec_comb = _ExprCompiler(local_scope)
-                lines = ["def fn(v):"]
-                for name in dests:
-                    lines.append(f"    b_{rel[name]} = {scope[name][0]}")
-                _emit_stmts(lines, item.body, 1, ec_comb, rel)
-                lines.append("    ch = 0")
-                for name in dests:
-                    lines.append(f"    if {scope[name][0]} != b_{rel[name]}:")
-                    lines.append(f"        {scope[name][0]} = b_{rel[name]}")
-                    lines.append("        ch = 1")
-                lines.append("    return ch")
-                out.append(("\n".join(lines), dests))
-            else:
-                blocking = sorted(
-                    {
-                        s.dest
-                        for s in walk_stmts(item.body)
-                        if isinstance(s, Assign) and s.style is AssignStyle.BLOCKING
-                    }
-                )
-                # Blocking targets live in locals during the block so later
-                # reads observe the in-block update order.
-                local_scope = dict(scope)
-                for name in blocking:
-                    local_scope[name] = (f"b_{rel[name]}", scope[name][1])
-                ec_seq = _ExprCompiler(local_scope)
-                lines = ["def fn(v, nb):"]
-                for name in blocking:
-                    lines.append(f"    b_{rel[name]} = {scope[name][0]}")
-                _emit_stmts(lines, item.body, 1, ec_seq, rel)
-                for name in blocking:
-                    lines.append(f"    {scope[name][0]} = b_{rel[name]}")
-                out.append(("\n".join(lines), None))
+            out.append(_transfer(target, _fit(*ec.compile(item.expr), width)))
+        else:
+            clocked = item.trigger is AlwaysTrigger.POSEDGE_CLOCK
+            lines = ["def fn(v, nb):" if clocked else "def fn(v):"]
+            _emit_stmts(lines, item.body, 1, ec, rel)
+            if len(lines) == 1:
+                lines.append("    pass")
+            out.append("\n".join(lines))
     return out
 
 
@@ -443,17 +398,14 @@ def _emit_stmts(lines, stmts, depth, ec, rel: dict[str, int]) -> None:
             _emit_stmts(lines, stmt.default, depth + 1, ec, rel)
 
 
-def _port_code(
-    parent: ModuleAst, child: ModuleAst, decl: InstanceDecl
-) -> list[tuple[str, str, bool]]:
+def _port_code(parent: ModuleAst, child: ModuleAst, decl: InstanceDecl) -> list[str]:
     """Port bindings become the source of combinational transfer functions,
-    bound to the parent's base and the child's. Each comes with the name it
-    drives and whether that is a child port (else a parent signal)."""
+    bound to the parent's base and the child's."""
     child_ports = {p.name: p for p in child.ports}
     parent_scope = _scope_for(parent)
     child_scope = _scope_for(child, base=1)
     ec = _ExprCompiler(parent_scope)
-    out: list[tuple[str, str, bool]] = []
+    out: list[str] = []
 
     for formal, actual in decl.port_map:
         port = child_ports[formal]
@@ -462,12 +414,10 @@ def _port_code(
         if port.kind is SignalKind.INPUT:
             src = _fit(*ec.compile(actual), port.width)
             dst = child_scope[formal][0]
-            dest, into_child = formal, True
         else:
             src = _fit(child_scope[formal][0], port.width, parent_scope[actual.name][1])
             dst = parent_scope[actual.name][0]
-            dest, into_child = actual.name, False
-        out.append((_transfer(dst, src), dest, into_child))
+        out.append(_transfer(dst, src))
     return out
 
 
@@ -755,18 +705,20 @@ def simulate(
 
 
 def _settle(design: CompiledDesign, v: list[int]) -> None:
+    """Rerun the combinational functions until a pass leaves `v` unchanged;
+    the pass after SETTLE_LIMIT changing passes names what still changes."""
     comb_fns = design.comb_fns
-    for _ in range(SETTLE_LIMIT):
-        changed = 0
+    for _ in range(SETTLE_LIMIT + 1):
+        before = v.copy()
         for fn in comb_fns:
-            changed |= fn(v)
-        if not changed:
+            fn(v)
+        if v == before:
             return
-    # One more pass, tracking who still flips, purely for the error report.
-    unstable: list[str] = []
-    instance = design.hierarchy.top
-    for i, fn in enumerate(comb_fns):
-        if fn(v):
-            instance, dests = design.comb_info[i]
-            unstable.extend(dests)
-    raise CombinationalLoop(instance, sorted(set(unstable)))
+    unstable = [
+        (lay.path, name) for lay in design.layouts.values()
+        for name, old, new in zip(lay.names, before[lay.lo:lay.hi], v[lay.lo:lay.hi]) if old != new
+    ]
+    instance = unstable[0][0]
+    raise CombinationalLoop(instance, sorted(
+        name if path == instance else f"{path}.{name}" for path, name in unstable
+    ))

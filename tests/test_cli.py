@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import leakscope as ls
 from leakscope.cli import main
 from leakscope.parser import MAX_NESTING, MAX_STMT_NESTING
+from leakscope.simulator import _module_code
 from oracles import validate_dot
 from reference_sim import reference_simulate
 
@@ -49,6 +50,42 @@ def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.hdl"
     bad.write_text("module m(input clk)\nendmodule")  # missing semicolon
     assert main(["parse", str(bad)]) == 2
+
+
+_LEAF2 = """module leaf(input clk, input a, output y, output z);
+  assign y = a;
+  assign z = !a;
+endmodule
+"""
+_TOP = "module t(input clk, input rst, input a, output reg r, output y);\n  wire w, u, q;\n"
+
+
+@pytest.mark.parametrize("body, second, first", [
+    ("  assign w = a;\n  assign w = !a;\n", "8:3", 7),
+    ("  always @(*) r = a;\n  always @(*) begin if (a) r = 0; end\n", "8:28", 7),
+    ("  assign w = a;\n  leaf l(.clk(clk), .a(a), .y(w), .z(u));\n", "8:31", 7),
+    ("  leaf l0(.clk(clk), .a(a), .y(w), .z(u));\n  leaf l1(.z(q), .y(w), .a(a), .clk(clk));\n",
+     "8:21", 7),
+    ("  leaf l(.clk(clk), .a(a), .y(w), .z(w));\n", "7:38", 7),
+], ids=["two-assigns", "two-comb-blocks", "assign-and-output", "two-instances", "one-instance"])
+def test_second_combinational_driver_exit_2(tmp_path, body, second, first):
+    """A signal with two combinational drivers is an error at the second
+    one, naming the first one's line, in every command that links."""
+    src, stim = tmp_path / "drv.hdl", tmp_path / "stim.json"
+    src.write_text(_LEAF2 + _TOP + body + "  assign y = w;\nendmodule\n")
+    stim.write_text('[{"tag": "a", "data": {"a": 1}, "hold": 1}]')
+    for argv in (["parse", str(src)], ["sim", str(src), "--stim", str(stim)]):
+        rc, err = _run_quietly(argv)
+        assert rc == 2, argv
+        assert f"drv.hdl:{second}: " in err and f"the first is on line {first}" in err, err
+        assert "Traceback" not in err
+
+
+def test_comb_and_clocked_writes_to_one_reg_parse():
+    """Clocked writes happen outside settling, so a reg driven by one
+    always @(*) block and one clocked block has one combinational driver."""
+    src = _TOP + "  always @(*) r = a;\n  always @(posedge clk) r = r;\n  assign y = r;\nendmodule\n"
+    ls.parse_design([("one.hdl", src)], top="t")
 
 
 def test_graph_dot_golden(tmp_path, capsys):
@@ -741,9 +778,15 @@ def test_two_thousand_arms_parse_and_simulate(tmp_path, kind):
         assert y == (_arm_value(a) if a < 2000 else 0), a
 
 
-def test_thousand_arm_chain_graph(tmp_path, capsys):
+def test_thousand_arm_chain_graph(tmp_path, capsys, monkeypatch):
     """`graph` walks a 1,000-arm chain's arms in one loop: y reads a under
-    every arm and the default, so a -> y is the only edge."""
+    every arm and the default, so a -> y is the only edge. Without --dot
+    or --json it builds neither export."""
+    def unasked(g):
+        raise AssertionError("export built without its flag")
+
+    monkeypatch.setattr("leakscope.cli.export_dot", unasked)
+    monkeypatch.setattr("leakscope.cli.export_json", unasked)
     src = tmp_path / "wide.hdl"
     src.write_text(_wide_arms("chain", 1000))
     assert main(["graph", str(src)]) == 0
@@ -763,20 +806,35 @@ def _chain_past_cpython_parser_stack() -> str:
 
 @pytest.mark.parametrize("source", [
     lambda: _wide_arms("case", 3000), _chain_past_cpython_parser_stack,
-], ids=["case-3000", "chain-2500-deep"])
+    lambda: _wide_arms("case", 6000),
+], ids=["case-3000", "chain-2500-deep", "case-6000"])
 def test_code_past_cpython_compile_limits_exit_2(tmp_path, source):
-    """An always block whose generated function CPython cannot compile, past
-    its compiler's recursion limit (a 3,000-arm case) or its parser's stack
-    ("too complex"), is an analysis error naming the block, not a
-    traceback; parse, which compiles nothing, still succeeds."""
-    src, stim = tmp_path / "wide.hdl", tmp_path / "stim.json"
-    src.write_text(source())
+    """An always block whose generated function this CPython cannot
+    compile, past its compiler's recursion limit (a long case) or its
+    parser's stack ("too complex"), is an analysis error naming the block,
+    not a traceback; parse, which compiles nothing, still succeeds. The
+    limits differ between CPython versions, so the test compiles the
+    generated source itself: where that succeeds, the design simulates."""
+    text = source()
+    (code,) = _module_code(ls.parse_design([("wide.hdl", text)]).modules["wide"])
+    try:
+        compile(code, "<string>", "exec")
+        compiles = True
+    except (RecursionError, MemoryError):
+        compiles = False
+    src, stim, vcd = tmp_path / "wide.hdl", tmp_path / "stim.json", tmp_path / "wide.vcd"
+    src.write_text(text)
     stim.write_text('[{"tag": "a", "data": {"a": 5}, "hold": 1}]')
     assert _run_quietly(["parse", str(src)]) == (0, "")
-    rc, err = _run_quietly(["sim", str(src), "--stim", str(stim)])
-    assert rc == 2
-    assert "wide.hdl:2:3: generated code too large for CPython to compile" in err
+    rc, err = _run_quietly(["sim", str(src), "--stim", str(stim), "--vcd", str(vcd)])
     assert "Traceback" not in err
+    if compiles:
+        assert (rc, err) == (0, "")
+        trace = ls.load_vcd(vcd.read_text()).trace("wide").signal_values
+        assert trace["y"][trace["a"].index(5)] == _arm_value(5)
+    else:
+        assert rc == 2
+        assert "wide.hdl:2:3: generated code too large for CPython to compile" in err
 
 
 def test_coverage_out_bytes_unchanged(tmp_path):

@@ -160,6 +160,39 @@ def test_combinational_loop_detected():
         ls.simulate(h, _stim("x", {"a": 1}))
 
 
+def test_empty_always_blocks_simulate():
+    """An always block with an empty body generates a function that does
+    nothing, clocked or not."""
+    src = (
+        "module e(input clk, input a, output reg y);\n"
+        "  always @(posedge clk) begin end\n"
+        "  always @(*) begin end\n"
+        "  always @(*) y = a;\n"
+        "endmodule"
+    )
+    h = ls.parse_design([("empty.hdl", src)])
+    assert ls.simulate(h, _stim("x", {"a": 1})).trace("e").signal_values["y"][-1] == 1
+
+
+def test_chain_settling_on_the_last_pass_is_no_loop():
+    """An acyclic chain of SETTLE_LIMIT assigns, each reading the next one
+    down, takes one pass per link plus one that changes nothing: the
+    design settles on the last pass the limit allows and is no loop."""
+    from leakscope.simulator import SETTLE_LIMIT
+
+    n = SETTLE_LIMIT
+    src = "\n".join([
+        "module rev(input clk, input a, output y);",
+        *(f"  wire w{k};" for k in range(n)),
+        *(f"  assign w{k} = w{k + 1};" for k in range(n - 1)),
+        f"  assign w{n - 1} = a;",
+        "  assign y = w0;",
+        "endmodule",
+    ])
+    h = ls.parse_design([("rev.hdl", src)])
+    assert ls.simulate(h, _stim("x", {"a": 1})).trace("rev").signal_values["y"][-1] == 1
+
+
 _CNT_SRC = (
     "module cnt(input clk, input rst, output reg [3:0] n);\n"
     "  always @(posedge clk) begin\n"
@@ -608,9 +641,12 @@ def test_each_module_and_port_map_compiles_once(monkeypatch):
     # as l0's .y(m) does, so the two share one compile.
     assert len(emitted) == len(set(emitted)) == 2 + 4 * 2 - 1
     assert len(design.comb_fns) == 4 + 6 * 2 and len(design.seq_fns) == 4
-    assert [path for path, _ in design.comb_info[:4]] == [
-        "top.p0.l0", "top.p0.l1", "top.p1.l0", "top.p1.l1"
-    ]
+    # The first four comb functions are the leaves' `assign y = r ^ a`, in
+    # instance order: each is bound to its own leaf's three signals.
+    for fn, path in zip(design.comb_fns, ["top.p0.l0", "top.p0.l1", "top.p1.l0", "top.p1.l1"]):
+        index = design.layouts[path].index
+        bound = {c for c in fn.__code__.co_consts if type(c) is int}
+        assert bound == {index["y"], index["r"], index["a"]}, path
     stim = Stimulus(steps=(StimulusStep(tag="drive", data={"a": 5}, hold=3),))
     bundle = ls.simulate(design, stim)
     want = reference_simulate(h, stim, cycles=bundle.cycles)
