@@ -18,16 +18,26 @@ step sequences on shared suffixes, and one backward walk of the trie
 evaluates each shared suffix once and drops a subtree as soon as its set
 is empty. A mask is built by one compiled call per trace and expression,
 which reads the whole columns of just the signals the expression names.
-A fuzz campaign builds its tries from the paths not yet covered, so each
-run is matched only against the pending ones; `match_coverage` and
-`replay_sva` match every path they are given.
+Each run owns one `TraceMasks` per instance (`TraceBundle.masks`), so the
+code-coverage probes, `match_coverage` and `replay_sva` evaluate an
+expression once per run. A fuzz campaign builds its tries from the paths
+not yet covered, so each run is matched only against the pending ones;
+`match_coverage` matches every path it is given.
+
+SVA text is written and read in one pass each. Emission writes each
+property's sequence straight from its steps. Reading splits no line in
+Python: every line break str.splitlines knows becomes "\n", and one
+regular-expression pass sorts every line into blank or comment, property
+(name and sequence), or outside the subset; a line's number is its
+position. Paths share sequences, so `sva_lint`, `parse_sva` and
+`replay_sva` check, read and match each distinct sequence once per call
+and still report per line. Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,6 +45,7 @@ from .errors import ExpressionEvalError, PathNotInGraph
 from .meg import Meg, MegEdge, MicroEventPath, NodeKind, mep_id, render_condition
 from .parser import parse_expression
 from .simulator import DEFAULT_MAX_CYCLES, TraceBundle, _ExprCompiler
+from .vcd import _unify_line_breaks
 from .hdl_ast import Expr, expr_signals
 
 log = logging.getLogger(__name__)
@@ -107,53 +118,63 @@ def path_condition(p: MicroEventPath, g: Meg) -> PathCondition:
 # SVA emission
 # ---------------------------------------------------------------------------
 
+def _sva_sequence(steps: tuple[ConditionStep, ...]) -> str:
+    """A property's sequence, written straight from its steps: ##1 for
+    OneCycle, ##[0:$] for Eventually; consecutive delays are separated by a
+    literal-true term so the output stays inside the SVA sequence grammar."""
+    seq: list[str] = []
+    expect_bool = True
+    branch = StepKind.BRANCH
+    for step in steps:
+        if step.kind is branch:
+            if not expect_bool:
+                # Two adjacent booleans fuse with a zero-delay; keep them apart.
+                seq.append("##0")
+            seq.append(f"({step.expr})")
+            expect_bool = False
+        else:
+            if expect_bool:
+                seq.append("1'b1")
+            seq.append(step.kind._value_)
+            expect_bool = True
+    if expect_bool:
+        seq.append("1'b1")
+    return " ".join(seq)
+
+
 def emit_sva(pc: PathCondition, module: str | None = None) -> str:
-    """One `cover property` per path. ##1 for OneCycle, ##[0:$] for
-    Eventually; consecutive delays are separated by a literal-true term so
-    the output stays inside the SVA sequence grammar."""
+    """One `cover property` per path, after a comment naming its nodes."""
     module = module or pc.module
-    tokens = [
-        f"({step.expr})" if step.kind is StepKind.BRANCH else step.kind.value
-        for step in pc.steps
-    ]
-    if not tokens:
+    if not pc.steps:
         log.warning(
             "path %s in %s has no condition steps; emitting an always-coverable "
             "property", pc.path_id, module,
         )
-    seq: list[str] = []
-    expect_bool = True
-    for token in tokens:
-        is_delay = token.startswith("##")
-        if expect_bool and is_delay:
-            seq.append("1'b1")
-        if not expect_bool and not is_delay:
-            # Two adjacent booleans fuse with a zero-delay; keep them apart.
-            seq.append("##0")
-        seq.append(token)
-        expect_bool = is_delay
-    if expect_bool:
-        seq.append("1'b1")
-    name = f"cp_{module}_{pc.path_id}"
-    comment = " -> ".join(pc.node_ids)
     return (
-        f"// {comment}\n"
-        f"{name}: cover property (@(posedge clk) {' '.join(seq)});"
+        f"// {' -> '.join(pc.node_ids)}\n"
+        f"cp_{module}_{pc.path_id}: cover property (@(posedge clk) {_sva_sequence(pc.steps)});"
     )
 
 
 def emit_sva_file(conditions: list[PathCondition], module: str) -> str:
     header = f"// cover properties for module {module}: {len(conditions)} paths\n"
-    return header + "\n".join(emit_sva(pc, module) for pc in conditions) + "\n"
+    return header + "\n".join([emit_sva(pc, module) for pc in conditions]) + "\n"
 
 
-_SVA_RE = re.compile(
-    r"^(?P<name>[A-Za-z_]\w*)\s*:\s*cover\s+property\s*\(\s*"
-    r"@\(posedge\s+clk\)\s*(?P<seq>.*)\)\s*;\s*$"
+# One match per line of text whose line breaks are all "\n": a blank or
+# comment line matches no group, a property line `name` and `seq`, and any
+# other line `other`. `[^\S\n]` is whitespace within the line.
+_SVA_LINE = re.compile(
+    r"^[^\S\n]*(?:(?://.*)?"
+    r"|(?P<name>[A-Za-z_]\w*)[^\S\n]*:[^\S\n]*cover[^\S\n]+property[^\S\n]*\([^\S\n]*"
+    r"@\(posedge[^\S\n]+clk\)[^\S\n]*(?P<seq>.*)\)[^\S\n]*;[^\S\n]*"
+    r"|(?P<other>.+))$",
+    re.M,
 )
 # The capture keeps the delay operators in re.split's output.
 _DELAY_SPLIT = re.compile(r"(##(?:\d+|\[0:\$\]))")
 _BARE_TERM = re.compile(r"[^\s#]+")
+_NOT_A_PROPERTY = "not a cover property in the subset"
 
 
 def _scan_segment(seg: str) -> list[str]:
@@ -206,27 +227,13 @@ def _split_sva_seq(seq: str, segments: dict[str, list[str]]) -> list[str]:
     return tokens
 
 
-def _read_properties(
-    text: str,
-) -> Iterator[tuple[int, str | None, list[str] | None, str | None]]:
-    """Yield (line number, name, tokens, problem) for each property line
-    of SVA text; blank and comment lines are skipped. A line outside the
-    subset has name and tokens None and says why in `problem`."""
-    segments: dict[str, list[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("//"):
-            continue
-        m = _SVA_RE.match(stripped)
-        if not m:
-            yield lineno, None, None, "not a cover property in the subset"
-            continue
-        try:
-            tokens = _split_sva_seq(m.group("seq"), segments)
-        except ValueError as exc:
-            yield lineno, None, None, str(exc)
-            continue
-        yield lineno, m.group("name"), tokens, None
+def _read_properties(text: str) -> list[tuple[int, str, str]]:
+    """(line number, name, sequence) of each line of SVA text that is not
+    blank or a comment, read by one regular-expression pass over the whole
+    text. Lines are those of str.splitlines(); a line outside the subset
+    has an empty name."""
+    lines = _SVA_LINE.findall(_unify_line_breaks(text))
+    return [(k, name, seq) for k, (name, seq, other) in enumerate(lines, 1) if name or other]
 
 
 def _delay_cycles(token: str) -> int:
@@ -245,74 +252,103 @@ def _delay_problem(token: str) -> str | None:
     return None
 
 
+def _sequence_problem(seq: str, segments: dict[str, list[str]], checked: set[str]) -> str | None:
+    """Why a property sequence is outside the subset, or None. Tokens in
+    `checked` are known good, and each token found good is added to it."""
+    try:
+        tokens = _split_sva_seq(seq, segments)
+    except ValueError as exc:
+        return str(exc)
+    expect_bool = True
+    for token in tokens:
+        is_delay = token.startswith("##")
+        if expect_bool and is_delay:
+            return f"delay {token} where a boolean is required"
+        if not expect_bool and not is_delay:
+            return "adjacent booleans without a delay"
+        if token not in checked:
+            if is_delay:
+                problem = _delay_problem(token)
+                if problem:
+                    return problem
+            else:
+                try:
+                    parse_expression(token)
+                except Exception as exc:
+                    return f"unparseable boolean {token!r}: {exc}"
+            checked.add(token)
+        expect_bool = is_delay
+    return "sequence ends on a delay" if expect_bool and tokens else None
+
+
 def sva_lint(text: str) -> list[str]:
     """Check emitted properties against the supported SVA subset.
 
-    Returns a list of problems; empty means the text lints clean.
+    Returns a list of problems, one per failing line; empty means the text
+    lints clean. Each distinct sequence is checked once.
     """
     problems: list[str] = []
-    checked: set[str] = set()  # tokens known good; failures re-report
-    for lineno, _, tokens, problem in _read_properties(text):
+    verdicts: dict[str, str | None] = {}
+    segments: dict[str, list[str]] = {}
+    checked: set[str] = set()
+    for lineno, name, seq in _read_properties(text):
+        if not name:
+            problem = _NOT_A_PROPERTY
+        elif seq in verdicts:
+            problem = verdicts[seq]
+        else:
+            problem = verdicts[seq] = _sequence_problem(seq, segments, checked)
         if problem:
             problems.append(f"line {lineno}: {problem}")
-            continue
-        expect_bool = True
-        for token in tokens:
-            is_delay = token.startswith("##")
-            if expect_bool and is_delay:
-                problems.append(f"line {lineno}: delay {token} where a boolean is required")
-                break
-            if not expect_bool and not is_delay:
-                problems.append(f"line {lineno}: adjacent booleans without a delay")
-                break
-            if token not in checked:
-                if is_delay:
-                    problem = _delay_problem(token)
-                    if problem:
-                        problems.append(f"line {lineno}: {problem}")
-                        break
-                else:
-                    try:
-                        parse_expression(token)
-                    except Exception as exc:
-                        problems.append(f"line {lineno}: unparseable boolean {token!r}: {exc}")
-                        break
-                checked.add(token)
-            expect_bool = is_delay
-        else:
-            if expect_bool and tokens:
-                problems.append(f"line {lineno}: sequence ends on a delay")
     return problems
+
+
+def _sequence_steps(
+    seq: str,
+    segments: dict[str, list[str]],
+    steps_of: dict[str, tuple[ConditionStep, ...]],
+) -> tuple[ConditionStep, ...]:
+    """The condition steps of one property sequence; `steps_of` holds the
+    steps of every token seen so far."""
+    steps: list[ConditionStep] = []
+    for token in _split_sva_seq(seq, segments):
+        interned = steps_of.get(token)
+        if interned is None:
+            if token.startswith("##"):
+                problem = _delay_problem(token)
+                if problem:
+                    raise ValueError(problem)
+                interned = steps_of["##1"] * _delay_cycles(token)
+            else:
+                expr = token[1:-1] if token.startswith("(") else token
+                interned = (ConditionStep(StepKind.BRANCH, expr=expr),)
+            steps_of[token] = interned
+        steps.extend(interned)
+    return tuple(steps)
 
 
 def parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
     """Read emitted properties back into condition steps (reference route
-    for the emission/evaluation agreement check). Steps are shared: one
-    per delay kind and one per distinct boolean."""
-    one = (ConditionStep(StepKind.ONE_CYCLE),)
+    for the emission/evaluation agreement check); raises ValueError at the
+    first line outside the subset. Steps are shared: one per delay kind and
+    one per distinct boolean, and one tuple per distinct sequence."""
     steps_of: dict[str, tuple[ConditionStep, ...]] = {
-        "##1": one,
+        "##1": (ConditionStep(StepKind.ONE_CYCLE),),
         "##[0:$]": (ConditionStep(StepKind.EVENTUALLY),),
     }
+    segments: dict[str, list[str]] = {}
+    sequences: dict[str, tuple[ConditionStep, ...]] = {}
     out = []
-    for lineno, name, tokens, problem in _read_properties(text):
-        if problem:
-            raise ValueError(f"line {lineno}: {problem}")
-        steps: list[ConditionStep] = []
-        for token in tokens:
-            interned = steps_of.get(token)
-            if interned is None:
-                if token.startswith("##"):
-                    problem = _delay_problem(token)
-                    if problem:
-                        raise ValueError(f"line {lineno}: {problem}")
-                    interned = one * _delay_cycles(token)
-                else:
-                    expr = token[1:-1] if token.startswith("(") else token
-                    interned = (ConditionStep(StepKind.BRANCH, expr=expr),)
-                steps_of[token] = interned
-            steps.extend(interned)
-        out.append((name, tuple(steps)))
+    for lineno, name, seq in _read_properties(text):
+        try:
+            if not name:
+                raise ValueError(_NOT_A_PROPERTY)
+            steps = sequences.get(seq)
+            if steps is None:
+                steps = sequences[seq] = _sequence_steps(seq, segments, steps_of)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        out.append((name, steps))
     return out
 
 
@@ -507,23 +543,19 @@ def match_coverage(
     instance_path: str,
     *,
     truncated: bool = False,
-    masks: TraceMasks | None = None,
 ) -> ModuleCoverage:
     """Evaluate which of g's paths this run covered on one instance of g's
     module.
 
     `conditions` are the module's path conditions, or a `PathTrie` of them
     keyed by path id, so a caller that matches many runs builds the trie
-    once. `masks`, when given, are the prebuilt masks of `instance_path`'s
-    trace, so a caller that already evaluated expressions on this run (the
-    code-coverage probes) does not evaluate them again.
+    once. Expressions are evaluated on the run's own masks
+    (`TraceBundle.masks`), which every coverage consumer of the run shares.
     """
     if not isinstance(conditions, PathTrie):
         conditions = PathTrie((pc.path_id, pc.steps) for pc in conditions)
-    if masks is None:
-        masks = TraceMasks(bundle, instance_path)
     return ModuleCoverage(
-        g.module_name, len(conditions), conditions.covered(masks), truncated
+        g.module_name, len(conditions), conditions.covered(bundle.masks(instance_path)), truncated
     )
 
 
@@ -532,10 +564,10 @@ def replay_sva(
 ) -> dict[str, bool]:
     """Evaluate emitted property text against a trace: the reference route.
 
-    Returns property-name -> covered verdict.
+    Returns property-name -> covered verdict. Each distinct sequence is
+    matched once: `parse_sva` gives it one steps tuple, keyed by identity.
     """
     properties = parse_sva(sva_text)
-    covered = PathTrie(
-        (i, steps) for i, (_, steps) in enumerate(properties)
-    ).covered(TraceMasks(bundle, instance_path))
-    return {name: i in covered for i, (name, _) in enumerate(properties)}
+    distinct = {id(steps): steps for _, steps in properties}
+    covered = PathTrie(distinct.items()).covered(bundle.masks(instance_path))
+    return {name: id(steps) in covered for name, steps in properties}

@@ -89,7 +89,7 @@ def parse_design(
     _check_acyclic(modules, top_name)
 
     hierarchy = DesignHierarchy(modules=modules, top=top_name)
-    _build_tree(hierarchy, top_name, top_name, None, None, 1)
+    _build_tree(hierarchy, top_name)
     return hierarchy
 
 
@@ -183,38 +183,35 @@ def _check_drivers(modules: dict[str, ModuleAst]) -> None:
 
 
 def _check_acyclic(modules: dict[str, ModuleAst], top: str) -> None:
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    stack: list[str] = []
-
-    def visit(name: str) -> None:
-        state[name] = 1
-        stack.append(name)
-        for inst in modules[name].instances:
+    """Depth-first over module instantiations, with an explicit stack, so
+    a deep hierarchy needs no Python recursion."""
+    state: dict[str, int] = {top: 1}  # 1 = on the path, 2 = done
+    path = [top]
+    pending = [iter(modules[top].instances)]  # per module on the path
+    while pending:
+        for inst in pending[-1]:
             child = inst.module_name
             if state.get(child) == 1:
-                cycle = stack[stack.index(child):] + [child]
-                raise RecursiveInstantiation(cycle)
+                raise RecursiveInstantiation(path[path.index(child):] + [child])
             if state.get(child) != 2:
-                visit(child)
-        stack.pop()
-        state[name] = 2
+                state[child] = 1
+                path.append(child)
+                pending.append(iter(modules[child].instances))
+                break
+        else:
+            state[path.pop()] = 2
+            pending.pop()
 
-    visit(top)
 
-
-def _build_tree(
-    h: DesignHierarchy,
-    path: str,
-    module_name: str,
-    parent: str | None,
-    decl: InstanceDecl | None,
-    level: int,
-) -> None:
-    h.instances.append(Instance(path, module_name, parent, decl, level))
-    for inst in h.modules[module_name].instances:
-        _build_tree(
-            h, f"{path}.{inst.instance_name}", inst.module_name, path, inst, level + 1
-        )
+def _build_tree(h: DesignHierarchy, top: str) -> None:
+    """Append every instance to `h.instances` in depth-first preorder, each
+    parent's children in declaration order."""
+    stack = [(top, top, None, None, 1)]
+    while stack:
+        path, module_name, parent, decl, level = stack.pop()
+        h.instances.append(Instance(path, module_name, parent, decl, level))
+        for inst in reversed(h.modules[module_name].instances):
+            stack.append((f"{path}.{inst.instance_name}", inst.module_name, path, inst, level + 1))
 
 
 def levelize(h: DesignHierarchy) -> list[list[str]]:

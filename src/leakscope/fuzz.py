@@ -256,19 +256,6 @@ class CoverageProbes:
 # Campaign
 # ---------------------------------------------------------------------------
 
-class _RunMasks(dict):
-    """The TraceMasks of one run per instance path, built on first use, so
-    the probes and the path matcher share every evaluated expression."""
-
-    def __init__(self, bundle: TraceBundle):
-        super().__init__()
-        self.bundle = bundle
-
-    def __missing__(self, path: str) -> TraceMasks:
-        masks = self[path] = TraceMasks(self.bundle, path)
-        return masks
-
-
 class _Campaign:
     def __init__(
         self,
@@ -317,17 +304,17 @@ class _Campaign:
     def simulate(self, stim: Stimulus, run_id: str) -> TraceBundle:
         return simulate(self.design, stim, seed_id=run_id)
 
-    def code_items(self, masks: _RunMasks) -> set[str]:
+    def code_items(self, bundle: TraceBundle) -> set[str]:
         """The run's items that are not covered yet."""
         covered = self.result.code_items
         items: set[str] = set()
         for module, paths in self.instances_by_module.items():
             probe = self.probes[module]
             for path in paths:
-                items |= probe.covered_items(masks[path], covered)
+                items |= probe.covered_items(bundle.masks(path), covered)
         return items
 
-    def update_path_coverage(self, masks: _RunMasks) -> None:
+    def update_path_coverage(self, bundle: TraceBundle) -> None:
         """Match the run against each module's pending paths. A path's
         verdict does not depend on the others, so once the covered set
         grows, the trie is rebuilt from the paths still uncovered."""
@@ -341,9 +328,7 @@ class _Campaign:
             for path in paths:
                 # Only the covered set: the pending trie's size is not the
                 # module's total.
-                covered |= match_coverage(
-                    masks.bundle, trie, self.megs[module], path, masks=masks[path]
-                ).covered
+                covered |= match_coverage(bundle, trie, self.megs[module], path).covered
             if len(covered) > before:
                 self.pending[module] = PathTrie(
                     c for c in self.conditions[module] if c[0] not in covered
@@ -370,8 +355,7 @@ class _Campaign:
             run_id = f"s{len(self.result.seeds)}"
             bundle = self.simulate(candidate, run_id)
             self.result.sims += 1
-            masks = _RunMasks(bundle)
-            new = self.code_items(masks)
+            new = self.code_items(bundle)
             if not new:
                 misses += 1
                 continue
@@ -380,7 +364,7 @@ class _Campaign:
             seed = Seed(id=run_id, stimulus=candidate, new_coverage=frozenset(new))
             self.result.seeds.append(seed)
             self.pool.append(seed)
-            self.update_path_coverage(masks)
+            self.update_path_coverage(bundle)
             admitted.append((seed, bundle))
         return admitted
 
@@ -414,8 +398,7 @@ class _Campaign:
                 new_findings += 1
                 if finding.first_leaky_level:
                     self._diagnose(finding, seed_bundle, bundle)
-            masks = _RunMasks(bundle)
-            new_items = self.code_items(masks)
+            new_items = self.code_items(bundle)
             if new_items:
                 self.result.code_items |= new_items
                 follow_on = Seed(
@@ -424,7 +407,7 @@ class _Campaign:
                 self.result.seeds.append(follow_on)
                 self.pool.append(follow_on)
                 admitted.append((follow_on, bundle))
-            self.update_path_coverage(masks)
+            self.update_path_coverage(bundle)
         return new_findings, admitted
 
     def _diagnose(

@@ -42,6 +42,7 @@ from functools import cache, cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, ne
 from types import CodeType, FunctionType
+from typing import TYPE_CHECKING
 
 from .design import DesignHierarchy
 from .errors import CombinationalLoop, LeakscopeError, SimulationLimitError, UnknownInstance
@@ -68,6 +69,9 @@ from .hdl_ast import (
 )
 from .parser import CLOCK_NAME, RESET_NAME
 from .stimulus import Stimulus, validate_stimulus
+
+if TYPE_CHECKING:
+    from .coverage import TraceMasks
 
 SETTLE_LIMIT = 1000
 DEFAULT_QUIESCENCE = 8
@@ -476,6 +480,7 @@ class TraceBundle:
         self.cycles = cycles
         self._layouts = layouts
         self._traces: dict[str, SimulationTrace] = {}
+        self._masks: dict[str, TraceMasks] = {}
         self.start_cycle = start_cycle
         self.stimulus = stimulus
         self.seed_id = seed_id
@@ -510,6 +515,16 @@ class TraceBundle:
         trace = SimulationTrace(path, list(names), starts, values, self.cycles)
         self._traces[path] = trace
         return trace
+
+    def masks(self, path: str) -> TraceMasks:
+        """The instance's trace as per-cycle bitmasks, built on first use,
+        so every coverage consumer of the run evaluates an expression once."""
+        masks = self._masks.get(path)
+        if masks is None:
+            from .coverage import TraceMasks  # coverage imports this module
+
+            masks = self._masks[path] = TraceMasks(self, path)
+        return masks
 
     def last_toggle_at_or_after(self, path: str, start: int) -> int | None:
         """The last cycle c >= start, c >= 1, at which the instance differs
@@ -613,7 +628,7 @@ def simulate(
         )
     design = h if isinstance(h, CompiledDesign) else compile_design(h)
     hierarchy = design.hierarchy
-    validate_stimulus(stim, hierarchy)
+    step_assignments = validate_stimulus(stim, hierarchy)
 
     v = [0] * design.size
     for idx in design.clk_indices:
@@ -633,9 +648,9 @@ def simulate(
         v[design.rst_index] = 1
         schedule.setdefault(RESET_CYCLES, []).append((design.rst_index, 0))
     cycle_cursor = start_cycle
-    for step in stim.steps:
+    for step, assignments in zip(stim.steps, step_assignments):
         assigns = schedule.setdefault(cycle_cursor, [])
-        for name, value in sorted(step.assignments().items()):
+        for name, value in sorted(assignments.items()):
             assigns.append((design.top_inputs[name][0], value))
         cycle_cursor += step.hold
     stimulus_end = cycle_cursor

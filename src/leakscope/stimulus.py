@@ -68,14 +68,20 @@ def parse_tag(tag: str) -> dict[str, int]:
     return out
 
 
-def validate_stimulus(stim: Stimulus, h: DesignHierarchy) -> None:
-    """Check every referenced input exists on the top module and fits."""
+def validate_stimulus(stim: Stimulus, h: DesignHierarchy) -> list[dict[str, int]]:
+    """Check every referenced input exists on the top module and fits.
+
+    Returns each step's assignments, in step order, so a caller decodes
+    every tag once."""
     top = h.modules[h.top]
     inputs = {p.name: p for p in top.ports if p.kind is SignalKind.INPUT}
+    decoded = []
     for index, step in enumerate(stim.steps):
         if step.hold < 1:
             raise StimulusError(f"step {index}: hold must be >= 1")
-        for name, value in step.assignments().items():
+        assignments = step.assignments()
+        decoded.append(assignments)
+        for name, value in assignments.items():
             if name in (CLOCK_NAME, RESET_NAME):
                 raise StimulusError(
                     f"step {index}: {name!r} is driven by the simulator"
@@ -90,6 +96,7 @@ def validate_stimulus(stim: Stimulus, h: DesignHierarchy) -> None:
                     f"step {index}: value {value} does not fit input "
                     f"{name!r} ({port.width} bits)"
                 )
+    return decoded
 
 
 def stimulus_to_json(stim: Stimulus) -> str:

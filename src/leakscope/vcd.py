@@ -118,29 +118,26 @@ def _vcd_pieces(bundle: TraceBundle) -> Iterator[str]:
         f"seed_id={bundle.seed_id} $end"
     )
 
-    # Scope tree from dotted instance paths.
-    def scope_children(prefix: str) -> list[str]:
-        depth = prefix.count(".") + 1 if prefix else 0
-        return [
-            p for p in paths
-            if (p.startswith(prefix + ".") if prefix else True)
-            and p.count(".") == depth
-        ]
-
-    def emit_scope(path: str) -> None:
-        leaf = path.rsplit(".", 1)[-1]
-        out.append(f"$scope module {leaf} $end")
-        names = bundle.signal_names(path)
-        widths = bundle.signal_widths(path)
-        for name, width in zip(names, widths):
+    # Scope tree from dotted instance paths, children in instance order,
+    # walked depth-first with an explicit stack; None closes a scope.
+    roots: list[str] = []
+    children: dict[str, list[str]] = {}
+    for path in paths:
+        if "." in path:
+            children.setdefault(path.rpartition(".")[0], []).append(path)
+        else:
+            roots.append(path)
+    stack: list[str | None] = roots[::-1]
+    while stack:
+        path = stack.pop()
+        if path is None:
+            out.append("$upscope $end")
+            continue
+        out.append(f"$scope module {path.rpartition('.')[2]} $end")
+        for name, width in zip(bundle.signal_names(path), bundle.signal_widths(path)):
             out.append(f"$var wire {width} {var_ids[(path, name)]} {name} $end")
-        for child in scope_children(path):
-            emit_scope(child)
-        out.append("$upscope $end")
-
-    roots = scope_children("")
-    for root in roots:
-        emit_scope(root)
+        stack.append(None)
+        stack += reversed(children.get(path, ()))
     out.append("$enddefinitions $end")
 
     top = roots[0] if roots else None
@@ -200,6 +197,15 @@ MAX_VCD_WIDTH = 1 << 16
 
 # The line breaks of str.splitlines() other than "\n" and "\r\n".
 _LINE_BREAKS = str.maketrans(dict.fromkeys("\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\n"))
+
+
+def _unify_line_breaks(text: str) -> str:
+    """The text with every line break str.splitlines() knows made "\n", in
+    one copy of the text, not one string per line."""
+    if not text.isascii() or any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e")):
+        text = text.replace("\r\n", "\n").translate(_LINE_BREAKS)
+    return text
+
 
 # The line that ends the header.
 _END_DEFS = re.compile(r"^[^\S\n]*\$enddefinitions[^\n]*", re.M)
@@ -364,10 +370,7 @@ def load_vcd(
     set, design signals missing from the dump are flagged in the bundle's
     warnings rather than invented.
     """
-    if not text.isascii() or any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e")):
-        # Every other line break str.splitlines() knows becomes "\n", in
-        # one copy of the text, not one string per line.
-        text = text.replace("\r\n", "\n").translate(_LINE_BREAKS)
+    text = _unify_line_breaks(text)
     end_defs = _END_DEFS.search(text)
     header_end, body_start = end_defs.span() if end_defs else (len(text), len(text))
     vars_by_code, start_cycle, seed_id = _read_header(text[:header_end].split("\n"))

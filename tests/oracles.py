@@ -21,17 +21,30 @@ oracle walks the source one character at a time instead of scanning it
 with one pattern; the expression oracle recurses once per precedence level
 and per prefix operator instead of climbing one operator table in a loop;
 the path-condition oracle derives every edge's steps afresh on every path
-instead of once per graph.
+instead of once per graph; the SVA emitter oracle builds each property's
+token list and then places the fillers, instead of writing the sequence
+straight from the steps; the SVA reader oracles cut the text with
+str.splitlines and strip and match each line on its own, and check or read
+every property line in full, instead of reading all lines with one pattern
+and each distinct sequence once.
 """
 
 from __future__ import annotations
 
+import logging
 import re
 
 from itertools import groupby
 from operator import itemgetter
 
-from leakscope.coverage import ConditionStep, PathCondition, StepKind
+from leakscope.coverage import (
+    ConditionStep,
+    PathCondition,
+    StepKind,
+    _delay_cycles,
+    _delay_problem,
+    _split_sva_seq,
+)
 from leakscope.design import DesignHierarchy
 from leakscope.errors import (
     ClockNotFound,
@@ -247,6 +260,127 @@ def oracle_split_sva_seq(seq: str) -> list[str]:
         tokens.append(seq[i:j])
         i = j
     return tokens
+
+
+def oracle_emit_sva(pc: PathCondition, module: str | None = None) -> str:
+    """One property: the steps' tokens first, then a literal-true term
+    before a delay that follows none and at the end after a delay, and
+    `##0` between adjacent booleans. Warns on a path with no steps."""
+    module = module or pc.module
+    tokens = [
+        f"({step.expr})" if step.kind is StepKind.BRANCH else step.kind.value
+        for step in pc.steps
+    ]
+    if not tokens:
+        logging.getLogger(__name__).warning(
+            "path %s in %s has no condition steps; emitting an always-coverable "
+            "property", pc.path_id, module,
+        )
+    seq: list[str] = []
+    expect_bool = True
+    for token in tokens:
+        is_delay = token.startswith("##")
+        if expect_bool and is_delay:
+            seq.append("1'b1")
+        if not expect_bool and not is_delay:
+            seq.append("##0")
+        seq.append(token)
+        expect_bool = is_delay
+    if expect_bool:
+        seq.append("1'b1")
+    comment = " -> ".join(pc.node_ids)
+    return (
+        f"// {comment}\n"
+        f"cp_{module}_{pc.path_id}: cover property (@(posedge clk) {' '.join(seq)});"
+    )
+
+
+def oracle_emit_sva_file(conditions: list[PathCondition], module: str) -> str:
+    header = f"// cover properties for module {module}: {len(conditions)} paths\n"
+    return header + "\n".join(oracle_emit_sva(pc, module) for pc in conditions) + "\n"
+
+
+_ORACLE_SVA_RE = re.compile(
+    r"^(?P<name>[A-Za-z_]\w*)\s*:\s*cover\s+property\s*\(\s*"
+    r"@\(posedge\s+clk\)\s*(?P<seq>.*)\)\s*;\s*$"
+)
+
+
+def oracle_read_properties(text: str):
+    """Yield (line number, name, tokens, problem) per property line, one
+    stripped line of str.splitlines() at a time; blank and comment lines
+    are skipped, and a line outside the subset says why in `problem`."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("//"):
+            continue
+        m = _ORACLE_SVA_RE.match(stripped)
+        if not m:
+            yield lineno, None, None, "not a cover property in the subset"
+            continue
+        try:
+            tokens = _split_sva_seq(m.group("seq"), {})
+        except ValueError as exc:
+            yield lineno, None, None, str(exc)
+            continue
+        yield lineno, m.group("name"), tokens, None
+
+
+def oracle_sva_lint(text: str) -> list[str]:
+    """The problems of SVA text, every property line checked in full."""
+    problems: list[str] = []
+    for lineno, _, tokens, problem in oracle_read_properties(text):
+        if problem:
+            problems.append(f"line {lineno}: {problem}")
+            continue
+        expect_bool = True
+        for token in tokens:
+            is_delay = token.startswith("##")
+            if expect_bool and is_delay:
+                problems.append(f"line {lineno}: delay {token} where a boolean is required")
+                break
+            if not expect_bool and not is_delay:
+                problems.append(f"line {lineno}: adjacent booleans without a delay")
+                break
+            if is_delay:
+                problem = _delay_problem(token)
+                if problem:
+                    problems.append(f"line {lineno}: {problem}")
+                    break
+            else:
+                try:
+                    parse_expression(token)
+                except Exception as exc:
+                    problems.append(f"line {lineno}: unparseable boolean {token!r}: {exc}")
+                    break
+            expect_bool = is_delay
+        else:
+            if expect_bool and tokens:
+                problems.append(f"line {lineno}: sequence ends on a delay")
+    return problems
+
+
+def oracle_parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
+    """(name, steps) per property line, each built afresh; raises
+    ValueError at the first line outside the subset."""
+    out = []
+    for lineno, name, tokens, problem in oracle_read_properties(text):
+        if problem:
+            raise ValueError(f"line {lineno}: {problem}")
+        steps: list[ConditionStep] = []
+        for token in tokens:
+            if token == "##[0:$]":
+                steps.append(ConditionStep(StepKind.EVENTUALLY))
+            elif token.startswith("##"):
+                problem = _delay_problem(token)
+                if problem:
+                    raise ValueError(f"line {lineno}: {problem}")
+                steps += [ConditionStep(StepKind.ONE_CYCLE)] * _delay_cycles(token)
+            else:
+                expr = token[1:-1] if token.startswith("(") else token
+                steps.append(ConditionStep(StepKind.BRANCH, expr=expr))
+        out.append((name, tuple(steps)))
+    return out
 
 
 def trace_evaluator(bundle, path: str):

@@ -690,6 +690,39 @@ def test_deep_expressions_run_through_every_command(tmp_path, expr, expected):
     assert ls.sva_lint(sva.read_text()) == []
 
 
+def test_two_thousand_level_hierarchy_runs_through_every_command(tmp_path):
+    """A chain of 2,000 nested instances, each registering its input and
+    passing it down, gets through parse, graph, sim and coverage: walking
+    the hierarchy needs no Python recursion."""
+    levels = 2000
+    modules = []
+    for k in range(levels):
+        child = f"  m{k + 1} u(.clk(clk), .rst(rst), .a(a));\n" if k + 1 < levels else ""
+        modules.append(
+            f"module m{k}(input clk, input rst, input [3:0] a);\n"
+            f"  reg [3:0] r;\n  always @(posedge clk) r <= a;\n{child}endmodule\n"
+        )
+    src = tmp_path / "chain.hdl"
+    src.write_text("".join(modules))
+    stim = tmp_path / "stim.json"
+    stim.write_text('[{"tag": "a", "data": {"a": 3}, "hold": 1}]')
+    vcd, sva = tmp_path / "chain.vcd", tmp_path / "chain.sva"
+    for argv in (
+        ["parse", str(src)],
+        ["graph", str(src)],
+        ["sim", str(src), "--stim", str(stim), "--vcd", str(vcd)],
+        ["coverage", str(src), "--emit-sva", str(sva)],
+    ):
+        rc, err = _run_quietly(argv)
+        assert (rc, err) == (0, ""), argv
+    text = vcd.read_text()
+    assert text.count("$scope module u $end") == levels - 1
+    assert text.count("$upscope $end") == levels
+    deepest = "m0" + ".u" * (levels - 1)
+    assert 3 in ls.load_vcd(text).trace(deepest).signal_values["r"]
+    assert ls.sva_lint(sva.read_text()) == []
+
+
 def _nested_statements(kind: str, levels: int) -> str:
     """An always @(*) block with `levels` nested bodies inside its own,
     through if bodies, else blocks or case arms; the innermost statement

@@ -1,13 +1,15 @@
 """What the front end and the code generator produce, pinned by digest.
 
-Per design, three SHA-256 digests, one per layer: `codegen` over the
+Per design, four SHA-256 digests, one per layer: `codegen` over the
 source of every generated function (`_module_code` per module,
 `_port_code` per instance), `meg` over every MEG edge with its clauses,
-lines and locs, and `paths` over every enumerated path condition. A
-refactor of the AST, the parser, the MEG builder or codegen must leave
-all of it byte-identical. Regenerate an entry of
-tests/golden/codegen_digests.json only for an intended change to its
-layer, and state the reason where the change is recorded.
+lines and locs, `paths` over every enumerated path condition, and `sva`
+over the emitted cover properties of every module, joined as
+`coverage --emit-sva` joins them. A refactor of the AST, the parser, the
+MEG builder, codegen or SVA emission must leave all of it
+byte-identical. Regenerate an entry of tests/golden/codegen_digests.json
+only for an intended change to its layer, and state the reason where the
+change is recorded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import leakscope as ls
-from leakscope.coverage import path_condition
+from leakscope.coverage import emit_sva_file, path_condition
 from leakscope.meg import build_meg, enumerate_meps
 from leakscope.simulator import _module_code, _port_code
 
@@ -113,8 +115,8 @@ def _design(name: str) -> ls.DesignHierarchy:
 def codegen_digests(h: ls.DesignHierarchy) -> dict[str, str]:
     """Per layer, the SHA-256 of its parts: generated sources, module by
     module in name order, then port maps by instance; MEG edges and path
-    conditions, module by module in name order."""
-    parts: dict[str, list[str]] = {"codegen": [], "meg": [], "paths": []}
+    conditions and SVA files, module by module in name order."""
+    parts: dict[str, list[str]] = {"codegen": [], "meg": [], "paths": [], "sva": []}
     for name in sorted(h.modules):
         m = h.modules[name]
         parts["codegen"].append(repr(_module_code(m)))
@@ -122,7 +124,9 @@ def codegen_digests(h: ls.DesignHierarchy) -> dict[str, str]:
         for key in sorted(g.edges):
             edge = g.edges[key]
             parts["meg"].append(repr((key, edge.clauses, sorted(edge.lines), edge.locs)))
-        parts["paths"] += [repr(path_condition(p, g)) for p in enumerate_meps(g)]
+        conditions = [path_condition(p, g) for p in enumerate_meps(g)]
+        parts["paths"] += map(repr, conditions)
+        parts["sva"].append(emit_sva_file(conditions, name))
     modules = {inst.path: h.modules[inst.module_name] for inst in h.instances}
     for inst in h.instances:
         if inst.decl is not None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import leakscope as ls
 from leakscope.coverage import (
     ConditionStep,
+    PathCondition,
     PathTrie,
     StepKind,
     TraceMasks,
@@ -24,9 +25,13 @@ from leakscope.parser import parse_expression, parse_modules
 from leakscope.simulator import DEFAULT_MAX_CYCLES, TraceBundle
 from leakscope.stimulus import Stimulus, StimulusStep
 from oracles import (
+    oracle_emit_sva,
+    oracle_emit_sva_file,
     oracle_match,
+    oracle_parse_sva,
     oracle_path_condition,
     oracle_split_sva_seq,
+    oracle_sva_lint,
     trace_evaluator,
 )
 from test_sim_differential import _random_module
@@ -481,6 +486,161 @@ def test_sva_reader_agrees_with_char_oracle(seq):
             got = None
         assert got == want
     assert (ls.sva_lint(_prop(seq)) == []) == _oracle_lint_clean(seq)
+
+
+@contextmanager
+def _logged(name: str):
+    """The (level, message) of every record the named logger emits within."""
+    records: list[tuple[int, str]] = []
+    handler = logging.Handler()
+    handler.emit = lambda record: records.append((record.levelno, record.getMessage()))
+    logger = logging.getLogger(name)
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+# A pool of step objects that conditions share, and fresh ones they do not.
+_SHARED_STEPS = [
+    ConditionStep(StepKind.BRANCH, "a", 3),
+    ConditionStep(StepKind.BRANCH, "b || c"),
+    ConditionStep(StepKind.ONE_CYCLE),
+    ConditionStep(StepKind.EVENTUALLY),
+]
+_EMITTED_STEPS = st.one_of(
+    st.sampled_from(_SHARED_STEPS),
+    st.builds(
+        ConditionStep,
+        st.just(StepKind.BRANCH),
+        st.sampled_from(("a", "!a", "(b) && c", "x == 4'd3")),
+        st.one_of(st.none(), st.integers(1, 9)),
+    ),
+    st.builds(ConditionStep, st.sampled_from((StepKind.ONE_CYCLE, StepKind.EVENTUALLY))),
+)
+_CONDITIONS = st.builds(
+    PathCondition,
+    st.text("0123456789abcdef", min_size=1, max_size=8),
+    st.sampled_from(("m", "top_1")),
+    st.lists(st.sampled_from(("in", "u.q", "r", "out")), max_size=4).map(tuple),
+    st.lists(_EMITTED_STEPS, max_size=8).map(tuple),
+)
+
+
+@given(st.lists(_CONDITIONS, max_size=6), st.sampled_from(("m", "other")))
+@example([ls.PathCondition("0", "m", (), ())], "m")
+@example([ls.PathCondition("1", "m", ("a",), tuple(_SHARED_STEPS[2:] + _SHARED_STEPS[:2]))], "m")
+@example(
+    [ls.PathCondition("2", "m", ("a", "b"), (_SHARED_STEPS[0],) * 3 + (_SHARED_STEPS[3],))], "m"
+)
+@settings(max_examples=300, deadline=None)
+def test_emitter_agrees_with_token_list_oracle(conditions, module):
+    # Byte-identical text and the same empty-path warnings, per property
+    # and per file.
+    cases = [(ls.emit_sva, oracle_emit_sva, (pc,)) for pc in conditions]
+    cases.append((ls.emit_sva_file, oracle_emit_sva_file, (conditions, module)))
+    for emit, oracle, args in cases:
+        with _logged("leakscope.coverage") as got_warnings:
+            got = emit(*args)
+        with _logged("oracles") as want_warnings:
+            want = oracle(*args)
+        assert got == want
+        assert got_warnings == want_warnings
+
+
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Whitespace within a line: str.strip() removes it, no line break is it.
+_SPACES = st.text(st.sampled_from(" \t\x1f\xa0\u3000"), max_size=2)
+_GOOD_SEQUENCES = (
+    "(a)", "a ##1 (b)", "1'b1 ##[0:$] (b || c)", "(!a) ##0 (c)", "a ##3 b",
+    "(a) ##[0:$] 1'b1 ##2 (a && !b)", "", "b ##0001 c",
+)
+_BAD_SEQUENCES = (
+    "a # b",  # stray '#'
+    "a ## b",  # a bare '##' is no delay
+    "(a && b ##1 c",  # unbalanced group
+    "##1 a",  # leading delay
+    "a ##10001 b",  # over the cycle bound
+    "a ##" + "9" * 40 + " b",
+    "(a +) ##1 b",  # unparseable boolean
+    "a b",  # adjacent booleans
+    "a ##1",  # ends on a delay
+    "(a ##1 b)",  # delay inside a group
+)
+
+
+@st.composite
+def _property_lines(draw):
+    s = [draw(_SPACES) for _ in range(6)]
+    name = draw(st.sampled_from(("p", "cp_m_0f", "_x1")))
+    seq = draw(st.sampled_from(_GOOD_SEQUENCES + _BAD_SEQUENCES))
+    gap = draw(st.sampled_from((" ", "\t", "  ")))
+    return (
+        f"{s[0]}{name}{s[1]}:{s[2]}cover{gap}property{s[3]}"
+        f"(@(posedge{gap}clk){s[4]}{seq}){s[5]};"
+    )
+
+
+_OTHER_LINES = st.one_of(
+    _SPACES,  # blank
+    _SPACES.map(lambda ws: ws + "// a -> b #"),  # comment
+    st.sampled_from((
+        "cover property bad;",
+        "p: cover property (@(posedge clk) a)",  # no ';'
+        "p: cover property (@(negedge clk) a);",
+        "9p: cover property (@(posedge clk) a);",
+    )),
+)
+
+
+@st.composite
+def _sva_texts(draw):
+    # A few distinct lines, drawn with repeats, so sequences recur.
+    pool = draw(st.lists(_property_lines(), min_size=1, max_size=4))
+    pool += draw(st.lists(_OTHER_LINES, max_size=3))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=12))
+    breaks = [draw(st.sampled_from(_LINE_BREAKS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        breaks[-1] = ""  # the last line ends the text
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(_sva_texts(), st.integers(0, 6).flatmap(
+    lambda n: st.fixed_dictionaries({name: _series(n) for name in _SIGNALS})
+))
+# A bad sequence on two lines is reported on both; an odd line break
+# and trailing whitespace keep the line numbers of str.splitlines.
+@example(
+    "p: cover property (@(posedge clk) a # b);\n" * 2 + "q: cover property (@(posedge clk) a);\n",
+    {"a": [1], "b": [0], "c": [0]},
+)
+@example(
+    "x\r\n\x1ep: cover property (@(posedge clk) a ##1 b) ;\u3000\n",
+    {"a": [1, 0], "b": [0, 1], "c": [0, 0]},
+)
+@settings(max_examples=300, deadline=None)
+def test_sva_text_reader_agrees_with_line_oracle(text, series):
+    # The same lint list with line numbers, the same parse or error, and
+    # on a text that lints clean the replay verdicts of the exhaustive
+    # matcher.
+    problems = ls.sva_lint(text)
+    assert problems == oracle_sva_lint(text)
+    parsed = _parsed_or_error(parse_sva, text)
+    assert parsed == _parsed_or_error(oracle_parse_sva, text)
+    if problems:
+        return
+    bundle = TraceBundle.from_signal_values({"u": series}, {"u": dict.fromkeys(_SIGNALS, 1)}, 0)
+    evaluate = trace_evaluator(bundle, "u")
+    want = {name: oracle_match(steps, evaluate, evaluate.cycles) for name, steps in parsed}
+    assert ls.replay_sva(text, bundle, "u") == want
 
 
 _TRIE_STEPS = st.one_of(

@@ -474,6 +474,43 @@ def test_recursive_instantiation():
         ls.parse_design([("r.hdl", src)], top="a")
 
 
+def _instantiating(name: str, children: list[str]) -> str:
+    ports = "".join(f"  {child} i{j}(.clk(clk), .x(x));\n" for j, child in enumerate(children))
+    return f"module {name}(input clk, input x);\n{ports}endmodule\n"
+
+
+def test_recursive_instantiation_names_the_cycle_from_its_first_module():
+    # A shared module (b, c) is checked once; the cycle is reported from
+    # the first module of it on the instantiation path.
+    src = "".join(_instantiating(name, children) for name, children in (
+        ("top", ["a", "b"]), ("a", ["b", "c"]), ("b", ["c"]), ("c", ["d"]), ("d", ["b"]),
+    ))
+    with pytest.raises(ls.RecursiveInstantiation) as info:
+        ls.parse_design([("r.hdl", src)], top="top")
+    assert str(info.value) == "recursive instantiation: b -> c -> d -> b"
+    assert info.value.cycle == ["b", "c", "d", "b"]
+
+
+def test_instances_are_in_depth_first_preorder():
+    src = "".join(_instantiating(name, children) for name, children in (
+        ("top", ["a", "b", "a"]), ("a", ["b", "c"]), ("b", ["c"]), ("c", []),
+    ))
+    h = ls.parse_design([("r.hdl", src)], top="top")
+    assert [(i.path, i.parent, i.level, i.module_name) for i in h.instances] == [
+        ("top", None, 1, "top"),
+        ("top.i0", "top", 2, "a"),
+        ("top.i0.i0", "top.i0", 3, "b"),
+        ("top.i0.i0.i0", "top.i0.i0", 4, "c"),
+        ("top.i0.i1", "top.i0", 3, "c"),
+        ("top.i1", "top", 2, "b"),
+        ("top.i1.i0", "top.i1", 3, "c"),
+        ("top.i2", "top", 2, "a"),
+        ("top.i2.i0", "top.i2", 3, "b"),
+        ("top.i2.i0.i0", "top.i2.i0", 4, "c"),
+        ("top.i2.i1", "top.i2", 3, "c"),
+    ]
+
+
 def test_port_mismatch():
     src = (
         "module child(input clk, input x);\n"

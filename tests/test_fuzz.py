@@ -295,12 +295,12 @@ def test_repeated_stimulus_adds_nothing(cacheset):
 
     campaign = leakscope.fuzz._Campaign(h, megs, cfg, cacheset.profile, None)
     per_module = campaign.result.coverage.per_module
-    first = leakscope.fuzz._RunMasks(campaign.simulate(stim, "a"))
+    first = campaign.simulate(stim, "a")
     campaign.result.code_items |= campaign.code_items(first)
     campaign.update_path_coverage(first)
     covered = {name: set(m.covered) for name, m in per_module.items()}
     assert campaign.result.code_items and any(covered.values())
-    again = leakscope.fuzz._RunMasks(campaign.simulate(stim, "b"))
+    again = campaign.simulate(stim, "b")
     assert campaign.code_items(again) == set()
     campaign.update_path_coverage(again)
     assert {name: m.covered for name, m in per_module.items()} == covered

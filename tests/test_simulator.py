@@ -481,7 +481,6 @@ def test_quiet_stretch_costs_no_evaluation(serdiv, monkeypatch):
 def test_stored_runs_stay_unchanged_by_every_consumer(serdiv):
     """A quiet stretch is one stored run; no consumer may write through the
     runs, and the digest depends on the values alone, not on the producer."""
-    from leakscope.coverage import TraceMasks
     from leakscope.simulator import TraceBundle
 
     h = serdiv.hierarchy
@@ -508,11 +507,12 @@ def test_stored_runs_stay_unchanged_by_every_consumer(serdiv):
         for inst in h.instances:
             g = megs[inst.module_name]
             conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
-            masks = TraceMasks(run, inst.path)
+            masks = run.masks(inst.path)
             for i in range(len(run.signal_names(inst.path))):
                 masks.toggles(i)
-            ls.match_coverage(run, conditions, g, inst.path, masks=masks)
             ls.match_coverage(run, conditions, g, inst.path)
+            ls.match_coverage(run, conditions, g, inst.path)
+            ls.replay_sva(ls.emit_sva_file(conditions, inst.module_name), run, inst.path)
         rebuilt = TraceBundle.from_signal_values(
             {path: run.trace(path).signal_values for path in run.instances()},
             {path: dict(zip(run.signal_names(path), run.signal_widths(path)))

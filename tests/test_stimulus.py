@@ -62,6 +62,31 @@ def test_validate_against_design(cacheset):
         ls.validate_stimulus(bad, cacheset.hierarchy)
 
 
+def test_simulate_decodes_each_step_once(cacheset, monkeypatch):
+    # validate_stimulus returns the assignments the scheduler drives.
+    import leakscope.stimulus
+
+    tags: list[str] = []
+
+    def counted(tag):
+        tags.append(tag)
+        return parse_tag(tag)
+
+    monkeypatch.setattr(leakscope.stimulus, "parse_tag", counted)
+    stim = Stimulus(steps=(
+        StimulusStep(tag="req=1", data={"addr": 3}, hold=2),
+        StimulusStep(tag="req=0", data={"addr": 3}, hold=1),
+        StimulusStep(tag="req=1", data={"addr": 9}, hold=2),
+    ))
+    bundle = ls.simulate(cacheset.hierarchy, stim)
+    assert tags == ["req=1", "req=0", "req=1"]
+    decoded = ls.validate_stimulus(stim, cacheset.hierarchy)
+    assert decoded == [step.assignments() for step in stim.steps]
+    req = bundle.trace("cacheset").signal_values["req"]
+    start = bundle.start_cycle
+    assert req[start:start + 5] == [1, 1, 0, 1, 1]
+
+
 def test_tags_and_total_hold():
     stim = Stimulus(
         steps=(
