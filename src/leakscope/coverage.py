@@ -16,13 +16,14 @@ covered iff the set is non-empty after the first step.
 All paths of a module are matched together: a `PathTrie` merges their
 step sequences on shared suffixes, and one backward walk of the trie
 evaluates each shared suffix once and drops a subtree as soon as its set
-is empty. A mask is built by one compiled call per trace and expression,
-which reads the whole columns of just the signals the expression names.
-Each run owns one `TraceMasks` per instance (`TraceBundle.masks`), so the
-code-coverage probes, `match_coverage` and `replay_sva` evaluate an
-expression once per run. A fuzz campaign builds its tries from the paths
-not yet covered, so each run is matched only against the pending ones;
-`match_coverage` matches every path it is given.
+is empty. The masks come from the run's own instance trace
+(`TraceBundle.trace`, a `SimulationTrace`), which builds each one by one
+compiled call over the whole columns of just the signals the expression
+names and keeps it, so the code-coverage probes, `match_coverage` and
+`replay_sva` evaluate an expression once per run and instance. A fuzz
+campaign builds its tries from the paths not yet covered, so each run is
+matched only against the pending ones; `match_coverage` matches every
+path it is given.
 
 SVA text is written and read in one pass each. Emission writes each
 property's sequence straight from its steps. Reading splits no line in
@@ -41,12 +42,11 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ExpressionEvalError, PathNotInGraph
+from .errors import PathNotInGraph
 from .meg import Meg, MegEdge, MicroEventPath, NodeKind, mep_id, render_condition
 from .parser import parse_expression
-from .simulator import DEFAULT_MAX_CYCLES, TraceBundle, _ExprCompiler
+from .simulator import DEFAULT_MAX_CYCLES, SimulationTrace, TraceBundle
 from .vcd import _unify_line_breaks
-from .hdl_ast import Expr, expr_signals
 
 log = logging.getLogger(__name__)
 
@@ -356,81 +356,6 @@ def parse_sva(text: str) -> list[tuple[str, tuple[ConditionStep, ...]]]:
 # Matching against traces
 # ---------------------------------------------------------------------------
 
-# Compiled mask builders, one dict per signal layout, keyed by expression;
-# the compiled function takes the per-signal arrays explicitly so one
-# compile serves every trace with the same layout. `TraceMasks` looks up
-# its layout's dict once, so a mask build hashes only the expression.
-_EXPR_CACHE: dict[tuple[tuple[str, int], ...], dict[str, object]] = {}
-
-
-def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
-    """Compile a boolean expression into `fn(sv, n)`, which returns the
-    mask of the n-cycle trace whose per-signal arrays are `sv`: bit t is
-    set iff the expression holds at cycle t. The function walks only the
-    columns the expression reads, all at once, in one comprehension."""
-    try:
-        tree: Expr = parse_expression(expr_text)
-    except Exception as exc:
-        raise ExpressionEvalError(expr_text, 0, f"parse failure: {exc}")
-    index = {name: i for i, (name, _) in enumerate(layout)}
-    read = expr_signals(tree)
-    for name in read:
-        if name not in index:
-            raise ExpressionEvalError(expr_text, 0, f"unknown signal {name!r}")
-    scope = {name: (f"c{j}", layout[index[name]][1]) for j, name in enumerate(read)}
-    src, _ = _ExprCompiler(scope).compile(tree)
-    if not read:
-        loop = "_ in range(n)"
-    elif len(read) == 1:
-        loop = f"c0 in sv[{index[read[0]]}]"
-    else:
-        columns = ", ".join(f"sv[{index[name]}]" for name in read)
-        loop = f"{', '.join(scope[name][0] for name in read)} in zip({columns})"
-    namespace: dict = {}
-    exec(  # noqa: S102
-        f"def fn(sv, n):\n"
-        f"    return int(''.join(['1' if {src} else '0' for {loop}])[::-1] or '0', 2)",
-        namespace,
-    )
-    return namespace["fn"]
-
-
-class TraceMasks:
-    """One instance trace as per-cycle bitmasks: bit t of a mask is set iff
-    its predicate holds at cycle t. Masks are built once per expression
-    and cached, so every coverage consumer pays one pass per trace."""
-
-    def __init__(self, bundle: TraceBundle, instance_path: str):
-        trace = bundle.trace(instance_path)
-        names = bundle.signal_names(instance_path)
-        widths = bundle.signal_widths(instance_path)
-        self.layout = tuple(zip(names, widths))
-        self._compiled = _EXPR_CACHE.setdefault(self.layout, {})
-        self.sv = [trace.signal_values[name] for name in names]
-        self.cycles = trace.cycles
-        self.all = (1 << self.cycles) - 1
-        self._masks: dict[str, int] = {}
-        self._toggles: dict[int, int] = {}
-
-    def mask(self, expr_text: str) -> int:
-        m = self._masks.get(expr_text)
-        if m is None:
-            fn = self._compiled.get(expr_text)
-            if fn is None:
-                fn = self._compiled[expr_text] = compile_trace_expr(expr_text, self.layout)
-            m = self._masks[expr_text] = fn(self.sv, self.cycles)
-        return m
-
-    def toggles(self, i: int) -> int:
-        """Cycles t >= 1 at which signal i differs from cycle t - 1."""
-        m = self._toggles.get(i)
-        if m is None:
-            series = self.sv[i]
-            bits = "".join(["1" if a != b else "0" for a, b in zip(series[1:], series)])
-            m = self._toggles[i] = int(bits[::-1] or "0", 2) << 1
-        return m
-
-
 class PathTrie:
     """Condition step sequences of many paths, merged on shared suffixes.
 
@@ -463,7 +388,7 @@ class PathTrie:
     def __len__(self) -> int:
         return self._paths
 
-    def covered(self, masks: TraceMasks) -> set:
+    def covered(self, trace: SimulationTrace) -> set:
         """Keys of the paths for which some start cycle of the trace admits
         an alignment of all steps.
 
@@ -476,12 +401,12 @@ class PathTrie:
         with no steps is covered iff the trace has cycles.
         """
         hit: set = set()
-        if not masks.all:
+        if not trace.all:
             return hit
         hit.update(self._root[2])
-        mask = masks.mask
+        mask = trace.mask
         branch, one_cycle = StepKind.BRANCH, StepKind.ONE_CYCLE
-        stack = [(self._root[1], masks.all)]
+        stack = [(self._root[1], trace.all)]
         while stack:
             children, r = stack.pop()
             for step, grandchildren, keys in children.values():
@@ -549,13 +474,13 @@ def match_coverage(
 
     `conditions` are the module's path conditions, or a `PathTrie` of them
     keyed by path id, so a caller that matches many runs builds the trie
-    once. Expressions are evaluated on the run's own masks
-    (`TraceBundle.masks`), which every coverage consumer of the run shares.
+    once. Expressions are evaluated on the run's own instance trace
+    (`bundle.trace`), whose masks every coverage consumer of the run shares.
     """
     if not isinstance(conditions, PathTrie):
         conditions = PathTrie((pc.path_id, pc.steps) for pc in conditions)
     return ModuleCoverage(
-        g.module_name, len(conditions), conditions.covered(bundle.masks(instance_path)), truncated
+        g.module_name, len(conditions), conditions.covered(bundle.trace(instance_path)), truncated
     )
 
 
@@ -569,5 +494,5 @@ def replay_sva(
     """
     properties = parse_sva(sva_text)
     distinct = {id(steps): steps for _, steps in properties}
-    covered = PathTrie(distinct.items()).covered(bundle.masks(instance_path))
+    covered = PathTrie(distinct.items()).covered(bundle.trace(instance_path))
     return {name: id(steps) in covered for name, steps in properties}

@@ -40,7 +40,6 @@ from .coverage import (
     CoverageReport,
     ModuleCoverage,
     PathTrie,
-    TraceMasks,
     match_coverage,
     path_condition,
 )
@@ -50,7 +49,7 @@ from .errors import LeakscopeError, NoDivergence
 from .hdl_ast import SignalKind
 from .leakage import LeakageFinding, analyze
 from .meg import Meg, enumerate_meps, render_condition
-from .simulator import TraceBundle, compile_design, simulate
+from .simulator import SimulationTrace, TraceBundle, compile_design, simulate
 from .stimulus import Stimulus, StimulusStep
 
 log = logging.getLogger(__name__)
@@ -230,22 +229,22 @@ class CoverageProbes:
             )
 
     def covered_items(
-        self, masks: TraceMasks, skip: AbstractSet[str] = frozenset()
+        self, trace: SimulationTrace, skip: AbstractSet[str] = frozenset()
     ) -> set[str]:
-        """Items observed on one instance trace, given as its masks. Items
-        in `skip` (already covered) are neither evaluated nor reported."""
-        index = {name: i for i, (name, _) in enumerate(masks.layout)}
+        """Items observed on one instance trace. Items in `skip` (already
+        covered) are neither evaluated nor reported."""
+        index = {name: i for i, name in enumerate(trace.names)}
         items = {
             item for item, expr in self.branches
-            if item not in skip and masks.mask(expr)
+            if item not in skip and trace.mask(expr)
         }
         for item, src, dst, cond, clocked in self.edges:
             if item in skip or dst not in index:
                 continue
-            fired = masks.toggles(index[dst])
+            fired = trace.toggles(index[dst])
             if fired and cond is not None:
                 # A clocked destination toggles one cycle after its guard held.
-                guard = masks.mask(cond)
+                guard = trace.mask(cond)
                 fired &= guard << 1 if clocked else guard
             if fired:
                 items.add(item)
@@ -295,9 +294,7 @@ class _Campaign:
             self.result.coverage.add(
                 ModuleCoverage(name, len(self.conditions[name]), set(), meps.truncated)
             )
-        self.pool: list[Seed] = []
         self._diagnosed: set[tuple[str, str, str]] = set()
-        self._finding_keys: set[tuple[str, tuple[str, str]]] = set()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -311,7 +308,7 @@ class _Campaign:
         for module, paths in self.instances_by_module.items():
             probe = self.probes[module]
             for path in paths:
-                items |= probe.covered_items(bundle.masks(path), covered)
+                items |= probe.covered_items(bundle.trace(path), covered)
         return items
 
     def update_path_coverage(self, bundle: TraceBundle) -> None:
@@ -345,8 +342,8 @@ class _Campaign:
         while misses < EXPLORE_GIVE_UP:
             if self.corpus:
                 candidate = self.corpus.pop(0)
-            elif self.pool and self.rng.random() < 0.75:
-                base = self.rng.choice(self.pool).stimulus
+            elif self.result.seeds and self.rng.random() < 0.75:
+                base = self.rng.choice(self.result.seeds).stimulus
                 candidate = structural_mutate(
                     base, self.rng, tags=self.profile.tags, widths=self.widths
                 )
@@ -363,7 +360,6 @@ class _Campaign:
             self.result.code_items |= new
             seed = Seed(id=run_id, stimulus=candidate, new_coverage=frozenset(new))
             self.result.seeds.append(seed)
-            self.pool.append(seed)
             self.update_path_coverage(bundle)
             admitted.append((seed, bundle))
         return admitted
@@ -385,15 +381,7 @@ class _Campaign:
         # One mutant's run at a time: simulation reads no campaign state.
         for j, stim in enumerate(batch.mutants):
             bundle = self.simulate(stim, f"{seed.id}.m{j}")
-            findings = analyze([(seed_bundle, bundle)], self.h)
-            for finding in findings:
-                key = (
-                    finding.instance_path,
-                    tuple(sorted((finding.run_a, finding.run_b))),
-                )
-                if key in self._finding_keys:
-                    continue
-                self._finding_keys.add(key)
+            for finding in analyze([(seed_bundle, bundle)], self.h):
                 self.result.findings.append(finding)
                 new_findings += 1
                 if finding.first_leaky_level:
@@ -405,7 +393,6 @@ class _Campaign:
                     id=bundle.seed_id, stimulus=stim, new_coverage=frozenset(new_items)
                 )
                 self.result.seeds.append(follow_on)
-                self.pool.append(follow_on)
                 admitted.append((follow_on, bundle))
             self.update_path_coverage(bundle)
         return new_findings, admitted

@@ -26,7 +26,6 @@ from .hdl_ast import (
     ContinuousAssign,
     If,
     ModuleAst,
-    Ref,
     SignalKind,
     SourceLoc,
     expr_signals,
@@ -128,8 +127,10 @@ def _clocked_signals(m: ModuleAst) -> set[str]:
     return clocked
 
 
-def build_meg(m: ModuleAst) -> Meg:
-    """Extract the micro-event graph of one parsed module."""
+def build_meg(m: ModuleAst, modules: dict[str, ModuleAst]) -> Meg:
+    """Extract the micro-event graph of one parsed module; `modules` holds
+    the linked design's modules, whose ports give each instance binding
+    its direction."""
     g = Meg(module_name=m.name)
     clocked = _clocked_signals(m)
 
@@ -206,15 +207,14 @@ def build_meg(m: ModuleAst) -> Meg:
         elif isinstance(item, AlwaysBlock):
             walk(item.body, [])
 
-    # Sub-instance ports: inputs feed the instance node, outputs leave it.
+    # Sub-instance ports: inputs feed the instance node, outputs leave it,
+    # as the child declares them.
     for inst in m.instances:
+        kinds = {port.name: port.kind for port in modules[inst.module_name].ports}
         for formal, actual in inst.port_map:
             if formal == CLOCK_NAME:
                 continue
-            # A plain-Ref actual naming a wire that nothing in this module
-            # drives can only be an instance output; everything else feeds
-            # the instance. The linker enforces the directions for real.
-            if isinstance(actual, Ref) and _is_instance_output(m, actual.name):
+            if kinds[formal] is SignalKind.OUTPUT:
                 note(inst.instance_name, actual.name, (), inst.loc)
             else:
                 for s in expr_signals(actual):
@@ -227,24 +227,8 @@ def build_meg(m: ModuleAst) -> Meg:
     return g
 
 
-def _is_instance_output(m: ModuleAst, signal: str) -> bool:
-    """True when `signal` is a wire with no driver inside this module.
-
-    Port directions of the child module are not visible here (build_meg is
-    per-module); an undriven wire bound as a plain actual is treated as
-    instance-driven, which is exactly the legal use the linker enforces.
-    """
-    decl = m.signal(signal)
-    if decl.is_reg or decl.kind is SignalKind.INPUT:
-        return False
-    for item in m.items:
-        if isinstance(item, ContinuousAssign) and item.dest == signal:
-            return False
-    return True
-
-
 def build_megs(modules: dict[str, ModuleAst]) -> dict[str, Meg]:
-    return {name: build_meg(m) for name, m in sorted(modules.items())}
+    return {name: build_meg(m, modules) for name, m in sorted(modules.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +272,8 @@ class MepResult:
 
 
 def enumerate_meps(g: Meg, max_paths: int = 10_000, max_len: int = 64) -> MepResult:
-    """All simple input-to-output paths, DFS order with sorted adjacency.
+    """All simple input-to-output paths, DFS order with sorted adjacency,
+    walked with an explicit stack, so a path may be as long as the graph.
 
     Self-edges are skipped. Enumeration stops after `max_paths` results
     (result flagged truncated); paths longer than `max_len` edges are not
@@ -304,33 +289,28 @@ def enumerate_meps(g: Meg, max_paths: int = 10_000, max_len: int = 64) -> MepRes
 
     inputs = sorted(n.id for n in g.nodes_of_kind(NodeKind.INPUT))
     result = MepResult(paths=[], truncated=False)
-    path: list[MegEdge] = []
-    visited: set[str] = set()
-
-    def dfs(node: str) -> bool:
-        if path and g.nodes[node].kind is NodeKind.OUTPUT:
-            result.paths.append(MicroEventPath(tuple(path)))
-            if len(result.paths) >= max_paths:
-                result.truncated = True
-                return False
-        if len(path) >= max_len:
-            return True
-        for edge in adjacency.get(node, ()):
-            if edge.dst in visited:
-                continue
-            visited.add(edge.dst)
-            path.append(edge)
-            alive = dfs(edge.dst)
-            path.pop()
-            visited.remove(edge.dst)
-            if not alive:
-                return False
-        return True
-
+    output = NodeKind.OUTPUT
     for start in inputs:
+        # One iterator of unexplored out-edges per node on the path; a node
+        # `max_len` edges from the start gets none.
+        path: list[MegEdge] = []
         visited = {start}
-        if not dfs(start):
-            break
+        stack = [iter(adjacency.get(start, ()) if max_len > 0 else ())]
+        while stack:
+            edge = next(stack[-1], None)
+            if edge is None:
+                stack.pop()
+                if path:
+                    visited.remove(path.pop().dst)
+            elif edge.dst not in visited:
+                visited.add(edge.dst)
+                path.append(edge)
+                if g.nodes[edge.dst].kind is output:
+                    result.paths.append(MicroEventPath(tuple(path)))
+                    if len(result.paths) >= max_paths:
+                        result.truncated = True
+                        return result
+                stack.append(iter(adjacency.get(edge.dst, ()) if len(path) < max_len else ()))
     return result
 
 

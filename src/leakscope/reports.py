@@ -240,7 +240,8 @@ class _SourceQuoter:
             if hashlib.sha256(text.encode()).hexdigest() != digest:
                 self._stale.add(name)
                 continue
-            self._lines[name] = text.splitlines()
+            # Lines as the lexer counts them: only "\n" ends one.
+            self._lines[name] = text.split("\n")
 
     def quote(self, file: str, line: int) -> str | None:
         name = Path(file).name

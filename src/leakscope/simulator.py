@@ -29,6 +29,14 @@ write that settles to exactly the previous row is a fixed point of the
 clock step, so every later cycle up to the next input write repeats that
 row without evaluating anything: the quiet stretch only advances the cycle
 count, up to that write, the quiescence stop or max_cycles.
+
+One instance's view of a run (`TraceBundle.trace`, a `SimulationTrace`)
+is also the run's coverage evaluator: `mask(expr)` is the set of cycles
+at which a boolean holds, as the bits of an int, and `toggles(i)` the
+cycles at which a signal changes. The expression compiler that generates
+the design's code also compiles each mask function (`compile_trace_expr`),
+once per signal layout and expression; the trace keeps each mask it
+builds, so every coverage consumer of the run shares it.
 """
 
 from __future__ import annotations
@@ -42,10 +50,15 @@ from functools import cache, cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, ne
 from types import CodeType, FunctionType
-from typing import TYPE_CHECKING
 
 from .design import DesignHierarchy
-from .errors import CombinationalLoop, LeakscopeError, SimulationLimitError, UnknownInstance
+from .errors import (
+    CombinationalLoop,
+    ExpressionEvalError,
+    LeakscopeError,
+    SimulationLimitError,
+    UnknownInstance,
+)
 from .hdl_ast import (
     AlwaysBlock,
     AlwaysTrigger,
@@ -65,13 +78,11 @@ from .hdl_ast import (
     SourceLoc,
     Ternary,
     Unary,
+    expr_signals,
     fold,
 )
-from .parser import CLOCK_NAME, RESET_NAME
+from .parser import CLOCK_NAME, RESET_NAME, parse_expression
 from .stimulus import Stimulus, validate_stimulus
-
-if TYPE_CHECKING:
-    from .coverage import TraceMasks
 
 SETTLE_LIMIT = 1000
 DEFAULT_QUIESCENCE = 8
@@ -189,6 +200,45 @@ class _ExprCompiler:
         name = f"x{len(self.spilled)}"
         self.spilled.append(f"{name} := {src}")
         return name, width, 0
+
+
+# Compiled mask builders, one dict per signal layout, keyed by expression;
+# the compiled function takes the per-signal arrays explicitly so one
+# compile serves every trace with the same layout. A trace looks up its
+# layout's dict once, so a mask build hashes only the expression.
+_EXPR_CACHE: dict[tuple[tuple[str, int], ...], dict[str, object]] = {}
+
+
+def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
+    """Compile a boolean expression into `fn(sv, n)`, which returns the
+    mask of the n-cycle trace whose per-signal arrays are `sv`: bit t is
+    set iff the expression holds at cycle t. The function walks only the
+    columns the expression reads, all at once, in one comprehension."""
+    try:
+        tree: Expr = parse_expression(expr_text)
+    except Exception as exc:
+        raise ExpressionEvalError(expr_text, 0, f"parse failure: {exc}")
+    index = {name: i for i, (name, _) in enumerate(layout)}
+    read = expr_signals(tree)
+    for name in read:
+        if name not in index:
+            raise ExpressionEvalError(expr_text, 0, f"unknown signal {name!r}")
+    scope = {name: (f"c{j}", layout[index[name]][1]) for j, name in enumerate(read)}
+    src, _ = _ExprCompiler(scope).compile(tree)
+    if not read:
+        loop = "_ in range(n)"
+    elif len(read) == 1:
+        loop = f"c0 in sv[{index[read[0]]}]"
+    else:
+        columns = ", ".join(f"sv[{index[name]}]" for name in read)
+        loop = f"{', '.join(scope[name][0] for name in read)} in zip({columns})"
+    namespace: dict = {}
+    exec(  # noqa: S102
+        f"def fn(sv, n):\n"
+        f"    return int(''.join(['1' if {src} else '0' for {loop}])[::-1] or '0', 2)",
+        namespace,
+    )
+    return namespace["fn"]
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +483,70 @@ def _port_code(parent: ModuleAst, child: ModuleAst, decl: InstanceDecl) -> list[
 class SimulationTrace:
     """One instance's view of a bundle's runs: the instance holds
     `values[k]`, in the order of `names`, from cycle `starts[k]` up to the
-    next start, or to `cycles`; no two consecutive runs hold equal values."""
+    next start, or to `cycles`; no two consecutive runs hold equal values.
+
+    The trace is also the run's coverage evaluator: bit t of a mask is set
+    iff its predicate holds at cycle t. Masks are built once per
+    expression and kept, so every coverage consumer of the run (the
+    fuzzer's probes, `match_coverage`, `replay_sva`) pays one pass."""
 
     instance_path: str
     names: list[str]
+    widths: list[int]
     starts: list[int]
     values: list[list[int]]
     cycles: int
+    _masks: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _toggles: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def signal_values(self) -> dict[str, list[int]]:
-        """Each signal's value at every cycle, expanded on first use: one
-        C-level gather repeats each run's values over its run, and zip
-        transposes."""
+    def _columns(self) -> list[list[int]]:
+        """Each signal's value at every cycle, in the order of `names`,
+        expanded on first use: one C-level gather repeats each run's
+        values over its run, and zip transposes."""
         run_of = [0] * self.cycles
         for start in islice(self.starts, 1, None):
             run_of[start] = 1
         # A single index would make itemgetter return the bare entry.
         gather = itemgetter(*accumulate(run_of)) if self.cycles > 1 else tuple
         columns = zip(*gather(self.values)) if self.cycles else repeat(())
-        return {name: list(column) for name, column in zip(self.names, columns)}
+        return [list(column) for _, column in zip(self.names, columns)]
+
+    @cached_property
+    def signal_values(self) -> dict[str, list[int]]:
+        """Each signal's value at every cycle, by name."""
+        return dict(zip(self.names, self._columns))
+
+    @cached_property
+    def all(self) -> int:
+        """The mask of every recorded cycle."""
+        return (1 << self.cycles) - 1
+
+    @cached_property
+    def _compiled(self) -> dict[str, object]:
+        """The compiled mask functions of this trace's layout, shared with
+        every trace of the same layout; keyed only once a mask is asked
+        for, since most traces are never masked."""
+        return _EXPR_CACHE.setdefault(tuple(zip(self.names, self.widths)), {})
+
+    def mask(self, expr_text: str) -> int:
+        m = self._masks.get(expr_text)
+        if m is None:
+            fn = self._compiled.get(expr_text)
+            if fn is None:
+                layout = tuple(zip(self.names, self.widths))
+                fn = self._compiled[expr_text] = compile_trace_expr(expr_text, layout)
+            m = self._masks[expr_text] = fn(self._columns, self.cycles)
+        return m
+
+    def toggles(self, i: int) -> int:
+        """Cycles t >= 1 at which signal i differs from cycle t - 1."""
+        m = self._toggles.get(i)
+        if m is None:
+            series = self._columns[i]
+            bits = "".join(["1" if a != b else "0" for a, b in zip(series[1:], series)])
+            m = self._toggles[i] = int(bits[::-1] or "0", 2) << 1
+        return m
 
 
 class TraceBundle:
@@ -480,7 +574,6 @@ class TraceBundle:
         self.cycles = cycles
         self._layouts = layouts
         self._traces: dict[str, SimulationTrace] = {}
-        self._masks: dict[str, TraceMasks] = {}
         self.start_cycle = start_cycle
         self.stimulus = stimulus
         self.seed_id = seed_id
@@ -508,23 +601,13 @@ class TraceBundle:
         cached = self._traces.get(path)
         if cached is not None:
             return cached
-        lo, hi, names, _ = self._require(path)
+        lo, hi, names, widths = self._require(path)
         parts = list(map(itemgetter(slice(lo, hi)), self._rows))
         new = [True, *map(ne, islice(parts, 1, None), parts)]
         starts, values = list(compress(self._starts, new)), list(compress(parts, new))
-        trace = SimulationTrace(path, list(names), starts, values, self.cycles)
+        trace = SimulationTrace(path, list(names), list(widths), starts, values, self.cycles)
         self._traces[path] = trace
         return trace
-
-    def masks(self, path: str) -> TraceMasks:
-        """The instance's trace as per-cycle bitmasks, built on first use,
-        so every coverage consumer of the run evaluates an expression once."""
-        masks = self._masks.get(path)
-        if masks is None:
-            from .coverage import TraceMasks  # coverage imports this module
-
-            masks = self._masks[path] = TraceMasks(self, path)
-        return masks
 
     def last_toggle_at_or_after(self, path: str, start: int) -> int | None:
         """The last cycle c >= start, c >= 1, at which the instance differs

@@ -3,8 +3,9 @@
 Each oracle re-derives a result by a deliberately different route than the
 implementation: the edge oracle walks statements with explicit condition
 accumulation and real port directions; the path oracle extends node
-sequences over all candidate nodes and filters by edge existence; the
-alignment oracle tries every start cycle and every Eventually advance with
+sequences over all candidate nodes and filters by edge existence, and
+the path enumeration oracle recurses once per node on the path instead of
+walking an explicit stack; the alignment oracle tries every start cycle and every Eventually advance with
 no memoization or ordering heuristics; the trace evaluator interprets
 expression ASTs with the reference simulator's evaluator, one cycle at a
 time, instead of compiling them into per-trace bitmasks; the SVA sequence
@@ -72,7 +73,7 @@ from leakscope.hdl_ast import (
     expr_signals,
 )
 from leakscope.lexer import _KEYWORDS, _REJECTED_KEYWORDS, T, Token, parse_number
-from leakscope.meg import Meg, MicroEventPath, NodeKind, render_condition
+from leakscope.meg import Meg, MegEdge, MepResult, MicroEventPath, NodeKind, render_condition
 from leakscope.parser import CLOCK_NAME, _Parser, parse_expression
 from leakscope.simulator import TraceBundle
 from leakscope.vcd import MAX_VCD_WIDTH
@@ -163,6 +164,49 @@ def oracle_simple_paths(
     for start in input_nodes:
         extend([start])
     return found
+
+
+def oracle_enumerate_meps(g: Meg, max_paths: int = 10_000, max_len: int = 64) -> MepResult:
+    """`enumerate_meps` as it was written before it walked with an explicit
+    stack: one recursive call per node on the path."""
+    adjacency: dict[str, list[MegEdge]] = {}
+    for (src, dst), edge in g.edges.items():
+        if src == dst:
+            continue
+        adjacency.setdefault(src, []).append(edge)
+    for edges in adjacency.values():
+        edges.sort(key=lambda e: e.dst)
+
+    inputs = sorted(n.id for n in g.nodes_of_kind(NodeKind.INPUT))
+    result = MepResult(paths=[], truncated=False)
+    path: list[MegEdge] = []
+    visited: set[str] = set()
+
+    def dfs(node: str) -> bool:
+        if path and g.nodes[node].kind is NodeKind.OUTPUT:
+            result.paths.append(MicroEventPath(tuple(path)))
+            if len(result.paths) >= max_paths:
+                result.truncated = True
+                return False
+        if len(path) >= max_len:
+            return True
+        for edge in adjacency.get(node, ()):
+            if edge.dst in visited:
+                continue
+            visited.add(edge.dst)
+            path.append(edge)
+            alive = dfs(edge.dst)
+            path.pop()
+            visited.remove(edge.dst)
+            if not alive:
+                return False
+        return True
+
+    for start in inputs:
+        visited = {start}
+        if not dfs(start):
+            break
+    return result
 
 
 def oracle_path_condition(p: MicroEventPath, g: Meg) -> PathCondition:

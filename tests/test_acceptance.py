@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import leakscope as ls
-from leakscope.coverage import PathTrie, TraceMasks
+from leakscope.coverage import PathTrie
 from leakscope.reports import (
     campaign_json,
     coverage_report_json,
@@ -54,7 +54,7 @@ def test_c01_case_study_latencies(cacheset):
 
 def test_c02_case_study_meps(cacheset):
     started = time.monotonic()
-    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"])
+    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"], cacheset.hierarchy.modules)
     seqs = {p.node_ids for p in ls.enumerate_meps(g).paths}
     hit = ("addr", "tag_addr", "way")
     miss = ("addr", "tag_addr", "hit", "fetch", "mem_call", "complete", "way")
@@ -70,7 +70,7 @@ def test_c02_case_study_meps(cacheset):
 def test_c03_localization_golden(cacheset, cacheset_runs):
     started = time.monotonic()
     golden = json.loads((GOLDEN / "cacheset_diagnosis.json").read_text())
-    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"])
+    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"], cacheset.hierarchy.modules)
     hit = cacheset_runs["hit"]
     miss = cacheset_runs["miss_free"]
     diag = ls.diagnose(hit.trace("cacheset"), miss.trace("cacheset"), g)
@@ -162,7 +162,7 @@ def test_c06_meg_edge_oracle(cacheset, cacheset_multiway, serdiv, ct_alu):
     for dut in (cacheset, cacheset_multiway, serdiv, ct_alu):
         h = dut.hierarchy
         for name in h.modules:
-            g = ls.build_meg(h.modules[name])
+            g = ls.build_meg(h.modules[name], h.modules)
             got = {(e.src, e.dst, e.lines) for e in g.edges.values()}
             want = oracle_edges(h, name)
             assert got == want, name
@@ -227,7 +227,7 @@ def test_c08_coverage_matching_oracle(serdiv):
             bundle = ls.simulate(
                 design, _stim("start=1", {"dividend": dividend, "divisor": divisor})
             )
-            covered = trie.covered(TraceMasks(bundle, "serdiv.div"))
+            covered = trie.covered(bundle.trace("serdiv.div"))
             evaluate = trace_evaluator(bundle, "serdiv.div")
             for pc in conditions:
                 got = pc.path_id in covered

@@ -438,18 +438,26 @@ def test_coverage_credits_only_instances_of_the_module(tmp_path, capsys):
 
 
 _GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "campaign_digests.json"
+# The human-readable artifacts of the same campaigns (summary, CSV and one
+# DOT file per module), kept apart: every BENCH_*.json must equal its
+# campaign_digests.json entry.
+_REPORT_DIGESTS = Path(__file__).parent / "golden" / "report_digests.json"
 
 
 @pytest.mark.parametrize("dut", sorted(json.loads(_GOLDEN_DIGESTS.read_text())))
 def test_campaign_artifacts_match_golden_digests(tmp_path, dut):
     # The behaviour contract: a seed-42 campaign writes these exact bytes.
     want = json.loads(_GOLDEN_DIGESTS.read_text())[dut]
+    reports = json.loads(_REPORT_DIGESTS.read_text())[dut]
     outdir = tmp_path / dut
     assert main(["fuzz", "--dut", dut, "--seed", "42", "--out", str(outdir)]) == 0
-    got = {
-        name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in want
-    }
-    assert got == want
+
+    def digests(names):
+        return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in names}
+
+    assert digests(want) == want
+    assert {p.name for p in outdir.glob("*.dot")} <= set(reports)
+    assert digests(reports) == reports
 
 
 def test_fuzz_fail_on_finding_exit_3(tmp_path):
@@ -721,6 +729,42 @@ def test_two_thousand_level_hierarchy_runs_through_every_command(tmp_path):
     deepest = "m0" + ".u" * (levels - 1)
     assert 3 in ls.load_vcd(text).trace(deepest).signal_values["r"]
     assert ls.sva_lint(sva.read_text()) == []
+
+
+def test_graph_meps_lists_a_path_through_two_instances(tmp_path, capsys):
+    """A wire from one instance's output to another's input carries the
+    path on, in the direction the child module declares."""
+    src = tmp_path / "wire.hdl"
+    src.write_text(
+        "module leaf(input a, output y);\n  assign y = a;\nendmodule\n"
+        "module top(input clk, input rst, input i, output o);\n  wire w;\n"
+        "  leaf u1(.a(i), .y(w));\n  leaf u2(.a(w), .y(o));\nendmodule\n"
+    )
+    assert main(["graph", str(src), "--top", "top", "--module", "top", "--meps"]) == 0
+    out = capsys.readouterr().out
+    assert "  1 micro-event paths\n    i -> u1 -> w -> u2 -> o\n" in out
+
+
+def test_thousand_wire_path_runs_through_graph_and_coverage(tmp_path):
+    """`assign w0 = w1; … assign w1000 = a;` has one 1,002-edge path, which
+    `graph --meps` and `coverage --emit-sva` walk without Python recursion
+    once --max-len admits it."""
+    lines = ["module chain(input clk, input rst, input a, output y);"]
+    lines += [f"  wire w{k};" for k in range(1001)]
+    lines += [f"  assign w{k} = w{k + 1};" for k in range(1000)]
+    lines += ["  assign w1000 = a;", "  assign y = w0;", "endmodule", ""]
+    src = tmp_path / "chain.hdl"
+    src.write_text("\n".join(lines))
+    sva = tmp_path / "chain.sva"
+    for argv in (
+        ["graph", str(src), "--meps", "--max-len", "2000"],
+        ["coverage", str(src), "--max-len", "2000", "--emit-sva", str(sva)],
+    ):
+        rc, err = _run_quietly(argv)
+        assert (rc, err) == (0, ""), argv
+    text = sva.read_text()
+    assert text.count("cover property") == 1 and text.count(" -> ") == 1002
+    assert ls.sva_lint(text) == []
 
 
 def _nested_statements(kind: str, levels: int) -> str:

@@ -120,7 +120,7 @@ def codegen_digests(h: ls.DesignHierarchy) -> dict[str, str]:
     for name in sorted(h.modules):
         m = h.modules[name]
         parts["codegen"].append(repr(_module_code(m)))
-        g = build_meg(m)
+        g = build_meg(m, h.modules)
         for key in sorted(g.edges):
             edge = g.edges[key]
             parts["meg"].append(repr((key, edge.clauses, sorted(edge.lines), edge.locs)))

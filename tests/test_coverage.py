@@ -16,7 +16,6 @@ from leakscope.coverage import (
     PathCondition,
     PathTrie,
     StepKind,
-    TraceMasks,
     _split_sva_seq,
     parse_sva,
 )
@@ -41,14 +40,14 @@ def _stim(tag, data, hold=2):
     return Stimulus(steps=(StimulusStep(tag=tag, data=data, hold=hold),))
 
 
-def _covers(steps, masks) -> bool:
+def _covers(steps, trace) -> bool:
     """The verdict on one path, through a one-path trie."""
-    return PathTrie([("p", steps)]).covered(masks) == {"p"}
+    return PathTrie([("p", steps)]).covered(trace) == {"p"}
 
 
 @pytest.fixture(scope="module")
 def cacheset_paths(cacheset):
-    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"])
+    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"], cacheset.hierarchy.modules)
     hit = ls.find_mep(g, ("addr", "tag_addr", "way"))
     miss = ls.find_mep(
         g, ("addr", "tag_addr", "hit", "fetch", "mem_call", "complete", "way")
@@ -68,7 +67,7 @@ def test_single_unconditional_comb_edge_is_eventually_only():
     h = ls.parse_design(
         [("t.hdl", "module t(input clk, input x, output y);\n  assign y = x;\nendmodule")]
     )
-    g = ls.build_meg(h.modules["t"])
+    g = ls.build_meg(h.modules["t"], h.modules)
     pc = ls.path_condition(ls.find_mep(g, ("x", "y")), g)
     assert [s.kind for s in pc.steps] == [StepKind.EVENTUALLY]
 
@@ -84,27 +83,35 @@ def test_miss_path_has_instance_eventually(cacheset_paths):
 
 def test_path_not_in_graph(cacheset_paths, serdiv):
     g, hit, _ = cacheset_paths
-    other = ls.build_meg(serdiv.hierarchy.modules["divider"])
+    other = ls.build_meg(serdiv.hierarchy.modules["divider"], serdiv.hierarchy.modules)
     with pytest.raises(ls.PathNotInGraph):
         ls.path_condition(hit, other)
 
 
 def _seeded_modules(count: int):
+    """Seeded random modules, each with the modules its instances name (an
+    instanced one names `leafmod`, whose ports are those of every module)."""
+    (leaf,) = parse_modules(_random_module(random.Random(0), "leafmod", False), "leafmod.hdl")
     rng = random.Random(1107)
     for k in range(count):
         text = _random_module(rng, f"rnd{k}", with_instance=k % 2 == 1)
-        yield from parse_modules(text, f"rnd{k}.hdl")
+        for m in parse_modules(text, f"rnd{k}.hdl"):
+            yield m, {leaf.name: leaf, m.name: m}
 
 
 def test_path_condition_matches_oracle():
     """Every path of every bundled DUT and of seeded random modules, on a
     cold and a warm cache, and across two graphs built from one module,
     whose edges are equal but not the same objects."""
-    modules = [m for name in ls.dut_names() for m in ls.load_dut(name).hierarchy.modules.values()]
+    modules = [
+        (m, dut.hierarchy.modules)
+        for dut in map(ls.load_dut, ls.dut_names())
+        for m in dut.hierarchy.modules.values()
+    ]
     modules += _seeded_modules(20)
     checked = 0
-    for m in modules:
-        g, twin = ls.build_meg(m), ls.build_meg(m)
+    for m, design in modules:
+        g, twin = ls.build_meg(m, design), ls.build_meg(m, design)
         paths = ls.enumerate_meps(g).paths
         want = [oracle_path_condition(p, g) for p in paths]
         assert [ls.path_condition(p, g) for p in paths] == want, m.name
@@ -132,7 +139,7 @@ def test_path_condition_checks_every_edge_against_its_graph(cacheset, cacheset_p
     assert ls.path_condition(copy, g) == oracle_path_condition(hit, g)
 
     # An edge of another module's graph, after edges that g accepts.
-    other = ls.build_meg(serdiv.hierarchy.modules["divider"])
+    other = ls.build_meg(serdiv.hierarchy.modules["divider"], serdiv.hierarchy.modules)
     both_raise(MicroEventPath(miss.edges[:2] + (next(iter(other.edges.values())),)), g)
 
     # A graph of the same module whose edge on hit's branch differs.
@@ -146,7 +153,7 @@ def test_path_condition_checks_every_edge_against_its_graph(cacheset, cacheset_p
 
     # That edge replaced in place after its steps were cached: the old edge
     # is no longer the graph's, and the new one gets steps of its own.
-    g2 = ls.build_meg(cacheset.hierarchy.modules["cacheset"])
+    g2 = ls.build_meg(cacheset.hierarchy.modules["cacheset"], cacheset.hierarchy.modules)
     ls.path_condition(ls.find_mep(g2, hit.node_ids), g2)
     stale = g2.edges[key]
     g2.edges[key] = dataclasses.replace(stale, clauses=())
@@ -178,7 +185,7 @@ def test_emit_sva_empty_condition_warns(caplog):
 def test_all_bundled_properties_lint(cacheset, serdiv, ct_alu, cacheset_multiway):
     for dut in (cacheset, serdiv, ct_alu, cacheset_multiway):
         for name, m in dut.hierarchy.modules.items():
-            g = ls.build_meg(m)
+            g = ls.build_meg(m, dut.hierarchy.modules)
             paths = ls.enumerate_meps(g).paths
             conditions = [ls.path_condition(p, g) for p in paths]
             text = ls.emit_sva_file(conditions, name)
@@ -302,16 +309,16 @@ def test_match_against_bruteforce_oracle_serdiv(serdiv):
             bundle = ls.simulate(
                 design, _stim("start=1", {"dividend": dividend, "divisor": divisor})
             )
-            masks = TraceMasks(bundle, "serdiv.div")
+            trace = bundle.trace("serdiv.div")
             evaluate = trace_evaluator(bundle, "serdiv.div")
             for pc in conditions:
-                got = _covers(pc.steps, masks)
+                got = _covers(pc.steps, trace)
                 want = oracle_match(pc.steps, evaluate, evaluate.cycles)
                 assert got == want, (pc.node_ids, dividend, divisor)
 
 
 def test_monotonicity_adding_runs(cacheset, cacheset_runs):
-    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"])
+    g = ls.build_meg(cacheset.hierarchy.modules["cacheset"], cacheset.hierarchy.modules)
     conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
     report = ls.CoverageReport()
     last = 0
@@ -331,7 +338,7 @@ def test_emission_evaluation_agreement(cacheset, cacheset_runs, serdiv, serdiv_r
         (serdiv, serdiv_runs, "divider", "serdiv.div"),
     ]
     for dut, runs, module, instance in cases:
-        g = ls.build_meg(dut.hierarchy.modules[module])
+        g = ls.build_meg(dut.hierarchy.modules[module], dut.hierarchy.modules)
         conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
         text = ls.emit_sva_file(conditions, module)
         for bundle in runs.values():
@@ -361,9 +368,8 @@ def test_expression_eval_error():
     bundle = TraceBundle.from_signal_values(
         {"u": {"a": [1, 2]}}, {"u": {"a": 8}}, 0
     )
-    masks = TraceMasks(bundle, "u")
     with pytest.raises(ls.ExpressionEvalError):
-        masks.mask("missing == 1")
+        bundle.trace("u").mask("missing == 1")
 
 
 def test_overall_percent():
@@ -428,14 +434,14 @@ def test_one_path_trie_agrees_with_oracle_on_random_traces(series, steps):
     signals = dict(series, t=list(range(cycles)))
     widths = dict.fromkeys(_SIGNALS, 1) | {"t": 5}
     bundle = TraceBundle.from_signal_values({"u": signals}, {"u": widths}, 0)
-    masks = TraceMasks(bundle, "u")
+    trace = bundle.trace("u")
     evaluate = trace_evaluator(bundle, "u")
     steps = tuple(steps)
-    assert _covers(steps, masks) == oracle_match(steps, evaluate, cycles)
+    assert _covers(steps, trace) == oracle_match(steps, evaluate, cycles)
     for k in range(len(steps)):
         for t0 in range(cycles):
             pinned = (ConditionStep(StepKind.BRANCH, f"t == {t0}"),) + steps[k:]
-            assert _covers(pinned, masks) == oracle_match(pinned, evaluate, cycles), (k, t0)
+            assert _covers(pinned, trace) == oracle_match(pinned, evaluate, cycles), (k, t0)
 
 
 def _oracle_lint_clean(seq: str) -> bool:
@@ -674,7 +680,7 @@ def test_path_trie_agrees_with_oracle_per_key(series, sequences):
     evaluate = trace_evaluator(bundle, "u")
     trie = PathTrie((k, tuple(steps)) for k, steps in enumerate(sequences))
     assert len(trie) == len(sequences)
-    covered = trie.covered(TraceMasks(bundle, "u"))
+    covered = trie.covered(bundle.trace("u"))
     for k, steps in enumerate(sequences):
         assert (k in covered) == oracle_match(tuple(steps), evaluate, cycles), k
 
@@ -700,10 +706,10 @@ def test_pending_trie_covers_the_full_tries_verdicts_on_its_keys(series, drawn):
         {"u": series}, {"u": dict.fromkeys(_SIGNALS, 1)}, 0
     )
     items = [(k, tuple(steps)) for k, steps in enumerate(sequences)]
-    full = PathTrie(items).covered(TraceMasks(bundle, "u"))
+    full = PathTrie(items).covered(bundle.trace("u"))
     pending = PathTrie(item for item in items if item[0] in subset)
     assert len(pending) == len(subset)
-    assert pending.covered(TraceMasks(bundle, "u")) == full & subset
+    assert pending.covered(bundle.trace("u")) == full & subset
 
 
 _MASK_WIDTHS = {"a": 4, "b": 4, "c": 1}
@@ -743,7 +749,7 @@ def _expressions():
 def test_trace_mask_agrees_with_evaluator_bit_by_bit(series, expr):
     bundle = TraceBundle.from_signal_values({"u": series}, {"u": _MASK_WIDTHS}, 0)
     evaluate = trace_evaluator(bundle, "u")
-    mask = TraceMasks(bundle, "u").mask(expr)
+    mask = bundle.trace("u").mask(expr)
     assert mask >> evaluate.cycles == 0
     for t in range(evaluate.cycles):
         assert (mask >> t) & 1 == bool(evaluate(expr, t)), (expr, t)
@@ -751,7 +757,7 @@ def test_trace_mask_agrees_with_evaluator_bit_by_bit(series, expr):
 
 def test_three_thousand_term_condition_masks_matches_and_replays():
     """A Branch condition far deeper than the codegen spill depth goes
-    through `TraceMasks.mask`, whose compiled comprehension binds the
+    through `SimulationTrace.mask`, whose compiled comprehension binds the
     spilled temporaries, and through `match_coverage` and `replay_sva`,
     which agree on every path."""
     terms = 3000
@@ -770,8 +776,8 @@ def test_three_thousand_term_condition_masks_matches_and_replays():
     want = sum(
         1 << t for t, (a, b) in enumerate(zip(sv["a"], sv["b"])) if terms * a & 0xFF == b
     )
-    assert want and TraceMasks(bundle, "deep").mask(f"{chain} == b") == want
-    g = ls.build_meg(h.modules["deep"])
+    assert want and bundle.trace("deep").mask(f"{chain} == b") == want
+    g = ls.build_meg(h.modules["deep"], h.modules)
     conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
     assert any(len(s.expr or "") > 4 * terms for pc in conditions for s in pc.steps)
     internal = ls.match_coverage(bundle, conditions, g, "deep")

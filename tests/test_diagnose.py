@@ -20,7 +20,7 @@ def _stim(tag, data, hold=2):
 
 @pytest.fixture(scope="module")
 def cacheset_meg(cacheset):
-    return ls.build_meg(cacheset.hierarchy.modules["cacheset"])
+    return ls.build_meg(cacheset.hierarchy.modules["cacheset"], cacheset.hierarchy.modules)
 
 
 def test_identical_traces_no_divergence(cacheset_runs, cacheset_meg):

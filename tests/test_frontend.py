@@ -660,8 +660,9 @@ def test_front_end_records_are_slotted_and_frozen():
     found: dict = {}
     modules = parse_modules(_ALL_RECORDS, "records.hdl")
     _records(modules, found)
+    by_name = {m.name: m for m in modules}
     for m in modules:
-        g = ls.build_meg(m)
+        g = ls.build_meg(m, by_name)
         paths = ls.enumerate_meps(g).paths
         _records([g, paths, [ls.path_condition(p, g) for p in paths]], found)
     assert frozen <= found.keys()

@@ -6,9 +6,8 @@ from collections import Counter
 import pytest
 
 import leakscope as ls
-import leakscope.coverage
 import leakscope.fuzz
-from leakscope.coverage import TraceMasks
+import leakscope.simulator
 from leakscope.fuzz import CoverageProbes, data_widths
 from leakscope.stimulus import Stimulus, StimulusStep
 from oracles import oracle_code_items
@@ -160,11 +159,11 @@ def test_probe_items_detect_divider_activity(serdiv):
     g = ls.build_megs(h.modules)["divider"]
     probes = CoverageProbes("divider", g)
     bundle = ls.simulate(h, _stim([_step("start=1", {"dividend": 9, "divisor": 3}, hold=2)]))
-    items = probes.covered_items(TraceMasks(bundle, "serdiv.div"))
+    items = probes.covered_items(bundle.trace("serdiv.div"))
     assert any(item.startswith("branch:divider:") for item in items)
     assert any(item.startswith("edge:divider:") for item in items)
     idle = ls.simulate(h, _stim([_step("start=0", {"dividend": 0, "divisor": 0})]))
-    assert len(probes.covered_items(TraceMasks(idle, "serdiv.div"))) < len(items)
+    assert len(probes.covered_items(idle.trace("serdiv.div"))) < len(items)
 
 
 def test_data_widths_requires_profile_inputs(serdiv):
@@ -256,20 +255,26 @@ def test_campaign_differs_across_rng_seeds(serdiv):
 
 
 def test_campaign_builds_one_trace_masks_per_run_and_instance(serdiv, monkeypatch):
-    # The probes and the path matcher share one TraceMasks per (run,
-    # instance), so no guard expression is evaluated twice on one run.
-    built: list[tuple[object, str]] = []  # keeps every bundle alive: ids stay unique
+    # The probes and the path matcher read one trace per (run, instance),
+    # which keeps its masks, so each mask is built once per (run,
+    # instance, expression): no guard expression is evaluated twice.
+    built: list[tuple[object, str]] = []  # keeps every column list alive: ids stay unique
+    compile_trace_expr = leakscope.simulator.compile_trace_expr
 
-    class CountingMasks(TraceMasks):
-        def __init__(self, bundle, instance_path):
-            built.append((bundle, instance_path))
-            super().__init__(bundle, instance_path)
+    def counting_compile(expr_text, layout):
+        fn = compile_trace_expr(expr_text, layout)
 
-    monkeypatch.setattr(leakscope.fuzz, "TraceMasks", CountingMasks)
-    monkeypatch.setattr(leakscope.coverage, "TraceMasks", CountingMasks)
+        def build(sv, n):
+            built.append((sv, expr_text))
+            return fn(sv, n)
+
+        return build
+
+    monkeypatch.setattr(leakscope.simulator, "_EXPR_CACHE", {})
+    monkeypatch.setattr(leakscope.simulator, "compile_trace_expr", counting_compile)
     result = _campaign(serdiv, mutants_per_seed=10, max_rounds=2)
     assert result.coverage.per_module["divider"].covered_paths > 0
-    keys = [(id(bundle), path) for bundle, path in built]
+    keys = [(id(sv), expr) for sv, expr in built]
     assert keys and len(keys) == len(set(keys))
 
 
@@ -316,7 +321,7 @@ def test_probe_items_equal_per_cycle_oracle(cacheset, cacheset_multiway, serdiv,
             bundle = ls.simulate(design, stim)
             for inst in h.instances:
                 probe = probes[inst.module_name]
-                got = probe.covered_items(TraceMasks(bundle, inst.path))
+                got = probe.covered_items(bundle.trace(inst.path))
                 assert got == oracle_code_items(probe, bundle, inst.path), inst.path
 
     for dut in (cacheset, cacheset_multiway, serdiv, ct_alu):
@@ -344,6 +349,6 @@ def test_probes_skip_covered_items(cacheset, serdiv):
                 want = oracle_code_items(probe, bundle, inst.path)
                 every = [item for item, *_ in probe.branches + probe.edges]
                 for skip in (set(), set(every), want, set(rng.sample(every, len(every) // 2))):
-                    got = probe.covered_items(TraceMasks(bundle, inst.path), skip)
+                    got = probe.covered_items(bundle.trace(inst.path), skip)
                     assert got == want - skip, (inst.path, len(skip))
 

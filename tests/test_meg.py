@@ -3,14 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leakscope as ls
 from leakscope.meg import NodeKind, render_condition
-from oracles import oracle_edges, oracle_simple_paths, validate_dot
+from oracles import oracle_edges, oracle_enumerate_meps, oracle_simple_paths, validate_dot
 
 
 def _meg(dut, name):
-    return ls.build_meg(dut.hierarchy.modules[name])
+    return ls.build_meg(dut.hierarchy.modules[name], dut.hierarchy.modules)
 
 
 def test_unconditional_shift_edge(cacheset):
@@ -54,7 +56,7 @@ def test_trivial_module_two_nodes_one_edge():
     h = ls.parse_design(
         [("t.hdl", "module t(input clk, input x, output y);\n  assign y = x;\nendmodule")]
     )
-    g = ls.build_meg(h.modules["t"])
+    g = ls.build_meg(h.modules["t"], h.modules)
     # clk is a node too, but carries no edges
     assert set(g.edges) == {("x", "y")}
     assert {n.id for n in g.nodes.values()} == {"clk", "x", "y"}
@@ -63,7 +65,7 @@ def test_trivial_module_two_nodes_one_edge():
 def test_node_partition(cacheset, serdiv, ct_alu, cacheset_multiway):
     for dut in (cacheset, serdiv, ct_alu, cacheset_multiway):
         for name, m in dut.hierarchy.modules.items():
-            g = ls.build_meg(m)
+            g = ls.build_meg(m, dut.hierarchy.modules)
             by_kind = {kind: 0 for kind in NodeKind}
             for node in g.nodes.values():
                 by_kind[node.kind] += 1
@@ -82,11 +84,31 @@ def test_ports_dominate_but_clockedness_survives(cacheset):
     assert way.clocked
 
 
+_LEAF = "module leaf(input a, output y);\n  assign y = a;\nendmodule\n"
+
+
+@pytest.mark.parametrize("top, want", [
+    # A wire from one instance's output to another's input.
+    ("module top(input clk, input rst, input i, output o);\n  wire w;\n"
+     "  leaf u1(.a(i), .y(w));\n  leaf u2(.a(w), .y(o));\nendmodule\n",
+     {("i", "u1"), ("u1", "w"), ("w", "u2"), ("u2", "o")}),
+    # A wire nothing drives, bound to an input.
+    ("module top(input clk, input rst, output o);\n  wire w;\n"
+     "  leaf u1(.a(w), .y(o));\nendmodule\n",
+     {("w", "u1"), ("u1", "o")}),
+], ids=["instance-to-instance", "undriven-input"])
+def test_port_edges_follow_declared_directions(top, want):
+    h = ls.parse_design([("t.hdl", _LEAF + top)], top="top")
+    g = ls.build_meg(h.modules["top"], h.modules)
+    assert set(g.edges) == want
+    assert {(e.src, e.dst, e.lines) for e in g.edges.values()} == oracle_edges(h, "top")
+
+
 def test_edge_oracle_soundness_completeness(cacheset, serdiv, ct_alu, cacheset_multiway):
     for dut in (cacheset, serdiv, ct_alu, cacheset_multiway):
         h = dut.hierarchy
         for name in h.modules:
-            g = ls.build_meg(h.modules[name])
+            g = ls.build_meg(h.modules[name], h.modules)
             got = {(e.src, e.dst, e.lines) for e in g.edges.values()}
             want = oracle_edges(h, name)
             assert got == want, f"edge sets differ for {name}"
@@ -121,7 +143,7 @@ def test_meps_cachet_golden(cacheset):
 def test_meps_endpoint_kinds(cacheset, serdiv):
     for dut in (cacheset, serdiv):
         for name, m in dut.hierarchy.modules.items():
-            g = ls.build_meg(m)
+            g = ls.build_meg(m, dut.hierarchy.modules)
             for path in ls.enumerate_meps(g).paths:
                 assert g.nodes[path.edges[0].src].kind is NodeKind.INPUT
                 assert g.nodes[path.edges[-1].dst].kind is NodeKind.OUTPUT
@@ -133,7 +155,7 @@ def test_no_connectivity_means_no_paths():
     h = ls.parse_design(
         [("t.hdl", "module t(input clk, input x, output y);\nendmodule")]
     )
-    g = ls.build_meg(h.modules["t"])
+    g = ls.build_meg(h.modules["t"], h.modules)
     assert ls.enumerate_meps(g).paths == []
 
 
@@ -192,6 +214,26 @@ def test_enumeration_truncation_flag():
     assert result.truncated and len(result.paths) == 5
 
 
+_NODES = [f"n{i}" for i in range(7)]
+
+
+@given(
+    st.sets(st.sampled_from(_NODES), min_size=1),
+    st.sets(st.sampled_from(_NODES)),
+    st.sets(st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES))),
+    st.integers(1, 20),
+    st.integers(0, 7),
+)
+@settings(max_examples=300, deadline=None)
+def test_enumeration_walk_equals_recursive_oracle(inputs, outputs, edges, max_paths, max_len):
+    # Any digraph, cycles and self-edges included: the same paths in the
+    # same order, cut at the same path with the same flag.
+    g = _meg_from_parts(_NODES, inputs, outputs - inputs, edges)
+    got = ls.enumerate_meps(g, max_paths, max_len)
+    want = oracle_enumerate_meps(g, max_paths, max_len)
+    assert (got.paths, got.truncated) == (want.paths, want.truncated)
+
+
 def test_enumeration_deterministic(cacheset):
     g = _meg(cacheset, "cacheset")
     a = [p.id for p in ls.enumerate_meps(g).paths]
@@ -213,7 +255,7 @@ def test_dot_two_node_graph():
     h = ls.parse_design(
         [("t.hdl", "module t(input clk, input x, output y);\n  assign y = x;\nendmodule")]
     )
-    dot = ls.export_dot(ls.build_meg(h.modules["t"]))
+    dot = ls.export_dot(ls.build_meg(h.modules["t"], h.modules))
     assert validate_dot(dot) == []
     assert sum(1 for ln in dot.splitlines() if "->" in ln) == 1
 
@@ -221,7 +263,7 @@ def test_dot_two_node_graph():
 def test_dot_valid_for_all_bundled(cacheset, serdiv, ct_alu, cacheset_multiway):
     for dut in (cacheset, serdiv, ct_alu, cacheset_multiway):
         for m in dut.hierarchy.modules.values():
-            assert validate_dot(ls.export_dot(ls.build_meg(m))) == []
+            assert validate_dot(ls.export_dot(ls.build_meg(m, dut.hierarchy.modules))) == []
 
 
 def test_json_export_shape(cacheset):
@@ -247,7 +289,7 @@ def test_bitselect_index_signals_are_operands():
         "endmodule"
     )
     h = ls.parse_design([("t.hdl", src)])
-    g = ls.build_meg(h.modules["t"])
+    g = ls.build_meg(h.modules["t"], h.modules)
     # the whole parent vector and the dynamic index both feed the target
     assert ("v", "y") in g.edges
     assert ("i", "y") in g.edges

@@ -78,18 +78,26 @@ def test_render_byte_identical(tmp_path, serdiv):
 
 
 def test_text_report_quotes_culprit_lines(tmp_path, serdiv):
-    # Campaign with real file-backed sources: culprit lines are quoted.
-    src_file = tmp_path / "serdiv.hdl"
-    body = dict(serdiv.sources)["serdiv.hdl"]
-    src_file.write_text(body)
-    refs = ((str(src_file), hashlib.sha256(body.encode()).hexdigest()),)
-    megs = ls.build_megs(serdiv.hierarchy.modules)
-    cfg = ls.FuzzConfig(rng_seed=42, mutants_per_seed=40, max_rounds=8)
-    result = ls.fuzz_loop(serdiv.hierarchy, megs, cfg, serdiv.profile, source_refs=refs)
-    text = text_report(result)
-    assert "culprit state at" in text
-    quoted = [ln for ln in text.splitlines() if "state <= 2" in ln]
-    assert quoted, "expected the early-out assignment to be quoted"
+    # Campaign with real file-backed sources: culprit lines are quoted. A
+    # form feed in a comment ends no line for the lexer, nor for the quote.
+    bundled = dict(serdiv.sources)["serdiv.hdl"]
+    for line_2 in (None, "// page\fbreak"):
+        lines = bundled.split("\n")
+        if line_2 is not None:
+            lines[1] = line_2
+        body = "\n".join(lines)
+        src_file = tmp_path / "serdiv.hdl"
+        src_file.write_text(body)
+        refs = ((str(src_file), hashlib.sha256(body.encode()).hexdigest()),)
+        sources = [(name, body if name == "serdiv.hdl" else text) for name, text in serdiv.sources]
+        h = ls.parse_design(sources, top="serdiv")
+        megs = ls.build_megs(h.modules)
+        cfg = ls.FuzzConfig(rng_seed=42, mutants_per_seed=40, max_rounds=8)
+        result = ls.fuzz_loop(h, megs, cfg, serdiv.profile, source_refs=refs)
+        text = text_report(result)
+        assert "culprit state at" in text
+        quoted = [ln for ln in text.splitlines() if "state <= 2" in ln]
+        assert quoted, f"expected the early-out assignment to be quoted ({line_2!r})"
 
 
 def test_text_report_downgrades_on_hash_mismatch(tmp_path, serdiv):

@@ -507,9 +507,9 @@ def test_stored_runs_stay_unchanged_by_every_consumer(serdiv):
         for inst in h.instances:
             g = megs[inst.module_name]
             conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
-            masks = run.masks(inst.path)
-            for i in range(len(run.signal_names(inst.path))):
-                masks.toggles(i)
+            trace = run.trace(inst.path)
+            for i in range(len(trace.names)):
+                trace.toggles(i)
             ls.match_coverage(run, conditions, g, inst.path)
             ls.match_coverage(run, conditions, g, inst.path)
             ls.replay_sva(ls.emit_sva_file(conditions, inst.module_name), run, inst.path)
