@@ -17,13 +17,12 @@ All paths of a module are matched together: a `PathTrie` merges their
 step sequences on shared suffixes, and one backward walk of the trie
 evaluates each shared suffix once and drops a subtree as soon as its set
 is empty. The masks come from the run's own instance trace
-(`TraceBundle.trace`, a `SimulationTrace`), which builds each one by one
-compiled call over the whole columns of just the signals the expression
-names and keeps it, so the code-coverage probes, `match_coverage` and
-`replay_sva` evaluate an expression once per run and instance. A fuzz
-campaign builds its tries from the paths not yet covered, so each run is
-matched only against the pending ones; `match_coverage` matches every
-path it is given.
+(`TraceBundle.trace`, a `SimulationTrace`), which builds each one from
+its runs, evaluating the expression once per run, and keeps it, so the
+code-coverage probes, `match_coverage` and `replay_sva` evaluate an
+expression once per run and instance. A fuzz campaign builds its tries
+from the paths not yet covered, so each run is matched only against the
+pending ones; `match_coverage` matches every path it is given.
 
 SVA text is written and read in one pass each. Emission writes each
 property's sequence straight from its steps. Reading splits no line in

@@ -92,11 +92,10 @@ class SimulationLimitError(LeakscopeError):
 
 
 class ExpressionEvalError(LeakscopeError):
-    def __init__(self, expr: str, cycle: int, message: str = ""):
+    def __init__(self, expr: str, message: str = ""):
         detail = f": {message}" if message else ""
-        super().__init__(f"cannot evaluate {expr!r} at cycle {cycle}{detail}")
+        super().__init__(f"cannot evaluate {expr!r}{detail}")
         self.expr = expr
-        self.cycle = cycle
 
 
 class StimulusError(LeakscopeError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .design import DesignHierarchy, levelize
-from .errors import EmptyGroup, StructuralMismatch
+from .errors import EmptyGroup, LeakscopeError, StructuralMismatch
 from .simulator import TraceBundle
 from .stimulus import Stimulus
 
@@ -88,9 +88,10 @@ def analyze(
     *,
     min_delta: int = 1,
 ) -> list[LeakageFinding]:
-    """Compare run pairs per instance, bottom-up through the hierarchy."""
+    """Compare run pairs per instance, bottom-up through the hierarchy;
+    an instance is reported when its times differ by at least min_delta."""
     if min_delta < 1:
-        min_delta = 1
+        raise LeakscopeError(f"min delta must be at least 1, got {min_delta}")
     levels = {inst.path: inst.level for inst in h.instances}
     order = [path for group in levelize(h) for path in group]
 

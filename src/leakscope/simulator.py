@@ -31,12 +31,12 @@ row without evaluating anything: the quiet stretch only advances the cycle
 count, up to that write, the quiescence stop or max_cycles.
 
 One instance's view of a run (`TraceBundle.trace`, a `SimulationTrace`)
-is also the run's coverage evaluator: `mask(expr)` is the set of cycles
-at which a boolean holds, as the bits of an int, and `toggles(i)` the
-cycles at which a signal changes. The expression compiler that generates
-the design's code also compiles each mask function (`compile_trace_expr`),
-once per signal layout and expression; the trace keeps each mask it
-builds, so every coverage consumer of the run shares it.
+is also the run's coverage evaluator, and it reads the runs: `mask(expr)`,
+the cycles at which a boolean holds as the bits of an int, evaluates the
+boolean once per run, and `toggles(i)` is the run starts at which a signal
+changes. The expression compiler that generates the design's code also
+compiles each mask function (`compile_trace_expr`), once per signal layout
+and expression; the trace keeps each mask it builds for every consumer.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import itemgetter, ne
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, ne, sub
 from types import CodeType, FunctionType
 
 from .design import DesignHierarchy
@@ -203,39 +203,35 @@ class _ExprCompiler:
 
 
 # Compiled mask builders, one dict per signal layout, keyed by expression;
-# the compiled function takes the per-signal arrays explicitly so one
-# compile serves every trace with the same layout. A trace looks up its
-# layout's dict once, so a mask build hashes only the expression.
+# the compiled function takes a trace's runs explicitly so one compile
+# serves every trace with the same layout. A trace looks up its layout's
+# dict once, so a mask build hashes only the expression.
 _EXPR_CACHE: dict[tuple[tuple[str, int], ...], dict[str, object]] = {}
 
 
 def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
-    """Compile a boolean expression into `fn(sv, n)`, which returns the
-    mask of the n-cycle trace whose per-signal arrays are `sv`: bit t is
-    set iff the expression holds at cycle t. The function walks only the
-    columns the expression reads, all at once, in one comprehension."""
+    """Compile a boolean expression into `fn(values, lens)`, the mask of
+    a trace whose run k holds the row `values[k]` for `lens[k]` cycles:
+    bit t is set iff the expression holds at cycle t. The expression is
+    evaluated once per run, and its verdict fills the run's bit range."""
     try:
         tree: Expr = parse_expression(expr_text)
     except Exception as exc:
-        raise ExpressionEvalError(expr_text, 0, f"parse failure: {exc}")
+        raise ExpressionEvalError(expr_text, f"parse failure: {exc}")
     index = {name: i for i, (name, _) in enumerate(layout)}
-    read = expr_signals(tree)
-    for name in read:
+    scope = {}
+    for name in expr_signals(tree):
         if name not in index:
-            raise ExpressionEvalError(expr_text, 0, f"unknown signal {name!r}")
-    scope = {name: (f"c{j}", layout[index[name]][1]) for j, name in enumerate(read)}
+            raise ExpressionEvalError(expr_text, f"unknown signal {name!r}")
+        scope[name] = (f"row[{index[name]}]", layout[index[name]][1])
     src, _ = _ExprCompiler(scope).compile(tree)
-    if not read:
-        loop = "_ in range(n)"
-    elif len(read) == 1:
-        loop = f"c0 in sv[{index[read[0]]}]"
-    else:
-        columns = ", ".join(f"sv[{index[name]}]" for name in read)
-        loop = f"{', '.join(scope[name][0] for name in read)} in zip({columns})"
+    # The runs are visited last first, so the joined digits run from the
+    # highest cycle down, the order int() reads them in.
     namespace: dict = {}
     exec(  # noqa: S102
-        f"def fn(sv, n):\n"
-        f"    return int(''.join(['1' if {src} else '0' for {loop}])[::-1] or '0', 2)",
+        f"def fn(values, lens):\n"
+        f"    return int(''.join([('1' if {src} else '0') * n"
+        f" for row, n in zip(reversed(values), reversed(lens))]) or '0', 2)",
         namespace,
     )
     return namespace["fn"]
@@ -486,9 +482,9 @@ class SimulationTrace:
     next start, or to `cycles`; no two consecutive runs hold equal values.
 
     The trace is also the run's coverage evaluator: bit t of a mask is set
-    iff its predicate holds at cycle t. Masks are built once per
-    expression and kept, so every coverage consumer of the run (the
-    fuzzer's probes, `match_coverage`, `replay_sva`) pays one pass."""
+    iff its predicate holds at cycle t. Masks are built from the runs
+    and kept, so every coverage consumer of the run (the fuzzer's probes,
+    `match_coverage`, `replay_sva`) pays one pass per expression."""
 
     instance_path: str
     names: list[str]
@@ -500,22 +496,17 @@ class SimulationTrace:
     _toggles: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def _columns(self) -> list[list[int]]:
-        """Each signal's value at every cycle, in the order of `names`,
-        expanded on first use: one C-level gather repeats each run's
-        values over its run, and zip transposes."""
-        run_of = [0] * self.cycles
-        for start in islice(self.starts, 1, None):
-            run_of[start] = 1
-        # A single index would make itemgetter return the bare entry.
-        gather = itemgetter(*accumulate(run_of)) if self.cycles > 1 else tuple
-        columns = zip(*gather(self.values)) if self.cycles else repeat(())
-        return [list(column) for _, column in zip(self.names, columns)]
+    def _lens(self) -> list[int]:
+        """How many cycles each run lasts."""
+        return list(map(sub, [*islice(self.starts, 1, None), self.cycles], self.starts))
 
     @cached_property
     def signal_values(self) -> dict[str, list[int]]:
-        """Each signal's value at every cycle, by name."""
-        return dict(zip(self.names, self._columns))
+        """Each signal's value at every cycle, by name: each run's row is
+        repeated over its run, and zip transposes."""
+        rows = chain.from_iterable(map(repeat, self.values, self._lens))
+        columns = zip(*rows) if self.cycles else repeat(())
+        return {name: list(column) for name, column in zip(self.names, columns)}
 
     @cached_property
     def all(self) -> int:
@@ -536,16 +527,19 @@ class SimulationTrace:
             if fn is None:
                 layout = tuple(zip(self.names, self.widths))
                 fn = self._compiled[expr_text] = compile_trace_expr(expr_text, layout)
-            m = self._masks[expr_text] = fn(self._columns, self.cycles)
+            m = self._masks[expr_text] = fn(self.values, self._lens)
         return m
 
     def toggles(self, i: int) -> int:
-        """Cycles t >= 1 at which signal i differs from cycle t - 1."""
+        """The run starts at which signal i differs from the run before;
+        run 0 is its own predecessor, so cycle 0 never toggles."""
         m = self._toggles.get(i)
         if m is None:
-            series = self._columns[i]
-            bits = "".join(["1" if a != b else "0" for a, b in zip(series[1:], series)])
-            m = self._toggles[i] = int(bits[::-1] or "0", 2) << 1
+            values = self.values
+            runs = zip(reversed(values), reversed(values[:1] + values[:-1]), reversed(self._lens))
+            # zfill pads in front, so a run's first cycle is its last digit.
+            bits = "".join([("1" if row[i] != prev[i] else "0").zfill(n) for row, prev, n in runs])
+            m = self._toggles[i] = int(bits or "0", 2)
         return m
 
 

@@ -228,6 +228,22 @@ def test_analyze_stim_pair_and_fail_on_finding(tmp_path, capsys):
     assert rc_same == 0
 
 
+@pytest.mark.parametrize("min_delta", ["0", "-7"])
+def test_analyze_min_delta_below_one_exit_2(tmp_path, capsys, min_delta):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text('[{"tag": "start=1", "data": {"dividend": 9, "divisor": 0}, "hold": 2}]')
+    b.write_text('[{"tag": "start=1", "data": {"dividend": 9, "divisor": 3}, "hold": 2}]')
+    rc = main([
+        "analyze", "--dut", "serdiv", "--stim-a", str(a), "--stim-b", str(b),
+        "--min-delta", min_delta,
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"min delta must be at least 1, got {min_delta}" in captured.err
+    assert "Traceback" not in captured.err and "finding" not in captured.out
+
+
 def test_diagnose_identical_vcds_exit_2(tmp_path, cacheset, capsys):
     bundle = ls.simulate(cacheset.hierarchy, cacheset.stimuli["hit"])
     vcd = tmp_path / "run.vcd"

@@ -734,25 +734,39 @@ def _expressions():
     return st.recursive(leaves, extend, max_leaves=8)
 
 
-@given(
-    st.integers(0, 10).flatmap(
-        lambda n: st.fixed_dictionaries({
-            name: st.lists(st.integers(0, (1 << w) - 1), min_size=n, max_size=n)
-            for name, w in _MASK_WIDTHS.items()
-        })
-    ),
-    _expressions(),
-)
+def _mask_series():
+    """Per-cycle series of the `_MASK_WIDTHS` signals, drawn as runs: rows
+    held 1 to `longest` cycles each. With a `longest` of 1 every cycle is
+    its own run; with 40, a few runs are long."""
+    row = st.fixed_dictionaries(
+        {name: st.integers(0, (1 << w) - 1) for name, w in _MASK_WIDTHS.items()}
+    )
+    runs = st.sampled_from((1, 40)).flatmap(
+        lambda longest: st.lists(st.tuples(row, st.integers(1, longest)), max_size=45 // longest + 5)
+    )
+    return runs.map(
+        lambda runs: {name: [r[name] for r, n in runs for _ in range(n)] for name in _MASK_WIDTHS}
+    )
+
+
+@given(_mask_series(), _expressions())
 @example({"a": [1, 2], "b": [3, 3], "c": [0, 1]}, "(a + a) == (b - 1)")
 @example({"a": [], "b": [], "c": []}, "1")
 @settings(max_examples=300, deadline=None)
 def test_trace_mask_agrees_with_evaluator_bit_by_bit(series, expr):
+    # Masks and toggles are built from the trace's runs; the evaluator and
+    # the toggle scan of `oracle_code_items` read every cycle.
     bundle = TraceBundle.from_signal_values({"u": series}, {"u": _MASK_WIDTHS}, 0)
     evaluate = trace_evaluator(bundle, "u")
-    mask = bundle.trace("u").mask(expr)
+    trace = bundle.trace("u")
+    mask = trace.mask(expr)
     assert mask >> evaluate.cycles == 0
     for t in range(evaluate.cycles):
         assert (mask >> t) & 1 == bool(evaluate(expr, t)), (expr, t)
+    for i, name in enumerate(trace.names):
+        values = series[name]
+        toggles = [t for t in range(1, len(values)) if values[t] != values[t - 1]]
+        assert trace.toggles(i) == sum(1 << t for t in toggles), name
 
 
 def test_three_thousand_term_condition_masks_matches_and_replays():

@@ -258,15 +258,17 @@ def test_campaign_builds_one_trace_masks_per_run_and_instance(serdiv, monkeypatc
     # The probes and the path matcher read one trace per (run, instance),
     # which keeps its masks, so each mask is built once per (run,
     # instance, expression): no guard expression is evaluated twice.
-    built: list[tuple[object, str]] = []  # keeps every column list alive: ids stay unique
+    # A trace owns its list of run values, so that list names the (run,
+    # instance) of a build; keeping each one alive keeps the ids unique.
+    built: list[tuple[object, str]] = []
     compile_trace_expr = leakscope.simulator.compile_trace_expr
 
     def counting_compile(expr_text, layout):
         fn = compile_trace_expr(expr_text, layout)
 
-        def build(sv, n):
-            built.append((sv, expr_text))
-            return fn(sv, n)
+        def build(values, lens):
+            built.append((values, expr_text))
+            return fn(values, lens)
 
         return build
 
@@ -274,7 +276,7 @@ def test_campaign_builds_one_trace_masks_per_run_and_instance(serdiv, monkeypatc
     monkeypatch.setattr(leakscope.simulator, "compile_trace_expr", counting_compile)
     result = _campaign(serdiv, mutants_per_seed=10, max_rounds=2)
     assert result.coverage.per_module["divider"].covered_paths > 0
-    keys = [(id(sv), expr) for sv, expr in built]
+    keys = [(id(values), expr) for values, expr in built]
     assert keys and len(keys) == len(set(keys))
 
 

@@ -102,6 +102,8 @@ def test_min_delta_filter(serdiv):
     b = ls.simulate(h, _stim("start=1", {"dividend": 6, "divisor": 2}), seed_id="b")
     assert ls.analyze([(a, b)], h, min_delta=1)
     assert ls.analyze([(a, b)], h, min_delta=50) == []
+    with pytest.raises(ls.LeakscopeError, match="min delta must be at least 1, got 0"):
+        ls.analyze([(a, b)], h, min_delta=0)
 
 
 def test_dedup_across_repeated_pairs(serdiv):

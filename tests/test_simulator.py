@@ -554,12 +554,41 @@ for f in findings:
 """
 
 
-def test_long_hold_runs_in_bounded_memory(tmp_path):
-    """A 10**8-cycle hold goes through `leakscope sim`, simulate, analyze
-    and diagnose in a child process whose peak RSS stays under a fixed
-    ceiling: a trace costs memory per run, not per cycle. The child's own
-    limits stop a regression before it can take the machine's memory."""
-    hold = 10**8
+_COVERAGE_HOLD_CHILD = """
+import sys
+import leakscope as ls
+from leakscope.fuzz import CoverageProbes
+from leakscope.stimulus import Stimulus, StimulusStep
+
+h = ls.load_dut("serdiv").hierarchy
+megs = ls.build_megs(h.modules)
+data = {"dividend": 200, "divisor": 7}
+
+def coverage(hold):
+    stim = Stimulus(steps=(StimulusStep("start=1", data, 1), StimulusStep("start=0", data, hold)))
+    bundle = ls.simulate(h, stim, max_cycles=2 * hold)
+    assert bundle.cycles > hold and not bundle.max_cycles_reached
+    seen = {}
+    for inst in h.instances:
+        g = megs[inst.module_name]
+        conditions = [ls.path_condition(p, g) for p in ls.enumerate_meps(g).paths]
+        paths = ls.match_coverage(bundle, conditions, g, inst.path).covered
+        items = CoverageProbes(inst.module_name, g).covered_items(bundle.trace(inst.path))
+        seen[inst.path] = paths, items
+    return seen
+
+# A hold only repeats the row it settles to, so a short one covers the same.
+want = coverage(100)
+assert all(paths and items for paths, items in want.values())
+assert coverage(int(sys.argv[1])) == want
+print("covered")
+"""
+
+
+def _run_bounded(script: str, *args: str) -> tuple[str, float]:
+    """Run a child Python script under address-space and CPU limits, which
+    stop a regression before it can take the machine's memory, and return
+    its output and peak RSS in MB. Fails if the child exits nonzero."""
     src = str(Path(ls.__file__).resolve().parents[1])
 
     def limit():
@@ -567,7 +596,7 @@ def test_long_hold_runs_in_bounded_memory(tmp_path):
         resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
 
     child = subprocess.Popen(
-        [sys.executable, "-c", _LONG_HOLD_CHILD, str(hold), str(2 * hold), str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
     )
@@ -576,10 +605,27 @@ def test_long_hold_runs_in_bounded_memory(tmp_path):
     # The usage of this one child, as RUSAGE_CHILDREN would report it if
     # it were the only child the test process ever had.
     _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0, output
+    assert os.waitstatus_to_exitcode(status) == 0, output
+    return output, usage.ru_maxrss / 1024
+
+
+def test_long_hold_runs_in_bounded_memory(tmp_path):
+    """A 10**8-cycle hold goes through `leakscope sim`, simulate, analyze
+    and diagnose in a child process whose peak RSS stays under a fixed
+    ceiling: a trace costs memory per run, not per cycle."""
+    hold = 10**8
+    output, peak_mb = _run_bounded(_LONG_HOLD_CHILD, str(hold), str(2 * hold), str(tmp_path))
     assert output.count(f"simulated {hold + 12} cycles,") == 2, output
-    peak_mb = usage.ru_maxrss / 1024
+    assert peak_mb < 150, peak_mb
+
+
+def test_long_hold_coverage_runs_in_bounded_memory():
+    """`match_coverage` and the code-coverage probes on every serdiv
+    instance of a 10**7-cycle hold stay under a fixed peak RSS: masks and
+    toggles are built from the trace's runs. Each mask still holds one
+    bit per cycle, so the hold is a tenth of the simulator's."""
+    output, peak_mb = _run_bounded(_COVERAGE_HOLD_CHILD, str(10**7))
+    assert output.strip() == "covered", output
     assert peak_mb < 150, peak_mb
 
 
