@@ -75,7 +75,7 @@ from .meg import (
     export_json,
     find_mep,
 )
-from .reports import CampaignSummary, Format, render, summarize
+from .reports import Format, render
 from .simulator import (
     CompiledDesign,
     InitPolicy,

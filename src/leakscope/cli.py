@@ -27,16 +27,24 @@ from .diagnose import diagnose
 from .errors import LeakscopeError
 from .fuzz import FuzzConfig, fuzz_loop
 from .leakage import analyze, measure
-from .meg import build_megs, enumerate_meps, export_dot, export_json
+from .meg import (
+    DEFAULT_MAX_LEN,
+    DEFAULT_MAX_PATHS,
+    build_megs,
+    enumerate_meps,
+    export_dot,
+    export_json,
+)
 from .reports import (
     Format,
     coverage_report_csv,
     coverage_report_json,
-    finding_to_json,
+    diagnoses_json,
+    findings_json,
     render,
     text_report,
 )
-from .simulator import InitPolicy, simulate
+from .simulator import DEFAULT_MAX_CYCLES, DEFAULT_QUIESCENCE, InitPolicy, simulate
 from .stimulus import load_stimulus
 from .vcd import load_vcd_file, save_vcd
 
@@ -57,7 +65,7 @@ def _add_design_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--top", help="top module name")
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str | Path) -> str:
     """The text of an input file, with line breaks read as `Path.read_text`
     reads them; a file that is not UTF-8 is an error that names the file
     and the line and column of the first bad byte."""
@@ -72,7 +80,9 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load_design(args):
+def _load_design(args, paths: list[str]):
+    """The hierarchy, bundled profile (or None) and source references of
+    `--dut` or of the HDL files at `paths`."""
     if args.dut:
         dut = corpus_mod.load_dut(args.dut)
         root = Path(corpus_mod._corpus_root()) / args.dut
@@ -81,11 +91,11 @@ def _load_design(args):
             for name, digest in corpus_mod.source_digest(dut.sources).items()
         )
         return dut.hierarchy, dut.profile, refs
-    if not args.sources:
+    if not paths:
         raise LeakscopeError("no source files given (or use --dut)")
-    sources = [(Path(p).name, _read_text(p)) for p in args.sources]
+    sources = [(Path(p).name, _read_text(p)) for p in paths]
     digests = corpus_mod.source_digest(sources)
-    refs = tuple((str(Path(p)), digests[Path(p).name]) for p in args.sources)
+    refs = tuple((str(Path(p)), digests[Path(p).name]) for p in paths)
     h = parse_design(sources, top=args.top)
     return h, None, refs
 
@@ -124,15 +134,15 @@ def build_parser() -> _Parser:
     p.add_argument("--dot", metavar="OUT", help="write DOT here")
     p.add_argument("--json", metavar="OUT", help="write graph JSON here")
     p.add_argument("--meps", action="store_true", help="list input-to-output paths")
-    p.add_argument("--max-paths", type=int, default=10_000)
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
 
     p = sub.add_parser("sim", help="simulate a stimulus and dump traces")
     _add_design_args(p)
     p.add_argument("--stim", required=True, help="stimulus JSON file")
     p.add_argument("--vcd", metavar="OUT", help="write a VCD here")
-    p.add_argument("--max-cycles", type=int, default=10_000)
-    p.add_argument("--quiescence", type=int, default=8)
+    p.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
+    p.add_argument("--quiescence", type=int, default=DEFAULT_QUIESCENCE)
     p.add_argument("--init", choices=["zero", "random"], default="zero")
     p.add_argument("--init-seed", type=int, default=0)
 
@@ -166,13 +176,14 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-sva", metavar="OUT", help="write SVA properties here")
     p.add_argument("--out", help="write coverage JSON here")
     p.add_argument("--csv", metavar="OUT", help="write per-module coverage CSV here")
-    p.add_argument("--max-paths", type=int, default=10_000)
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--max-paths", type=int, default=DEFAULT_MAX_PATHS)
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
 
     p = sub.add_parser("fuzz", help="run a full campaign")
     _add_design_args(p)
     p.add_argument("--profile", help="DUT profile JSON (tags + data inputs)")
-    p.add_argument("--budget", default=None, help="wall-clock abort bound (default 60s)")
+    p.add_argument("--budget", default=None,
+                   help=f"wall-clock abort bound (default {FuzzConfig.time_budget:g}s)")
     p.add_argument("--seed", type=int, default=0, help="campaign rng seed")
     p.add_argument("--mutants", type=int, default=None)
     p.add_argument("--rounds", type=int, default=None)
@@ -194,7 +205,7 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_parse(args) -> int:
-    h, _, _ = _load_design(args)
+    h, _, _ = _load_design(args, args.sources)
     print(f"parsed {len(h.modules)} module(s), top = {h.top}")
     for group in levelize(h):
         for path in group:
@@ -207,7 +218,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    h, _, _ = _load_design(args)
+    h, _, _ = _load_design(args, args.sources)
     megs = build_megs(h.modules)
     names = [args.module] if args.module else sorted(megs)
     dots = []
@@ -237,7 +248,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    h, _, _ = _load_design(args)
+    h, _, _ = _load_design(args, args.sources)
     stim = load_stimulus(args.stim)
     bundle = simulate(
         h, stim, max_cycles=args.max_cycles, init=_init_policy(args),
@@ -255,7 +266,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    h, _, _ = _load_design(args)
+    h, _, _ = _load_design(args, args.sources)
     if args.vcd_a and args.vcd_b:
         a = load_vcd_file(args.vcd_a)
         b = load_vcd_file(args.vcd_b)
@@ -275,22 +286,14 @@ def _cmd_analyze(args) -> int:
     if not findings:
         print("no timing differences")
     if args.out:
-        doc = {"schemaVersion": 1, "findings": [finding_to_json(f) for f in findings]}
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(findings_json(findings) + "\n")
     if findings and args.fail_on_finding:
         return 3
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    if args.dut:
-        dut = corpus_mod.load_dut(args.dut)
-        h = dut.hierarchy
-    else:
-        if not args.design:
-            raise LeakscopeError("need --design sources or --dut")
-        sources = [(Path(p).name, _read_text(p)) for p in args.design]
-        h = parse_design(sources, top=args.top)
+    h, _, _ = _load_design(args, args.design)
     megs = build_megs(h.modules)
     a = load_vcd_file(args.vcd_a, expect=h)
     b = load_vcd_file(args.vcd_b, expect=h)
@@ -306,37 +309,22 @@ def _cmd_diagnose(args) -> int:
     else:
         targets = [h.top]
 
-    results = []
+    rows = []
     for path in targets:
         module = h.instance(path).module_name
         diag = diagnose(a.trace(path), b.trace(path), megs[module])
-        results.append((path, diag))
+        rows.append((path, args.vcd_a, args.vcd_b, diag))
         print(f"{path}: divergence at cycle {diag.divergence_cycle}")
         print(f"  instigators: {', '.join(sorted(diag.instigators))}")
         for signal, loc in sorted(diag.culprits, key=lambda c: (c[1].line, c[0])):
             print(f"  culprit {signal} at {loc.file}:{loc.line}")
     if args.out:
-        doc = {
-            "schemaVersion": 1,
-            "diagnoses": [
-                {
-                    "instance": path,
-                    "instigators": sorted(d.instigators),
-                    "divergenceCycle": d.divergence_cycle,
-                    "culprits": [
-                        {"signal": s, "file": loc.file, "line": loc.line}
-                        for s, loc in sorted(d.culprits, key=lambda c: (c[0], c[1].line))
-                    ],
-                }
-                for path, d in results
-            ],
-        }
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(diagnoses_json(rows) + "\n")
     return 0
 
 
 def _cmd_coverage(args) -> int:
-    h, _, _ = _load_design(args)
+    h, _, _ = _load_design(args, args.sources)
     megs = build_megs(h.modules)
     conditions = {}
     truncated = {}
@@ -367,8 +355,7 @@ def _cmd_coverage(args) -> int:
                     bundle, tries[name], megs[name], inst.path, truncated=truncated[name]
                 ))
         for name, m in sorted(report.per_module.items()):
-            pct = 100.0 * m.covered_paths / m.total_paths if m.total_paths else 0.0
-            print(f"{name}: {m.covered_paths}/{m.total_paths} ({pct:.2f}%)")
+            print(f"{name}: {m.covered_paths}/{m.total_paths} ({m.percent:.2f}%)")
         print(f"overall: {report.overall_percent:.2f}%")
         if args.out:
             Path(args.out).write_text(coverage_report_json(report) + "\n")
@@ -399,7 +386,7 @@ def _load_config(path: str) -> dict:
 
 
 def _cmd_fuzz(args) -> int:
-    h, profile, refs = _load_design(args)
+    h, profile, refs = _load_design(args, args.sources)
     if args.profile:
         text = _read_text(args.profile)
         try:
@@ -422,15 +409,18 @@ def _cmd_fuzz(args) -> int:
         return default
 
     # Precedence: flags > config file > built-in defaults.
+    default = FuzzConfig()
     cfg = FuzzConfig(
-        mutants_per_seed=setting(args.mutants, "mutantsPerSeed", 200),
+        mutants_per_seed=setting(args.mutants, "mutantsPerSeed", default.mutants_per_seed),
         rng_seed=args.seed,
-        time_budget=_parse_duration(str(setting(args.budget, "timeBudget", "60s"))),
-        max_rounds=setting(args.rounds, "maxRounds", 32),
+        time_budget=_parse_duration(str(setting(args.budget, "timeBudget", default.time_budget))),
+        max_rounds=setting(args.rounds, "maxRounds", default.max_rounds),
     )
 
     seed_corpus = []
     if args.seed_dir:
+        if not Path(args.seed_dir).is_dir():
+            raise LeakscopeError(f"{args.seed_dir}: not a directory")
         for path in sorted(Path(args.seed_dir).glob("*.json")):
             seed_corpus.append(load_stimulus(path))
 
@@ -452,11 +442,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    base = Path(args.campaign_dir)
-    if args.format == "csv":
-        text = (base / "coverage.csv").read_text()
-    else:
-        text = (base / "summary.txt").read_text()
+    name = "coverage.csv" if args.format == "csv" else "summary.txt"
+    text = _read_text(Path(args.campaign_dir) / name)
     if args.out:
         Path(args.out).write_text(text)
         print(f"report written to {args.out}")

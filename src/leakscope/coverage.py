@@ -434,6 +434,10 @@ class ModuleCoverage:
     def covered_paths(self) -> int:
         return len(self.covered)
 
+    @property
+    def percent(self) -> float:
+        return 100.0 * self.covered_paths / self.total_paths if self.total_paths else 0.0
+
 
 @dataclass
 class CoverageReport:

@@ -44,10 +44,6 @@ class DesignHierarchy:
     top: str
     instances: list[Instance] = field(default_factory=list)
 
-    @property
-    def levels(self) -> dict[str, int]:
-        return {inst.path: inst.level for inst in self.instances}
-
     def instance(self, path: str) -> Instance:
         for inst in self.instances:
             if inst.path == path:

@@ -16,7 +16,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import PathNotInGraph
+from .errors import LeakscopeError, PathNotInGraph
 from .hdl_ast import (
     AlwaysBlock,
     AlwaysTrigger,
@@ -271,14 +271,22 @@ class MepResult:
         return len(self.paths)
 
 
-def enumerate_meps(g: Meg, max_paths: int = 10_000, max_len: int = 64) -> MepResult:
+DEFAULT_MAX_PATHS = 10_000
+DEFAULT_MAX_LEN = 64
+
+
+def enumerate_meps(
+    g: Meg, max_paths: int = DEFAULT_MAX_PATHS, max_len: int = DEFAULT_MAX_LEN
+) -> MepResult:
     """All simple input-to-output paths, DFS order with sorted adjacency,
     walked with an explicit stack, so a path may be as long as the graph.
 
     Self-edges are skipped. Enumeration stops after `max_paths` results
-    (result flagged truncated); paths longer than `max_len` edges are not
-    explored.
+    (result flagged truncated; fewer than 1 is an error); paths longer than
+    `max_len` edges are not explored.
     """
+    if max_paths < 1:
+        raise LeakscopeError(f"max paths must be at least 1, got {max_paths}")
     adjacency: dict[str, list[MegEdge]] = {}
     for (src, dst), edge in g.edges.items():
         if src == dst:

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -34,79 +33,32 @@ class Format(Enum):
     DOT = "dot"
 
 
-@dataclass
-class TimingRow:
-    vulnerability: str
-    instance: str
-    lines: tuple[int, ...]
-    phase1_signals: tuple[str, ...]
-    phase2_signals: tuple[str, ...]
-
-
-@dataclass
-class CampaignSummary:
-    design_name: str
-    seeds_count: int
-    mutants_count: int
-    findings_count: int
-    diagnoses_count: int
-    coverage_rows: tuple[tuple[str, int, int, bool], ...]  # module, total, covered, truncated
-    timing_rows: tuple[TimingRow, ...]
-
-    @property
-    def overall_percent(self) -> float:
-        total = sum(row[1] for row in self.coverage_rows)
-        covered = sum(row[2] for row in self.coverage_rows)
-        return 100.0 * covered / total if total else 0.0
-
-
-def summarize(result: CampaignResult) -> CampaignSummary:
-    coverage_rows = tuple(
-        (name, m.total_paths, m.covered_paths, m.truncated)
-        for name, m in sorted(result.coverage.per_module.items())
-    )
-    timing_rows = tuple(
-        TimingRow(
-            vulnerability=f"{run_a} vs {run_b}",
-            instance=instance,
-            lines=tuple(sorted(diag.culprit_lines)),
-            phase1_signals=tuple(sorted(diag.instigators)),
-            phase2_signals=tuple(sorted(diag.culprit_signals)),
-        )
-        for instance, run_a, run_b, diag in result.diagnoses
-    )
-    return CampaignSummary(
-        design_name=result.design_name,
-        seeds_count=len(result.seeds),
-        mutants_count=result.mutant_sims,
-        findings_count=len(result.findings),
-        diagnoses_count=len(result.diagnoses),
-        coverage_rows=coverage_rows,
-        timing_rows=timing_rows,
-    )
-
-
-def summary_to_json(summary: CampaignSummary) -> str:
+def summary_to_json(result: CampaignResult) -> str:
     doc = {
         "schemaVersion": SCHEMA_VERSION,
-        "designName": summary.design_name,
-        "seedsCount": summary.seeds_count,
-        "mutantsCount": summary.mutants_count,
-        "findingsCount": summary.findings_count,
-        "diagnosesCount": summary.diagnoses_count,
+        "designName": result.design_name,
+        "seedsCount": len(result.seeds),
+        "mutantsCount": result.mutant_sims,
+        "findingsCount": len(result.findings),
+        "diagnosesCount": len(result.diagnoses),
         "coverageRows": [
-            {"module": m, "totalPaths": t, "coveredPaths": c, "truncated": tr}
-            for m, t, c, tr in summary.coverage_rows
+            {
+                "module": name,
+                "totalPaths": m.total_paths,
+                "coveredPaths": m.covered_paths,
+                "truncated": m.truncated,
+            }
+            for name, m in sorted(result.coverage.per_module.items())
         ],
         "timingRows": [
             {
-                "vulnerability": row.vulnerability,
-                "instance": row.instance,
-                "lines": list(row.lines),
-                "phase1Signals": list(row.phase1_signals),
-                "phase2Signals": list(row.phase2_signals),
+                "vulnerability": f"{run_a} vs {run_b}",
+                "instance": instance,
+                "lines": sorted(diag.culprit_lines),
+                "phase1Signals": sorted(diag.instigators),
+                "phase2Signals": sorted(diag.culprit_signals),
             }
-            for row in summary.timing_rows
+            for instance, run_a, run_b, diag in result.diagnoses
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -144,20 +96,19 @@ def diagnosis_to_json(instance: str, run_a: str, run_b: str, d: Diagnosis) -> di
     }
 
 
-def findings_json(result: CampaignResult) -> str:
+def findings_json(findings: list[LeakageFinding]) -> str:
     doc = {
         "schemaVersion": SCHEMA_VERSION,
-        "findings": [finding_to_json(f) for f in result.findings],
+        "findings": [finding_to_json(f) for f in findings],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def diagnoses_json(result: CampaignResult) -> str:
+def diagnoses_json(rows: list[tuple[str, str, str, Diagnosis]]) -> str:
+    """The document for (instance, run A, run B, diagnosis) rows."""
     doc = {
         "schemaVersion": SCHEMA_VERSION,
-        "diagnoses": [
-            diagnosis_to_json(inst, ra, rb, d) for inst, ra, rb, d in result.diagnoses
-        ],
+        "diagnoses": [diagnosis_to_json(inst, ra, rb, d) for inst, ra, rb, d in rows],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -212,8 +163,8 @@ def coverage_report_csv(report) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["module", "total_paths", "covered_paths", "percent", "truncated"])
     for name, m in sorted(report.per_module.items()):
-        pct = 100.0 * m.covered_paths / m.total_paths if m.total_paths else 0.0
-        writer.writerow([name, m.total_paths, m.covered_paths, f"{pct:.2f}", int(m.truncated)])
+        pct = f"{m.percent:.2f}"
+        writer.writerow([name, m.total_paths, m.covered_paths, pct, int(m.truncated)])
     return buf.getvalue()
 
 
@@ -234,7 +185,7 @@ class _SourceQuoter:
             name = p.name
             try:
                 text = p.read_text()
-            except OSError:
+            except (OSError, UnicodeDecodeError):
                 self._stale.add(name)
                 continue
             if hashlib.sha256(text.encode()).hexdigest() != digest:
@@ -252,13 +203,12 @@ class _SourceQuoter:
 
 
 def text_report(result: CampaignResult) -> str:
-    summary = summarize(result)
     quoter = _SourceQuoter(result.source_refs)
     out: list[str] = []
-    out.append(f"== campaign: {summary.design_name} ==")
+    out.append(f"== campaign: {result.design_name} ==")
     out.append(
-        f"seeds {summary.seeds_count}  mutants {summary.mutants_count}  "
-        f"findings {summary.findings_count}  diagnoses {summary.diagnoses_count}  "
+        f"seeds {len(result.seeds)}  mutants {result.mutant_sims}  "
+        f"findings {len(result.findings)}  diagnoses {len(result.diagnoses)}  "
         f"stop: {result.stop_reason}"
     )
     out.append("")
@@ -286,11 +236,10 @@ def text_report(result: CampaignResult) -> str:
             out.append(f"  culprit {signal} at {loc.file}:{loc.line}{suffix}")
     out.append("")
     out.append("-- timing coverage --")
-    for module, total, covered, truncated in summary.coverage_rows:
-        pct = 100.0 * covered / total if total else 0.0
-        extra = " (truncated)" if truncated else ""
-        out.append(f"{module}: {covered}/{total} paths ({pct:.2f}%){extra}")
-    out.append(f"overall: {summary.overall_percent:.2f}%")
+    for module, m in sorted(result.coverage.per_module.items()):
+        extra = " (truncated)" if m.truncated else ""
+        out.append(f"{module}: {m.covered_paths}/{m.total_paths} paths ({m.percent:.2f}%){extra}")
+    out.append(f"overall: {result.coverage.overall_percent:.2f}%")
     return "\n".join(out) + "\n"
 
 
@@ -314,10 +263,10 @@ def render(result: CampaignResult, fmt: Format | str, outdir: str | Path) -> lis
 
         if fmt is Format.JSON:
             emit("campaign.json", campaign_json(result) + "\n")
-            emit("findings.json", findings_json(result) + "\n")
-            emit("diagnoses.json", diagnoses_json(result) + "\n")
+            emit("findings.json", findings_json(result.findings) + "\n")
+            emit("diagnoses.json", diagnoses_json(result.diagnoses) + "\n")
             emit("coverage.json", coverage_report_json(result.coverage) + "\n")
-            emit("summary.json", summary_to_json(summarize(result)) + "\n")
+            emit("summary.json", summary_to_json(result) + "\n")
             seed_dir = outdir / "seeds"
             seed_dir.mkdir(exist_ok=True)
             for seed in result.seeds:

@@ -111,8 +111,8 @@ def test_c04_divider_leak_campaign(serdiv):
 
     # Deterministic under the pinned seed.
     again = ls.fuzz_loop(serdiv.hierarchy, megs, cfg, serdiv.profile)
-    assert findings_json(result) == findings_json(again)
-    assert diagnoses_json(result) == diagnoses_json(again)
+    assert findings_json(result.findings) == findings_json(again.findings)
+    assert diagnoses_json(result.diagnoses) == diagnoses_json(again.diagnoses)
     assert not result.aborted_by_wallclock
     elapsed = time.monotonic() - started
     assert elapsed < 90.0
@@ -287,7 +287,7 @@ def test_c09_trace_function_properties(serdiv, ct_alu):
         r1 = ls.fuzz_loop(h, megs, cfg, serdiv.profile)
         r2 = ls.fuzz_loop(h, megs, cfg, serdiv.profile)
         assert campaign_json(r1) == campaign_json(r2)
-        assert findings_json(r1) == findings_json(r2)
+        assert findings_json(r1.findings) == findings_json(r2.findings)
         assert coverage_report_json(r1.coverage) == coverage_report_json(r2.coverage)
     elapsed = time.monotonic() - started
     _report("C9", f"P1/P2/self-pair x1000 clean, campaigns byte-identical ({elapsed:.1f}s)")

@@ -266,8 +266,17 @@ def test_diagnose_hit_miss(tmp_path, cacheset, capsys):
     ])
     assert rc == 0
     doc = json.loads(out.read_text())
-    culprits = {c["signal"] for c in doc["diagnoses"][0]["culprits"]}
+    record = doc["diagnoses"][0]
+    culprits = {c["signal"] for c in record["culprits"]}
     assert "hit" in culprits
+    # The runs are named by the VCD paths as given: every `sim --vcd` dump
+    # carries the same seed id.
+    assert (record["runA"], record["runB"]) == (str(av), str(bv))
+    want = ls.diagnose(
+        ls.load_vcd_file(av).trace("cacheset"), ls.load_vcd_file(bv).trace("cacheset"),
+        ls.build_megs(cacheset.hierarchy.modules)["cacheset"],
+    )
+    assert record["frontier"] == [list(layer) for layer in want.frontier_trace]
 
 
 _VCD_HEADER = (
@@ -314,6 +323,10 @@ def test_non_utf8_inputs_exit_2(tmp_path, capsys):
     assert main(["sim", "--dut", "cacheset", "--stim", str(stim)]) == 2
     err = capsys.readouterr().err
     assert "StimulusError" in err and "not UTF-8 text" in err and "Traceback" not in err
+    (tmp_path / "summary.txt").write_bytes(b"== campaign: x ==\nseeds \xff\n")
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'summary.txt'}:2:7: not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_non_utf8_sources_and_profiles_exit_2(tmp_path, capsys, ct_alu):
@@ -579,8 +592,9 @@ def test_fuzz_bad_config_exit_2(tmp_path, capsys, text, message):
         (["--mutants", "-5"], "--mutants must be a positive integer"),
         (["--rounds", "0"], "--rounds must be a positive integer"),
         (["--rounds", "-3"], "--rounds must be a positive integer"),
+        (["--seed-dir", "no/such/seed-dir"], "no/such/seed-dir: not a directory"),
     ],
-    ids=["zero-mutants", "negative-mutants", "zero-rounds", "negative-rounds"],
+    ids=["zero-mutants", "negative-mutants", "zero-rounds", "negative-rounds", "missing-seed-dir"],
 )
 def test_fuzz_bad_flag_exit_2(capsys, flags, message):
     rc = main(["fuzz", "--dut", "ct_alu", "--seed", "1", *flags])
@@ -588,6 +602,23 @@ def test_fuzz_bad_flag_exit_2(capsys, flags, message):
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert "campaign done" not in captured.out
+
+
+def test_fuzz_empty_seed_dir_runs(tmp_path, capsys):
+    assert main(["fuzz", "--dut", "ct_alu", "--mutants", "20", "--seed-dir", str(tmp_path)]) == 0
+    assert "campaign done" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("max_paths", ["0", "-3"])
+@pytest.mark.parametrize("command", ["graph", "coverage"])
+def test_max_paths_below_one_exit_2(capsys, command, max_paths):
+    stim = Path(ls.__file__).parent / "dut" / "serdiv" / "stim_div0.json"
+    flags = ["--meps"] if command == "graph" else ["--stim", str(stim)]
+    rc = main([command, "--dut", "serdiv", "--max-paths", max_paths, *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"max paths must be at least 1, got {max_paths}" in captured.err
+    assert "Traceback" not in captured.err and "paths" not in captured.out
 
 
 def test_fuzz_jobs_flag_is_gone():

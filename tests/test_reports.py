@@ -9,7 +9,7 @@ import leakscope as ls
 from leakscope.fuzz import CampaignResult, FuzzConfig
 from leakscope.reports import (
     Format,
-    summarize,
+    summary_to_json,
     text_report,
 )
 
@@ -23,12 +23,13 @@ def serdiv_campaign(serdiv):
 
 def test_empty_campaign_summary():
     result = CampaignResult(design_name="none", config=FuzzConfig())
-    summary = summarize(result)
-    assert summary.seeds_count == 0
-    assert summary.findings_count == 0
-    assert summary.overall_percent == 0.0
+    summary = json.loads(summary_to_json(result))
+    assert summary["seedsCount"] == 0
+    assert summary["findingsCount"] == 0
+    assert summary["coverageRows"] == summary["timingRows"] == []
     text = text_report(result)
     assert "(none)" in text
+    assert "overall: 0.00%" in text
 
 
 def test_render_json_artifacts(tmp_path, serdiv_campaign):
@@ -101,24 +102,28 @@ def test_text_report_quotes_culprit_lines(tmp_path, serdiv):
 
 
 def test_text_report_downgrades_on_hash_mismatch(tmp_path, serdiv):
+    # A source that changed after the campaign read it, to other text or to
+    # bytes that are not UTF-8, is quoted by line number only.
+    body = dict(serdiv.sources)["serdiv.hdl"].encode()
     src_file = tmp_path / "serdiv.hdl"
-    src_file.write_text(dict(serdiv.sources)["serdiv.hdl"])
-    refs = ((str(src_file), "0" * 64),)  # wrong digest
+    refs = ((str(src_file), hashlib.sha256(body).hexdigest()),)
     megs = ls.build_megs(serdiv.hierarchy.modules)
     cfg = ls.FuzzConfig(rng_seed=42, mutants_per_seed=40, max_rounds=8)
     result = ls.fuzz_loop(serdiv.hierarchy, megs, cfg, serdiv.profile, source_refs=refs)
-    text = text_report(result)
-    assert "culprit state at" in text
-    assert not [ln for ln in text.splitlines() if "state <= 2" in ln]
+    for data, quoted in ((body, True), (b"// edited\n" + body, False), (b"\xff" + body, False)):
+        src_file.write_bytes(data)
+        text = text_report(result)
+        assert "culprit state at" in text
+        assert bool([ln for ln in text.splitlines() if "state <= 2" in ln]) is quoted, data[:10]
 
 
 def test_timing_rows_shape(serdiv_campaign):
-    summary = summarize(serdiv_campaign)
-    assert summary.timing_rows
-    row = summary.timing_rows[0]
-    assert row.instance == "serdiv.div"
-    assert row.lines == tuple(sorted(row.lines))
-    assert row.phase1_signals and row.phase2_signals
+    summary = json.loads(summary_to_json(serdiv_campaign))
+    assert summary["diagnosesCount"] == len(summary["timingRows"]) > 0
+    row = summary["timingRows"][0]
+    assert row["instance"] == "serdiv.div"
+    assert row["lines"] == sorted(row["lines"])
+    assert row["phase1Signals"] and row["phase2Signals"]
 
 
 def test_render_unknown_format_rejected(tmp_path, serdiv_campaign):
