@@ -365,9 +365,10 @@ def _cmd_coverage(args) -> int:
 
 
 def _load_config(path: str) -> dict:
+    text = _read_text(path)
     try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError
         raise LeakscopeError(f"{path}: invalid JSON: {exc}")
     except RecursionError:
         raise LeakscopeError(f"{path}: invalid JSON: nested too deeply")

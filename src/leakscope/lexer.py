@@ -1,5 +1,13 @@
 """Tokenizer for the HDL subset.
 
+`scan` is a generator: it yields each token as it is scanned, and the parser
+pulls the next one only when it needs it, so a file's tokens die young
+instead of all living until its parse ends. A scan error is raised when the
+scan reaches it; the parser's entry points drain the rest of the scan
+before they report an error of their own, so the first scan error in the
+text still wins, as when the whole text was scanned first. `tokenize` is
+`list(scan(...))`.
+
 `<=` is emitted as a single LE token; the parser disambiguates non-blocking
 assignment from less-or-equal by context, as any Verilog front end must.
 """
@@ -8,7 +16,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum, auto
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError, UnsupportedConstruct
 from .hdl_ast import BINARY_PRECEDENCE, PREFIX_OPS
@@ -50,23 +58,34 @@ class T(Enum):
     EOF = auto()
 
 
+# Every kind bound to a module-level name of its own, for the scanner and the
+# parser. On CPython 3.11 `EnumType` defines `__getattr__`, so each `T.X`
+# read costs about 100 ns, against under 10 ns for a global.
+(
+    MODULE, ENDMODULE, INPUT, OUTPUT, WIRE, REG, ASSIGN, ALWAYS, POSEDGE, IF,
+    ELSE, CASE, ENDCASE, DEFAULT, BEGIN, END, IDENT, NUMBER, LPAREN, RPAREN,
+    LBRACKET, RBRACKET, SEMI, COLON, COMMA, DOT, AT, STAR, QUESTION, EQ, OP, LE,
+    EOF,
+) = T
+
+
 _KEYWORDS = {
-    "module": T.MODULE,
-    "endmodule": T.ENDMODULE,
-    "input": T.INPUT,
-    "output": T.OUTPUT,
-    "wire": T.WIRE,
-    "reg": T.REG,
-    "assign": T.ASSIGN,
-    "always": T.ALWAYS,
-    "posedge": T.POSEDGE,
-    "if": T.IF,
-    "else": T.ELSE,
-    "case": T.CASE,
-    "endcase": T.ENDCASE,
-    "default": T.DEFAULT,
-    "begin": T.BEGIN,
-    "end": T.END,
+    "module": MODULE,
+    "endmodule": ENDMODULE,
+    "input": INPUT,
+    "output": OUTPUT,
+    "wire": WIRE,
+    "reg": REG,
+    "assign": ASSIGN,
+    "always": ALWAYS,
+    "posedge": POSEDGE,
+    "if": IF,
+    "else": ELSE,
+    "case": CASE,
+    "endcase": ENDCASE,
+    "default": DEFAULT,
+    "begin": BEGIN,
+    "end": END,
 }
 
 _REJECTED_KEYWORDS = {
@@ -77,9 +96,9 @@ _REJECTED_KEYWORDS = {
 }
 
 _PUNCT = {
-    "(": T.LPAREN, ")": T.RPAREN, "[": T.LBRACKET, "]": T.RBRACKET,
-    ";": T.SEMI, ":": T.COLON, ",": T.COMMA, ".": T.DOT,
-    "@": T.AT, "*": T.STAR, "?": T.QUESTION, "=": T.EQ,
+    "(": LPAREN, ")": RPAREN, "[": LBRACKET, "]": RBRACKET,
+    ";": SEMI, ":": COLON, ",": COMMA, ".": DOT,
+    "@": AT, "*": STAR, "?": QUESTION, "=": EQ,
 }
 
 # Every operator of the expression table, longest first.
@@ -114,14 +133,15 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(text: str, file: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    scan = _SCAN.match
+def scan(text: str, file: str = "<input>") -> Iterator[Token]:
+    """Yield the tokens of `text` one at a time, ending with EOF."""
+    token = tuple.__new__  # half the cost of the namedtuple's own __new__
+    match = _SCAN.match
     pos = 0
     line = 1
     line_start = 0  # index of the first character of the current line
     while True:
-        m = scan(text, pos)
+        m = match(text, pos)
         kind = m.lastgroup
         start = m.start(kind)
         pos = m.end()
@@ -143,14 +163,14 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
                     f"construct {word!r} is outside the supported HDL subset",
                     file, line, col,
                 )
-            tokens.append(Token(_KEYWORDS.get(word, T.IDENT), word, line, col))
+            yield token(Token, (_KEYWORDS.get(word, IDENT), word, line, col))
         elif kind == "op":
             op = text[start:pos]
-            tokens.append(Token(T.LE if op == "<=" else T.OP, op, line, col))
+            yield token(Token, (LE if op == "<=" else OP, op, line, col))
         elif kind == "punct":
-            tokens.append(Token(_PUNCT[text[start]], text[start], line, col))
+            yield token(Token, (_PUNCT[text[start]], text[start], line, col))
         elif kind == "number":
-            tokens.append(Token(T.NUMBER, text[start:pos], line, col))
+            yield token(Token, (NUMBER, text[start:pos], line, col))
         elif kind == "comment":
             if pos == len(text):
                 pos = start  # the column stays where the comment began
@@ -170,8 +190,11 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
         else:
             raise ParseError(f"unexpected character {text[start]!r}", file, line, col)
 
-    tokens.append(Token(T.EOF, "", line, pos - line_start + 1))
-    return tokens
+    yield token(Token, (EOF, "", line, pos - line_start + 1))
+
+
+def tokenize(text: str, file: str = "<input>") -> list[Token]:
+    return list(scan(text, file))
 
 
 _BASES = {"b": 2, "d": 10, "h": 16}

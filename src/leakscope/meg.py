@@ -283,10 +283,12 @@ def enumerate_meps(
 
     Self-edges are skipped. Enumeration stops after `max_paths` results
     (result flagged truncated; fewer than 1 is an error); paths longer than
-    `max_len` edges are not explored.
+    `max_len` edges are not explored (a negative `max_len` is an error).
     """
     if max_paths < 1:
         raise LeakscopeError(f"max paths must be at least 1, got {max_paths}")
+    if max_len < 0:
+        raise LeakscopeError(f"max length must be at least 0, got {max_len}")
     adjacency: dict[str, list[MegEdge]] = {}
     for (src, dst), edge in g.edges.items():
         if src == dst:

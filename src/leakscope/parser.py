@@ -8,9 +8,19 @@ bit-select and part-select reads), with parentheses and select indices
 nested at most MAX_NESTING deep and statements at most MAX_STMT_NESTING
 deep. Everything else is rejected with a ParseError pointing at the
 offending token.
+
+The parser pulls its tokens from `lexer.scan` one at a time and holds only
+the current one, so a file's tokens are garbage as soon as they are read.
+On any error, `parse_modules` and `parse_expression` first drain the rest
+of the scan: a scan error later in the text is reported in place of an
+earlier parse or module-check error, as when the whole text was scanned
+first. The token kinds are the lexer's module-level names (`IDENT`, not
+`T.IDENT`), which a hot loop reads without an `Enum` attribute lookup.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 from .errors import ParseError, UnresolvedIdentifier
 from .hdl_ast import (
@@ -40,7 +50,45 @@ from .hdl_ast import (
     expr_signals,
     walk_stmts,
 )
-from .lexer import T, Token, parse_number, tokenize
+from .lexer import (
+    ALWAYS,
+    ASSIGN,
+    AT,
+    BEGIN,
+    CASE,
+    COLON,
+    COMMA,
+    DEFAULT,
+    DOT,
+    ELSE,
+    END,
+    ENDCASE,
+    ENDMODULE,
+    EOF,
+    EQ,
+    IDENT,
+    IF,
+    INPUT,
+    LBRACKET,
+    LE,
+    LPAREN,
+    MODULE,
+    NUMBER,
+    OP,
+    OUTPUT,
+    POSEDGE,
+    QUESTION,
+    RBRACKET,
+    REG,
+    RPAREN,
+    SEMI,
+    STAR,
+    WIRE,
+    T,
+    Token,
+    parse_number,
+    scan,
+)
 
 CLOCK_NAME = "clk"
 RESET_NAME = "rst"
@@ -57,36 +105,39 @@ MAX_STMT_NESTING = 99
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
+    def __init__(self, tokens: Iterable[Token], file: str):
+        self._next = iter(tokens).__next__
+        self.tok = self._next()  # the current token; EOF is never stepped past
         self.file = file
-        self.pos = 0
         self.depth = 0  # of nested expressions, up to MAX_NESTING
         self.stmt_depth = 0  # of nested statements, up to MAX_STMT_NESTING
 
     # -- token plumbing ----------------------------------------------------
 
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def advance(self) -> Token:
+        """Step past the current token and return it."""
+        tok = self.tok
+        self.tok = self._next()
+        return tok
 
     def at(self, *kinds: T) -> bool:
-        return self.cur().kind in kinds
+        return self.tok.kind in kinds
 
     def eat(self, kind: T, what: str = "") -> Token:
-        tok = self.cur()
+        tok = self.tok
         if tok.kind is not kind:
             expected = what or kind.name.lower()
             raise self.error(f"expected {expected}, got {tok.text!r}", tok)
-        self.pos += 1
+        self.tok = self._next()
         return tok
 
     def eat_if(self, kind: T) -> Token | None:
-        if self.cur().kind is kind:
-            return self.eat(kind)
+        if self.tok.kind is kind:
+            return self.advance()
         return None
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.cur()
+        tok = tok or self.tok
         return ParseError(message, self.file, tok.line, tok.col)
 
     def loc(self, tok: Token) -> SourceLoc:
@@ -96,39 +147,39 @@ class _Parser:
 
     def parse_source(self) -> list[ModuleAst]:
         modules = []
-        while not self.at(T.EOF):
+        while not self.at(EOF):
             modules.append(self.parse_module())
         return modules
 
     def parse_module(self) -> ModuleAst:
-        mod_tok = self.eat(T.MODULE, "'module'")
-        name = self.eat(T.IDENT, "module name").text
+        mod_tok = self.eat(MODULE, "'module'")
+        name = self.eat(IDENT, "module name").text
         ports: list[SignalDecl] = []
-        if self.eat_if(T.LPAREN):
-            if not self.at(T.RPAREN):
+        if self.eat_if(LPAREN):
+            if not self.at(RPAREN):
                 ports.append(self.parse_port_decl())
-                while self.eat_if(T.COMMA):
+                while self.eat_if(COMMA):
                     ports.append(self.parse_port_decl())
-            self.eat(T.RPAREN)
-        self.eat(T.SEMI)
+            self.eat(RPAREN)
+        self.eat(SEMI)
 
         decls: list[SignalDecl] = []
         items: list = []
         instances: list[InstanceDecl] = []
-        while not self.at(T.ENDMODULE):
-            if self.at(T.WIRE, T.REG):
+        while not self.at(ENDMODULE):
+            if self.at(WIRE, REG):
                 decls.extend(self.parse_net_decl())
-            elif self.at(T.ASSIGN):
+            elif self.at(ASSIGN):
                 items.append(self.parse_continuous_assign())
-            elif self.at(T.ALWAYS):
+            elif self.at(ALWAYS):
                 items.append(self.parse_always())
-            elif self.at(T.IDENT):
+            elif self.at(IDENT):
                 instances.append(self.parse_instance())
-            elif self.at(T.INPUT, T.OUTPUT):
+            elif self.at(INPUT, OUTPUT):
                 raise self.error("port declarations must appear in the module header")
             else:
-                raise self.error(f"unexpected {self.cur().text!r} in module body")
-        self.eat(T.ENDMODULE)
+                raise self.error(f"unexpected {self.tok.text!r} in module body")
+        self.eat(ENDMODULE)
 
         module = ModuleAst(
             name=name,
@@ -142,73 +193,73 @@ class _Parser:
         return module
 
     def parse_port_decl(self) -> SignalDecl:
-        tok = self.cur()
-        if self.eat_if(T.INPUT):
+        tok = self.tok
+        if self.eat_if(INPUT):
             kind = SignalKind.INPUT
             is_reg = False
-        elif self.eat_if(T.OUTPUT):
+        elif self.eat_if(OUTPUT):
             kind = SignalKind.OUTPUT
-            is_reg = bool(self.eat_if(T.REG))
+            is_reg = bool(self.eat_if(REG))
         else:
             raise self.error("expected 'input' or 'output'")
         width = self.parse_width()
-        name = self.eat(T.IDENT, "port name")
+        name = self.eat(IDENT, "port name")
         return SignalDecl(name.text, kind, width, self.loc(name), is_reg=is_reg)
 
     def parse_width(self) -> int:
-        if not self.eat_if(T.LBRACKET):
+        if not self.eat_if(LBRACKET):
             return 1
-        msb_tok = self.eat(T.NUMBER, "msb")
+        msb_tok = self.eat(NUMBER, "msb")
         msb, _, _ = parse_number(msb_tok, self.file)
-        self.eat(T.COLON)
-        lsb_tok = self.eat(T.NUMBER, "lsb")
+        self.eat(COLON)
+        lsb_tok = self.eat(NUMBER, "lsb")
         lsb, _, _ = parse_number(lsb_tok, self.file)
         if lsb != 0:
             raise self.error("only [msb:0] ranges are supported", lsb_tok)
-        self.eat(T.RBRACKET)
+        self.eat(RBRACKET)
         return msb + 1
 
     def parse_net_decl(self) -> list[SignalDecl]:
-        if self.eat_if(T.WIRE):
+        if self.eat_if(WIRE):
             kind = SignalKind.WIRE
         else:
-            self.eat(T.REG)
+            self.eat(REG)
             kind = SignalKind.REG
         width = self.parse_width()
         is_reg = kind is SignalKind.REG
         decls = []
-        name = self.eat(T.IDENT, "signal name")
+        name = self.eat(IDENT, "signal name")
         decls.append(SignalDecl(name.text, kind, width, self.loc(name), is_reg=is_reg))
-        while self.eat_if(T.COMMA):
-            name = self.eat(T.IDENT, "signal name")
+        while self.eat_if(COMMA):
+            name = self.eat(IDENT, "signal name")
             decls.append(SignalDecl(name.text, kind, width, self.loc(name), is_reg=is_reg))
-        self.eat(T.SEMI)
+        self.eat(SEMI)
         return decls
 
     def parse_continuous_assign(self) -> ContinuousAssign:
-        tok = self.eat(T.ASSIGN)
-        dest = self.eat(T.IDENT, "assignment target").text
-        self.eat(T.EQ, "'='")
+        tok = self.eat(ASSIGN)
+        dest = self.eat(IDENT, "assignment target").text
+        self.eat(EQ, "'='")
         expr = self.parse_expr()
-        self.eat(T.SEMI)
+        self.eat(SEMI)
         return ContinuousAssign(dest, expr, self.loc(tok))
 
     def parse_always(self) -> AlwaysBlock:
-        tok = self.eat(T.ALWAYS)
-        self.eat(T.AT, "'@'")
-        self.eat(T.LPAREN)
-        if self.eat_if(T.POSEDGE):
-            clk = self.eat(T.IDENT, "clock name")
+        tok = self.eat(ALWAYS)
+        self.eat(AT, "'@'")
+        self.eat(LPAREN)
+        if self.eat_if(POSEDGE):
+            clk = self.eat(IDENT, "clock name")
             if clk.text != CLOCK_NAME:
                 raise self.error(
                     f"only 'posedge {CLOCK_NAME}' is supported as a trigger", clk
                 )
             trigger = AlwaysTrigger.POSEDGE_CLOCK
-        elif self.eat_if(T.STAR):
+        elif self.eat_if(STAR):
             trigger = AlwaysTrigger.COMBINATIONAL
         else:
             raise self.error("expected 'posedge clk' or '*' in sensitivity list")
-        self.eat(T.RPAREN)
+        self.eat(RPAREN)
         body = self.parse_stmt_or_block()
         return AlwaysBlock(trigger, tuple(body), self.loc(tok))
 
@@ -216,32 +267,32 @@ class _Parser:
         if self.stmt_depth == MAX_STMT_NESTING:
             raise self.error(f"statements nested deeper than {MAX_STMT_NESTING} levels")
         self.stmt_depth += 1
-        if self.eat_if(T.BEGIN):
+        if self.eat_if(BEGIN):
             stmts = []
-            while not self.at(T.END):
+            while not self.at(END):
                 stmts.append(self.parse_stmt())
-            self.eat(T.END)
+            self.eat(END)
         else:
             stmts = [self.parse_stmt()]
         self.stmt_depth -= 1
         return stmts
 
     def parse_stmt(self):
-        tok = self.cur()
-        if tok.kind is T.IF:
+        tok = self.tok
+        if tok.kind is IF:
             return self.parse_if()
-        if tok.kind is T.CASE:
+        if tok.kind is CASE:
             return self.parse_case()
-        if tok.kind is T.IDENT:
-            dest = self.eat(T.IDENT)
-            if self.eat_if(T.EQ):
+        if tok.kind is IDENT:
+            dest = self.eat(IDENT)
+            if self.eat_if(EQ):
                 style = AssignStyle.BLOCKING
-            elif self.eat_if(T.LE):
+            elif self.eat_if(LE):
                 style = AssignStyle.NON_BLOCKING
             else:
                 raise self.error("expected '=' or '<=' after assignment target")
             expr = self.parse_expr()
-            self.eat(T.SEMI)
+            self.eat(SEMI)
             return Assign(dest.text, expr, style, self.loc(dest))
         raise self.error(f"unexpected {tok.text!r}; expected a statement")
 
@@ -250,14 +301,14 @@ class _Parser:
         is exactly one `if` continues the chain, as `else if` does."""
         arms: list[Arm] = []
         while True:
-            tok = self.eat(T.IF)
-            self.eat(T.LPAREN)
+            tok = self.eat(IF)
+            self.eat(LPAREN)
             cond = self.parse_expr()
-            self.eat(T.RPAREN)
+            self.eat(RPAREN)
             arms.append(Arm(cond, tuple(self.parse_stmt_or_block()), self.loc(tok)))
-            if not self.eat_if(T.ELSE):
+            if not self.eat_if(ELSE):
                 return If(tuple(arms), (), arms[0].loc)
-            if not self.at(T.IF):
+            if not self.at(IF):
                 break
         default = self.parse_stmt_or_block()
         if len(default) == 1 and isinstance(default[0], If):
@@ -266,51 +317,51 @@ class _Parser:
         return If(tuple(arms), tuple(default), arms[0].loc)
 
     def parse_case(self) -> Case:
-        tok = self.eat(T.CASE)
-        self.eat(T.LPAREN)
+        tok = self.eat(CASE)
+        self.eat(LPAREN)
         subject = self.parse_expr()
-        self.eat(T.RPAREN)
+        self.eat(RPAREN)
         arms: list[Arm] = []
         default: list = []
         saw_default = False
-        while not self.at(T.ENDCASE):
-            if self.eat_if(T.DEFAULT):
+        while not self.at(ENDCASE):
+            if self.eat_if(DEFAULT):
                 if saw_default:
                     raise self.error("duplicate default arm")
                 saw_default = True
-                self.eat(T.COLON)
+                self.eat(COLON)
                 default = self.parse_stmt_or_block()
                 continue
-            label = self.eat(T.NUMBER, "case label")
+            label = self.eat(NUMBER, "case label")
             value, width, sized = parse_number(label, self.file)
-            self.eat(T.COLON)
+            self.eat(COLON)
             body = self.parse_stmt_or_block()
             guard = Num(value, width, self.loc(label), sized)
             arms.append(Arm(guard, tuple(body), guard.loc))
-        self.eat(T.ENDCASE)
+        self.eat(ENDCASE)
         return Case(subject, tuple(arms), tuple(default), self.loc(tok))
 
     def parse_instance(self) -> InstanceDecl:
-        mod_tok = self.eat(T.IDENT)
-        inst_tok = self.eat(T.IDENT, "instance name")
-        self.eat(T.LPAREN)
+        mod_tok = self.eat(IDENT)
+        inst_tok = self.eat(IDENT, "instance name")
+        self.eat(LPAREN)
         port_map: list[tuple[str, Expr]] = []
-        if not self.at(T.RPAREN):
+        if not self.at(RPAREN):
             port_map.append(self.parse_port_binding())
-            while self.eat_if(T.COMMA):
+            while self.eat_if(COMMA):
                 port_map.append(self.parse_port_binding())
-        self.eat(T.RPAREN)
-        self.eat(T.SEMI)
+        self.eat(RPAREN)
+        self.eat(SEMI)
         return InstanceDecl(inst_tok.text, mod_tok.text, tuple(port_map), self.loc(inst_tok))
 
     def parse_port_binding(self) -> tuple[str, Expr]:
-        if not self.at(T.DOT):
+        if not self.at(DOT):
             raise self.error("only named port maps (.port(expr)) are supported")
-        self.eat(T.DOT)
-        formal = self.eat(T.IDENT, "port name").text
-        self.eat(T.LPAREN)
+        self.eat(DOT)
+        formal = self.eat(IDENT, "port name").text
+        self.eat(LPAREN)
         actual = self.parse_expr()
-        self.eat(T.RPAREN)
+        self.eat(RPAREN)
         return formal, actual
 
     # -- expressions ---------------------------------------------------------
@@ -323,7 +374,7 @@ class _Parser:
         open_: list[tuple[Expr, Expr | None]] = []
         while True:
             expr = self.parse_binary()
-            if self.eat_if(T.QUESTION):
+            if self.eat_if(QUESTION):
                 open_.append((expr, None))
                 continue
             while open_ and open_[-1][1] is not None:
@@ -331,14 +382,12 @@ class _Parser:
                 expr = Ternary(cond, then, expr, cond.loc)
             if not open_:
                 return expr
-            self.eat(T.COLON)
+            self.eat(COLON)
             open_[-1] = (open_[-1][0], expr)
 
-    def parse_nested(self) -> Expr:
+    def parse_nested(self, opener: Token) -> Expr:
         if self.depth == MAX_NESTING:
-            raise self.error(
-                f"expression nested deeper than {MAX_NESTING} levels", self.tokens[self.pos - 1]
-            )
+            raise self.error(f"expression nested deeper than {MAX_NESTING} levels", opener)
         self.depth += 1
         expr = self.parse_expr()
         self.depth -= 1
@@ -348,7 +397,7 @@ class _Parser:
         operands = [self.parse_unary()]
         pending: list[tuple[int, Token]] = []  # operators, precedence ascending
         while True:
-            tok = self.tokens[self.pos]
+            tok = self.tok
             # Only OP and LE tokens carry an operator's text. Any other token
             # ends the chain, and its precedence 0 reduces every pending one.
             prec = BINARY_PRECEDENCE.get(tok.text, 0)
@@ -358,45 +407,43 @@ class _Parser:
                 operands[-1] = Binary(op.text, operands[-1], rhs, self.loc(op))
             if not prec:
                 return operands[0]
-            pending.append((prec, tok))
-            self.pos += 1
+            pending.append((prec, self.advance()))
             operands.append(self.parse_unary())
 
     def parse_unary(self) -> Expr:
-        start = self.pos
-        while self.tokens[self.pos].kind is T.OP and self.tokens[self.pos].text in PREFIX_OPS:
-            self.pos += 1
-        prefixes = self.tokens[start:self.pos]
+        prefixes = []
+        while self.tok.kind is OP and self.tok.text in PREFIX_OPS:
+            prefixes.append(self.advance())
         expr = self.parse_primary()
         for tok in reversed(prefixes):
             expr = Unary(tok.text, expr, self.loc(tok))
         return expr
 
     def parse_primary(self) -> Expr:
-        tok = self.cur()
-        if tok.kind is T.NUMBER:
-            self.pos += 1
+        tok = self.tok
+        if tok.kind is NUMBER:
+            self.advance()
             value, width, sized = parse_number(tok, self.file)
             return Num(value, width, self.loc(tok), sized)
-        if tok.kind is T.LPAREN:
-            self.pos += 1
-            inner = self.parse_nested()
-            self.eat(T.RPAREN)
+        if tok.kind is LPAREN:
+            self.advance()
+            inner = self.parse_nested(tok)
+            self.eat(RPAREN)
             return inner
-        if tok.kind is T.IDENT:
-            self.pos += 1
-            if self.eat_if(T.LBRACKET):
-                first = self.parse_nested()
-                if self.eat_if(T.COLON):
-                    lsb_tok = self.eat(T.NUMBER, "part-select lsb")
+        if tok.kind is IDENT:
+            self.advance()
+            if bracket := self.eat_if(LBRACKET):
+                first = self.parse_nested(bracket)
+                if self.eat_if(COLON):
+                    lsb_tok = self.eat(NUMBER, "part-select lsb")
                     lsb, _, _ = parse_number(lsb_tok, self.file)
-                    self.eat(T.RBRACKET)
+                    self.eat(RBRACKET)
                     if not isinstance(first, Num):
                         raise self.error("part-select bounds must be literals", tok)
                     if first.value < lsb:
                         raise self.error("part-select msb below lsb", tok)
                     return PartSelect(tok.text, first.value, lsb, self.loc(tok))
-                self.eat(T.RBRACKET)
+                self.eat(RBRACKET)
                 return BitSelect(tok.text, first, self.loc(tok))
             return Ref(tok.text, self.loc(tok))
         raise self.error(f"unexpected {tok.text!r} in expression")
@@ -498,17 +545,31 @@ def _check_module(m: ModuleAst, file: str) -> None:
             check_refs(actual, f"port map of instance {inst.instance_name!r}")
 
 
+def _drain(tokens: Iterator[Token]) -> None:
+    """Scan the rest of the text, so that a scan error there is raised."""
+    for _ in tokens:
+        pass
+
+
 def parse_modules(text: str, file: str = "<input>") -> list[ModuleAst]:
     """Parse one source text into its module definitions."""
-    tokens = tokenize(text, file)
-    return _Parser(tokens, file).parse_source()
+    tokens = scan(text, file)
+    try:
+        return _Parser(tokens, file).parse_source()
+    except Exception:
+        _drain(tokens)
+        raise
 
 
 def parse_expression(text: str, file: str = "<expr>") -> Expr:
     """Parse a bare expression (rendered conditions round-trip through this)."""
-    tokens = tokenize(text, file)
-    p = _Parser(tokens, file)
-    expr = p.parse_expr()
-    if not p.at(T.EOF):
-        raise p.error("trailing input after expression")
+    tokens = scan(text, file)
+    try:
+        p = _Parser(tokens, file)
+        expr = p.parse_expr()
+        if p.tok.kind is not EOF:
+            raise p.error("trailing input after expression")
+    except Exception:
+        _drain(tokens)
+        raise
     return expr

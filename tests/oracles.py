@@ -990,33 +990,33 @@ class _LevelParser(_Parser):
             return self.parse_unary()
         lhs = self.parse_binary(level + 1)
         while True:
-            tok = self.cur()
+            tok = self.tok
             if tok.kind not in (T.OP, T.LE) or tok.text not in _ORACLE_LEVELS[level]:
                 return lhs
-            self.pos += 1
+            self.advance()
             rhs = self.parse_binary(level + 1)
             lhs = Binary(tok.text, lhs, rhs, self.loc(tok))
 
     def parse_unary(self) -> Expr:
-        tok = self.cur()
+        tok = self.tok
         if tok.kind is T.OP and tok.text in ("~", "!", "-"):
-            self.pos += 1
+            self.advance()
             return Unary(tok.text, self.parse_unary(), self.loc(tok))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tok = self.cur()
+        tok = self.tok
         if tok.kind is T.NUMBER:
-            self.pos += 1
+            self.advance()
             value, width, sized = parse_number(tok, self.file)
             return Num(value, width, self.loc(tok), sized)
         if tok.kind is T.LPAREN:
-            self.pos += 1
+            self.advance()
             inner = self.parse_expr()
             self.eat(T.RPAREN)
             return inner
         if tok.kind is T.IDENT:
-            self.pos += 1
+            self.advance()
             if self.eat_if(T.LBRACKET):
                 first = self.parse_expr()
                 if self.eat_if(T.COLON):

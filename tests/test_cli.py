@@ -621,6 +621,32 @@ def test_max_paths_below_one_exit_2(capsys, command, max_paths):
     assert "Traceback" not in captured.err and "paths" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["graph", "coverage"])
+def test_max_len_below_zero_exit_2(capsys, command):
+    stim = Path(ls.__file__).parent / "dut" / "serdiv" / "stim_div0.json"
+    flags = ["--meps"] if command == "graph" else ["--stim", str(stim)]
+    rc = main([command, "--dut", "serdiv", "--max-len", "-4", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "max length must be at least 0, got -4" in captured.err
+    assert "Traceback" not in captured.err and "paths" not in captured.out
+
+
+def test_max_len_zero_finds_no_paths(capsys):
+    assert main(["graph", "--dut", "serdiv", "--max-len", "0", "--meps"]) == 0
+    out = capsys.readouterr().out
+    assert "0 micro-event paths" in out and "->" not in out
+
+
+def test_fuzz_non_utf8_config_exit_2_with_its_place(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{\n  "maxRounds": 1,\n  "timeBudget": "1\xffs"\n}\n')
+    rc = main(["fuzz", "--dut", "ct_alu", "--seed", "1", "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3:19: not UTF-8 text" in err and "Traceback" not in err
+
+
 def test_fuzz_jobs_flag_is_gone():
     assert main(["fuzz", "--dut", "ct_alu", "--jobs", "2"]) == 1
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 from enum import Enum
 
 import pytest
@@ -26,7 +27,8 @@ from leakscope.hdl_ast import (
     render_expr,
     walk_stmts,
 )
-from leakscope.lexer import T, tokenize
+from leakscope import lexer
+from leakscope.lexer import T, Token, tokenize
 from leakscope.parser import MAX_NESTING, parse_expression, parse_modules
 from oracles import (
     depth_by_tree_walk,
@@ -323,6 +325,62 @@ def test_modules_match_oracle_with_locations(cacheset, serdiv, ct_alu, cacheset_
         sources.append((f"rnd{k}.hdl", text))
     for fname, text in sources:
         assert parse_modules(text, fname) == oracle_parse_modules(text, fname), fname
+
+
+# -- streamed tokens -----------------------------------------------------------
+
+# Each text has a parse error, or a module-check error in its first module,
+# before a scan error. The parser reads tokens as the scan makes them, so it
+# meets the first error first; the whole text scanned first meets the second.
+_MODULE_ERROR_FIRST = [
+    "module m(input a); assign ; endmodule\nmodule n(input b); # endmodule",
+    "module m(input a) endmodule\nmodule n; integer i; endmodule",
+    "module m(input a); wire a; endmodule\nmodule n; /* never closed",
+    "module m(input a, output y); assign y = b; endmodule\nmodule n; $ endmodule",
+    "module m(input a); wire w; wire w; endmodule\nmodule n; integer k; endmodule",
+    "endmodule /* open",
+]
+_EXPRESSION_ERROR_FIRST = ["a + ) #", "a b /* open", "(a + b c integer", "a[1:b] ` c", "a ? b c \\"]
+
+
+@pytest.mark.parametrize("text", _MODULE_ERROR_FIRST)
+def test_scan_error_after_parse_error_wins_in_modules(text):
+    want = _outcome(tokenize, text, "e.hdl")
+    assert isinstance(want, tuple)  # the scan error
+    assert _outcome(oracle_parse_modules, text, "e.hdl") == want
+    assert _outcome(parse_modules, text, "e.hdl") == want
+    assert _outcome(ls.parse_design, [("e.hdl", text)]) == want
+
+
+@pytest.mark.parametrize("text", _EXPRESSION_ERROR_FIRST)
+def test_scan_error_after_parse_error_wins_in_expressions(text):
+    want = _outcome(tokenize, text, "<expr>")
+    assert isinstance(want, tuple)
+    assert _outcome(oracle_parse_expression, text) == want
+    assert _outcome(parse_expression, text) == want
+
+
+def test_token_kinds_are_bound_to_module_names():
+    assert all(getattr(lexer, kind.name) is kind for kind in T)
+    assert [type(tok) for tok in tokenize("a <= 1;")] == [Token] * 5
+
+
+def test_parse_memory_is_bounded_by_its_result():
+    """The scan is streamed, so parsing needs little beyond the tree it
+    returns; a token list of the whole text would need about three times it."""
+    rng = random.Random(2600)
+    pieces: list[str] = []
+    while sum(map(len, pieces)) < 300_000:
+        pieces.append(_random_module(rng, f"big{len(pieces)}", with_instance=False))
+    text = "\n".join(pieces)
+    tracemalloc.start()
+    try:
+        modules = parse_modules(text, "big.hdl")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(modules) == text.count("endmodule")
+    assert peak <= 1.25 * held, (peak, held)
 
 
 # -- nesting bound -------------------------------------------------------------
