@@ -26,7 +26,6 @@ from .diagnose import Diagnosis, diagnose
 from .errors import (
     ClockNotFound,
     CombinationalLoop,
-    EmptyGroup,
     ExpressionEvalError,
     LeakscopeError,
     NoDivergence,
@@ -56,9 +55,7 @@ from .fuzz import (
 from .leakage import (
     ExecutionTime,
     LeakageFinding,
-    TimingDistribution,
     analyze,
-    distributions,
     measure,
 )
 from .meg import (

@@ -44,7 +44,7 @@ from .reports import (
     render,
     text_report,
 )
-from .simulator import DEFAULT_MAX_CYCLES, DEFAULT_QUIESCENCE, InitPolicy, simulate
+from .simulator import DEFAULT_MAX_CYCLES, DEFAULT_QUIESCENCE, InitPolicy, compile_design, simulate
 from .stimulus import load_stimulus
 from .vcd import load_vcd_file, save_vcd
 
@@ -271,9 +271,9 @@ def _cmd_analyze(args) -> int:
         a = load_vcd_file(args.vcd_a)
         b = load_vcd_file(args.vcd_b)
     elif args.stim_a and args.stim_b:
-        init = _init_policy(args)
-        a = simulate(h, load_stimulus(args.stim_a), init=init, seed_id="a")
-        b = simulate(h, load_stimulus(args.stim_b), init=init, seed_id="b")
+        init, design = _init_policy(args), compile_design(h)
+        a = simulate(design, load_stimulus(args.stim_a), init=init, seed_id="a")
+        b = simulate(design, load_stimulus(args.stim_b), init=init, seed_id="b")
     else:
         raise LeakscopeError("need --stim-a/--stim-b or --vcd-a/--vcd-b")
     findings = analyze([(a, b)], h, min_delta=args.min_delta)
@@ -347,8 +347,9 @@ def _cmd_coverage(args) -> int:
         for name in megs:
             report.add(ModuleCoverage(name, len(conditions[name]), set(), truncated[name]))
             tries[name] = PathTrie((pc.path_id, pc.steps) for pc in conditions[name])
+        design = compile_design(h)
         for stim_path in args.stim:
-            bundle = simulate(h, load_stimulus(stim_path))
+            bundle = simulate(design, load_stimulus(stim_path))
             for inst in h.instances:
                 name = inst.module_name
                 report.add(match_coverage(

@@ -71,7 +71,8 @@ def _first_divergence(st1: SimulationTrace, st2: SimulationTrace) -> tuple[list[
     """The signals that differ at the first differing cycle, and that
     cycle; values change only where a run of either trace starts."""
     names = sorted(st1.names)
-    columns = [(st1.names.index(n), st2.names.index(n)) for n in names]
+    index1, index2 = st1.layout.index, st2.layout.index
+    columns = [(index1[n], index2[n]) for n in names]
     common = min(st1.cycles, st2.cycles)
     for cycle in sorted({*st1.starts, *st2.starts}):
         if cycle >= common:
@@ -89,7 +90,7 @@ def _first_divergence(st1: SimulationTrace, st2: SimulationTrace) -> tuple[list[
         toggled = {
             i for now, before in runs for i, (x, y) in enumerate(zip(now, before)) if x != y
         }
-        tail = [n for n in names if longer.names.index(n) in toggled]
+        tail = [n for n in names if longer.layout.index[n] in toggled]
         if tail:
             # A pure run-length difference is itself the timing signal.
             return tail, common

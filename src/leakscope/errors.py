@@ -71,10 +71,6 @@ class StructuralMismatch(LeakscopeError):
     """Two runs being compared do not share structural stimulus shape."""
 
 
-class EmptyGroup(LeakscopeError):
-    """A timing-distribution group ended up with no samples."""
-
-
 class NoDivergence(LeakscopeError):
     """Diagnosis found no cycle at which the two traces differ."""
 

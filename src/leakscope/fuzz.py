@@ -233,7 +233,7 @@ class CoverageProbes:
     ) -> set[str]:
         """Items observed on one instance trace. Items in `skip` (already
         covered) are neither evaluated nor reported."""
-        index = {name: i for i, name in enumerate(trace.names)}
+        index = trace.layout.index
         items = {
             item for item, expr in self.branches
             if item not in skip and trace.mask(expr)

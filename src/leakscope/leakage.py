@@ -11,12 +11,11 @@ not first-leaky.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .design import DesignHierarchy, levelize
-from .errors import EmptyGroup, LeakscopeError, StructuralMismatch
+from .errors import LeakscopeError, StructuralMismatch
 from .simulator import TraceBundle
 from .stimulus import Stimulus
 
@@ -42,15 +41,6 @@ class LeakageFinding:
     @property
     def delta(self) -> int:
         return abs(self.time_a - self.time_b)
-
-
-@dataclass(frozen=True)
-class TimingDistribution:
-    instance_path: str
-    group_key: str
-    samples: tuple[int, ...]
-    median: float
-    max_deviation: float
 
 
 def measure(bundle: TraceBundle, instance_path: str) -> ExecutionTime:
@@ -126,32 +116,3 @@ def analyze(
             fired.append(path)
     return findings
 
-
-def distributions(
-    bundles: Iterable[TraceBundle],
-    instance_path: str,
-    group_fn: Callable[[Stimulus], str],
-) -> list[TimingDistribution]:
-    """Group run times by a user-supplied classifier over the stimulus."""
-    groups: dict[str, list[int]] = {}
-    for bundle in bundles:
-        if bundle.stimulus is None:
-            raise EmptyGroup("cannot classify a bundle without a stimulus")
-        key = group_fn(bundle.stimulus)
-        groups.setdefault(key, []).append(measure(bundle, instance_path).cycles)
-    if not groups:
-        raise EmptyGroup("no bundles to group")
-    out = []
-    for key in sorted(groups):
-        samples = groups[key]
-        med = statistics.median(samples)
-        out.append(
-            TimingDistribution(
-                instance_path=instance_path,
-                group_key=key,
-                samples=tuple(samples),
-                median=med,
-                max_deviation=max(abs(s - med) for s in samples),
-            )
-        )
-    return out

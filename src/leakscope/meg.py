@@ -179,33 +179,11 @@ def build_meg(m: ModuleAst, modules: dict[str, ModuleAst]) -> Meg:
         for s in operands:
             note(s, dest, clause, loc)
 
-    def walk(stmts, stack):
-        for stmt in stmts:
-            if isinstance(stmt, Assign):
-                note_assignment(stmt.dest, stmt.expr, stack, stmt.loc)
-            else:
-                # A case arm's guard `subject == label` reads the subject's
-                # signals. Only an if arm needs every earlier guard to fail;
-                # the default needs every guard to fail, in both kinds.
-                if isinstance(stmt, Case):
-                    signals = expr_signals(stmt.subject)
-                    guards = [(Binary("==", stmt.subject, arm.guard, arm.loc), signals)
-                              for arm in stmt.arms]
-                else:
-                    guards = [(arm.guard, expr_signals(arm.guard)) for arm in stmt.arms]
-                terms = [(ConditionTerm(render_expr(g), g.loc), signals) for g, signals in guards]
-                failed = [(_negate(term), signals) for term, signals in terms]
-                earlier = failed if isinstance(stmt, If) else []
-                for k, arm in enumerate(stmt.arms):
-                    walk(arm.body, stack + earlier[:k] + [terms[k]])
-                if stmt.default:
-                    walk(stmt.default, stack + failed)
-
     for item in m.items:
         if isinstance(item, ContinuousAssign):
             note_assignment(item.dest, item.expr, [], item.loc)
         elif isinstance(item, AlwaysBlock):
-            walk(item.body, [])
+            _walk_branches(item.body, [], note_assignment)
 
     # Sub-instance ports: inputs feed the instance node, outputs leave it,
     # as the child declares them.
@@ -225,6 +203,34 @@ def build_meg(m: ModuleAst, modules: dict[str, ModuleAst]) -> Meg:
         lines = frozenset(loc.line for loc in slot["locs"])
         g.edges[(src, dst)] = MegEdge(src, dst, clauses, lines, tuple(slot["locs"]))
     return g
+
+
+def _walk_branches(stmts, stack, note_assignment) -> None:
+    """Call `note_assignment(dest, rhs, stack, loc)` for each assignment
+    of `stmts` in source order, `stack` holding the guards that reach it.
+    A module-level function, not a closure: a closure that calls itself
+    holds its own cell, and would leave the graph's dicts to the cyclic
+    collector."""
+    for stmt in stmts:
+        if isinstance(stmt, Assign):
+            note_assignment(stmt.dest, stmt.expr, stack, stmt.loc)
+        else:
+            # A case arm's guard `subject == label` reads the subject's
+            # signals. Only an if arm needs every earlier guard to fail;
+            # the default needs every guard to fail, in both kinds.
+            if isinstance(stmt, Case):
+                signals = expr_signals(stmt.subject)
+                guards = [(Binary("==", stmt.subject, arm.guard, arm.loc), signals)
+                          for arm in stmt.arms]
+            else:
+                guards = [(arm.guard, expr_signals(arm.guard)) for arm in stmt.arms]
+            terms = [(ConditionTerm(render_expr(g), g.loc), signals) for g, signals in guards]
+            failed = [(_negate(term), signals) for term, signals in terms]
+            earlier = failed if isinstance(stmt, If) else []
+            for k, arm in enumerate(stmt.arms):
+                _walk_branches(arm.body, stack + earlier[:k] + [terms[k]], note_assignment)
+            if stmt.default:
+                _walk_branches(stmt.default, stack + failed, note_assignment)
 
 
 def build_megs(modules: dict[str, ModuleAst]) -> dict[str, Meg]:

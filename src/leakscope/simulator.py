@@ -37,6 +37,13 @@ boolean once per run, and `toggles(i)` is the run starts at which a signal
 changes. The expression compiler that generates the design's code also
 compiles each mask function (`compile_trace_expr`), once per signal layout
 and expression; the trace keeps each mask it builds for every consumer.
+
+The compiled design owns one `SignalLayout` per module (its signals'
+names, widths and columns), which its instances, its bundles and their
+traces share. Mask functions hang off the layout, in a process-wide table
+keyed by the layout's value (`_EXPR_CACHE`): every campaign round and
+command compiles a fresh design, whose equal layouts find the masks
+compiled before.
 """
 
 from __future__ import annotations
@@ -202,14 +209,13 @@ class _ExprCompiler:
         return name, width, 0
 
 
-# Compiled mask builders, one dict per signal layout, keyed by expression;
-# the compiled function takes a trace's runs explicitly so one compile
-# serves every trace with the same layout. A trace looks up its layout's
-# dict once, so a mask build hashes only the expression.
-_EXPR_CACHE: dict[tuple[tuple[str, int], ...], dict[str, object]] = {}
+# Compiled mask builders, one dict per signal layout (by value), keyed by
+# expression; the compiled function takes a trace's runs explicitly so one
+# compile serves every trace with an equal layout, in any design.
+_EXPR_CACHE: dict[SignalLayout, dict[str, object]] = {}
 
 
-def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
+def compile_trace_expr(expr_text: str, layout: SignalLayout):
     """Compile a boolean expression into `fn(values, lens)`, the mask of
     a trace whose run k holds the row `values[k]` for `lens[k]` cycles:
     bit t is set iff the expression holds at cycle t. The expression is
@@ -218,12 +224,12 @@ def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
         tree: Expr = parse_expression(expr_text)
     except Exception as exc:
         raise ExpressionEvalError(expr_text, f"parse failure: {exc}")
-    index = {name: i for i, (name, _) in enumerate(layout)}
+    index = layout.index
     scope = {}
     for name in expr_signals(tree):
         if name not in index:
             raise ExpressionEvalError(expr_text, f"unknown signal {name!r}")
-        scope[name] = (f"row[{index[name]}]", layout[index[name]][1])
+        scope[name] = (f"row[{index[name]}]", layout.widths[index[name]])
     src, _ = _ExprCompiler(scope).compile(tree)
     # The runs are visited last first, so the joined digits run from the
     # highest cycle down, the order int() reads them in.
@@ -241,15 +247,41 @@ def compile_trace_expr(expr_text: str, layout: tuple[tuple[str, int], ...]):
 # Design compilation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
+class SignalLayout:
+    """The columns of one module's instances: each signal's name and width
+    in declaration order, and each name's column. Every instance of the
+    module in a compiled design shares one layout; layouts compare equal
+    by names and widths."""
+
+    names: tuple[str, ...]
+    widths: tuple[int, ...]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Signal name -> column."""
+        return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def _mask_fns(self) -> dict[str, object]:
+        """The mask functions of every equal layout, looked up once, on
+        the first mask: a layout never masked adds no entry."""
+        return _EXPR_CACHE.setdefault(self, {})
+
+    def mask_fn(self, expr_text: str):
+        """`compile_trace_expr(expr_text, self)`, compiled once per process."""
+        fn = self._mask_fns.get(expr_text)
+        if fn is None:
+            fn = self._mask_fns[expr_text] = compile_trace_expr(expr_text, self)
+        return fn
+
+
+@dataclass(frozen=True)
 class InstanceLayout:
     path: str
-    module: ModuleAst
     lo: int  # first global index
     hi: int  # one past last
-    names: list[str]
-    widths: list[int]
-    index: dict[str, int]  # signal name -> global index
+    signals: SignalLayout
 
 
 @dataclass
@@ -266,30 +298,7 @@ class CompiledDesign:
 
 
 def compile_design(h: DesignHierarchy) -> CompiledDesign:
-    cached = getattr(h, "_compiled", None)
-    if cached is not None:
-        return cached
-
-    layouts: dict[str, InstanceLayout] = {}
-    next_index = 0
-    for inst in h.instances:
-        m = h.modules[inst.module_name]
-        decls = m.all_signals()
-        names = [d.name for d in decls]
-        widths = [d.width for d in decls]
-        index = {name: next_index + i for i, name in enumerate(names)}
-        layouts[inst.path] = InstanceLayout(
-            inst.path, m, next_index, next_index + len(names), names, widths, index
-        )
-        next_index += len(names)
-
-    design = CompiledDesign(hierarchy=h, layouts=layouts, size=next_index)
-
-    top_layout = layouts[h.top]
-    for port in h.modules[h.top].ports:
-        if port.kind is SignalKind.INPUT:
-            design.top_inputs[port.name] = (top_layout.index[port.name], port.width)
-    design.rst_index = top_layout.index.get(RESET_NAME)
+    design = CompiledDesign(hierarchy=h, layouts={}, size=0)
 
     # Code is generated once per module (and per port map of an instance),
     # compiled once per distinct source text, and relocated to each
@@ -306,31 +315,44 @@ def compile_design(h: DesignHierarchy) -> CompiledDesign:
                                  f" ({type(exc).__name__})") from None
         return code.bind(*bases)
 
+    # One layout and one code list per module, shared by its instances.
+    signals: dict[str, SignalLayout] = {}
     module_code: dict[str, list[str]] = {}
+    module_of: dict[str, ModuleAst] = {}
     for inst in h.instances:
-        layout = layouts[inst.path]
+        module = module_of[inst.path] = h.modules[inst.module_name]
+        layout = signals.get(inst.module_name)
+        if layout is None:
+            decls = module.all_signals()
+            layout = signals[inst.module_name] = SignalLayout(
+                tuple(d.name for d in decls), tuple(d.width for d in decls)
+            )
+            module_code[inst.module_name] = _module_code(module)
+        lo = design.size
+        design.size += len(layout.names)
+        design.layouts[inst.path] = InstanceLayout(inst.path, lo, design.size, layout)
         if CLOCK_NAME in layout.index:
-            design.clk_indices.append(layout.index[CLOCK_NAME])
-        for decl in layout.module.all_signals():
+            design.clk_indices.append(lo + layout.index[CLOCK_NAME])
+        for k, decl in enumerate(module.all_signals()):
             if decl.is_reg:
-                design.reg_indices.append(
-                    (inst.path, decl.name, layout.index[decl.name], decl.width)
-                )
-        items = module_code.get(inst.module_name)
-        if items is None:
-            items = module_code[inst.module_name] = _module_code(layout.module)
-        for item, src in zip(layout.module.items, items):
+                design.reg_indices.append((inst.path, decl.name, lo + k, decl.width))
+        for item, src in zip(module.items, module_code[inst.module_name]):
             clocked = isinstance(item, AlwaysBlock) and item.trigger is AlwaysTrigger.POSEDGE_CLOCK
-            (design.seq_fns if clocked else design.comb_fns).append(bind(src, item.loc, layout.lo))
+            (design.seq_fns if clocked else design.comb_fns).append(bind(src, item.loc, lo))
 
     for inst in h.instances:
         if inst.decl is None:
             continue
-        parent, child = layouts[inst.parent], layouts[inst.path]
-        for src in _port_code(parent.module, child.module, inst.decl):
-            design.comb_fns.append(bind(src, inst.decl.loc, parent.lo, child.lo))
+        bases = design.layouts[inst.parent].lo, design.layouts[inst.path].lo
+        for src in _port_code(module_of[inst.parent], module_of[inst.path], inst.decl):
+            design.comb_fns.append(bind(src, inst.decl.loc, *bases))
 
-    h._compiled = design
+    # The top instance comes first, so its columns are global indices.
+    top = design.layouts[h.top].signals.index
+    for port in h.modules[h.top].ports:
+        if port.kind is SignalKind.INPUT:
+            design.top_inputs[port.name] = (top[port.name], port.width)
+    design.rst_index = top.get(RESET_NAME)
     return design
 
 
@@ -478,8 +500,9 @@ def _port_code(parent: ModuleAst, child: ModuleAst, decl: InstanceDecl) -> list[
 @dataclass
 class SimulationTrace:
     """One instance's view of a bundle's runs: the instance holds
-    `values[k]`, in the order of `names`, from cycle `starts[k]` up to the
-    next start, or to `cycles`; no two consecutive runs hold equal values.
+    `values[k]`, in the order of its layout, from cycle `starts[k]` up to
+    the next start, or to `cycles`; no two consecutive runs hold equal
+    values.
 
     The trace is also the run's coverage evaluator: bit t of a mask is set
     iff its predicate holds at cycle t. Masks are built from the runs
@@ -487,13 +510,20 @@ class SimulationTrace:
     `match_coverage`, `replay_sva`) pays one pass per expression."""
 
     instance_path: str
-    names: list[str]
-    widths: list[int]
+    layout: SignalLayout
     starts: list[int]
     values: list[list[int]]
     cycles: int
     _masks: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     _toggles: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.layout.names
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return self.layout.widths
 
     @cached_property
     def _lens(self) -> list[int]:
@@ -513,20 +543,10 @@ class SimulationTrace:
         """The mask of every recorded cycle."""
         return (1 << self.cycles) - 1
 
-    @cached_property
-    def _compiled(self) -> dict[str, object]:
-        """The compiled mask functions of this trace's layout, shared with
-        every trace of the same layout; keyed only once a mask is asked
-        for, since most traces are never masked."""
-        return _EXPR_CACHE.setdefault(tuple(zip(self.names, self.widths)), {})
-
     def mask(self, expr_text: str) -> int:
         m = self._masks.get(expr_text)
         if m is None:
-            fn = self._compiled.get(expr_text)
-            if fn is None:
-                layout = tuple(zip(self.names, self.widths))
-                fn = self._compiled[expr_text] = compile_trace_expr(expr_text, layout)
+            fn = self.layout.mask_fn(expr_text)
             m = self._masks[expr_text] = fn(self.values, self._lens)
         return m
 
@@ -556,7 +576,7 @@ class TraceBundle:
         rows: list[list[int]],
         starts: list[int],
         cycles: int,
-        layouts: dict[str, tuple[int, int, list[str], list[int]]],
+        layouts: dict[str, InstanceLayout],
         start_cycle: int,
         stimulus: Stimulus | None,
         seed_id: str = "run",
@@ -577,13 +597,13 @@ class TraceBundle:
     def instances(self) -> list[str]:
         return list(self._layouts)
 
-    def signal_names(self, path: str) -> list[str]:
-        return list(self._require(path)[2])
+    def signal_names(self, path: str) -> tuple[str, ...]:
+        return self._require(path).signals.names
 
-    def signal_widths(self, path: str) -> list[int]:
-        return list(self._require(path)[3])
+    def signal_widths(self, path: str) -> tuple[int, ...]:
+        return self._require(path).signals.widths
 
-    def _require(self, path: str) -> tuple[int, int, list[str], list[int]]:
+    def _require(self, path: str) -> InstanceLayout:
         layout = self._layouts.get(path)
         if layout is None:
             raise UnknownInstance(f"no instance {path!r} in trace bundle")
@@ -595,11 +615,11 @@ class TraceBundle:
         cached = self._traces.get(path)
         if cached is not None:
             return cached
-        lo, hi, names, widths = self._require(path)
-        parts = list(map(itemgetter(slice(lo, hi)), self._rows))
+        layout = self._require(path)
+        parts = list(map(itemgetter(slice(layout.lo, layout.hi)), self._rows))
         new = [True, *map(ne, islice(parts, 1, None), parts)]
         starts, values = list(compress(self._starts, new)), list(compress(parts, new))
-        trace = SimulationTrace(path, list(names), list(widths), starts, values, self.cycles)
+        trace = SimulationTrace(path, layout.signals, starts, values, self.cycles)
         self._traces[path] = trace
         return trace
 
@@ -617,11 +637,10 @@ class TraceBundle:
         for cycle 0, which sets every signal, and for each later run start,
         which sets those that differ from the previous run. A cycle not
         yielded repeats its predecessor's row."""
-        positions: dict[tuple[str, str], int] = {}
-        for path in dict.fromkeys(path for path, _ in signals):
-            lo, _, names, _ = self._require(path)
-            positions.update(((path, name), lo + i) for i, name in enumerate(names))
-        columns = [(k, positions[signal]) for k, signal in enumerate(signals)]
+        columns = []
+        for k, (path, name) in enumerate(signals):
+            layout = self._require(path)
+            columns.append((k, layout.lo + layout.signals.index[name]))
         rows = self._rows
         if rows:
             yield 0, [(k, rows[0][i]) for k, i in columns]
@@ -643,7 +662,7 @@ class TraceBundle:
 
     def equal_traces(self, other: "TraceBundle") -> bool:
         def recorded(b: TraceBundle) -> tuple:
-            names = [(path, layout[2]) for path, layout in b._layouts.items()]
+            names = [(path, layout.signals.names) for path, layout in b._layouts.items()]
             return names, b.start_cycle, b.cycles, b._starts, b._rows
 
         return recorded(self) == recorded(other)
@@ -660,15 +679,13 @@ class TraceBundle:
 
         Shorter arrays are padded with 0; a row equal to its predecessor
         extends that row's run."""
-        layouts: dict[str, tuple[int, int, list[str], list[int]]] = {}
+        layouts: dict[str, InstanceLayout] = {}
         columns: list[list[int]] = []
-        lo = 0
         for path, signals in per_instance.items():
-            names = list(signals)
-            wlist = [widths.get(path, {}).get(n, 1) for n in names]
-            layouts[path] = (lo, lo + len(names), names, wlist)
+            names = tuple(signals)
+            layout = SignalLayout(names, tuple(widths.get(path, {}).get(n, 1) for n in names))
+            layouts[path] = InstanceLayout(path, len(columns), len(columns) + len(names), layout)
             columns.extend(signals.values())
-            lo += len(names)
         cycles = max(map(len, columns), default=0)
         padded = [chain(c, repeat(0, cycles - len(c))) for c in columns]
         rows: list[list[int]] = []
@@ -780,15 +797,11 @@ def simulate(
         if cycle > max(last_activity, stimulus_end - 1) + quiescence_window:
             break
 
-    layouts = {
-        path: (lay.lo, lay.hi, list(lay.names), list(lay.widths))
-        for path, lay in design.layouts.items()
-    }
     return TraceBundle(
         rows,
         starts,
         cycle,
-        layouts,
+        design.layouts,
         start_cycle,
         stim,
         seed_id=seed_id,
@@ -808,7 +821,8 @@ def _settle(design: CompiledDesign, v: list[int]) -> None:
             return
     unstable = [
         (lay.path, name) for lay in design.layouts.values()
-        for name, old, new in zip(lay.names, before[lay.lo:lay.hi], v[lay.lo:lay.hi]) if old != new
+        for name, old, new in zip(lay.signals.names, before[lay.lo:lay.hi], v[lay.lo:lay.hi])
+        if old != new
     ]
     instance = unstable[0][0]
     raise CombinationalLoop(instance, sorted(

@@ -39,7 +39,7 @@ from pathlib import Path
 from .design import DesignHierarchy
 from .errors import ClockNotFound, UnknownScope, VcdParseError
 from .parser import CLOCK_NAME
-from .simulator import TraceBundle
+from .simulator import InstanceLayout, SignalLayout, TraceBundle
 
 _ID_ALPHABET = [chr(c) for c in range(33, 127)]
 
@@ -424,7 +424,7 @@ def load_vcd(
     if expect is not None:
         for inst in expect.instances:
             module = expect.modules[inst.module_name]
-            present = set(layouts[inst.path][2]) if inst.path in layouts else set()
+            present = layouts[inst.path].signals.index if inst.path in layouts else {}
             for decl in module.all_signals():
                 if decl.name not in present:
                     warnings.append(
@@ -571,7 +571,7 @@ def _layout(
     vars_by_code: dict[str, list[tuple[str, str, int, int]]],
     codes: dict[str, int],
     hierarchy_map: dict[str, str] | None,
-) -> tuple[dict[str, tuple[int, int, list[str], list[int]]], list[int]]:
+) -> tuple[dict[str, InstanceLayout], list[int]]:
     """The bundle layout by instance path, and the id index each column
     reads. A (path, name) declared twice keeps its first position and its
     last declaration."""
@@ -583,12 +583,13 @@ def _layout(
                     raise UnknownScope(f"VCD scope {scope!r} has no instance mapping")
                 scope = hierarchy_map[scope]
             per_instance.setdefault(scope, {})[name] = (codes[code], width)
-    layouts: dict[str, tuple[int, int, list[str], list[int]]] = {}
+    layouts: dict[str, InstanceLayout] = {}
     column_codes: list[int] = []
     for path, signals in per_instance.items():
         lo = len(column_codes)
         column_codes.extend(index for index, _ in signals.values())
-        layouts[path] = (lo, len(column_codes), list(signals), [w for _, w in signals.values()])
+        layout = SignalLayout(tuple(signals), tuple(w for _, w in signals.values()))
+        layouts[path] = InstanceLayout(path, lo, len(column_codes), layout)
     return layouts, column_codes
 
 

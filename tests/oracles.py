@@ -833,7 +833,8 @@ def oracle_load_vcd(
 def oracle_trace(bundle, path: str) -> dict[str, list[int]]:
     """Per-signal values of one instance: each run's row sliced, and each
     value appended once per cycle of its run."""
-    lo, hi, names, _ = bundle._require(path)
+    layout = bundle._require(path)
+    lo, hi, names = layout.lo, layout.hi, layout.signals.names
     values = {name: [] for name in names}
     ends = bundle._starts[1:] + [bundle.cycles]
     for start, row, end in zip(bundle._starts, bundle._rows, ends):

@@ -428,6 +428,31 @@ def test_coverage_emit_and_match(tmp_path, capsys):
     assert doc["perModule"]["cacheset"]["coveredPaths"] >= 1
 
 
+
+@pytest.mark.parametrize("command", ["coverage", "analyze"])
+def test_stimulus_pair_compiles_the_design_once(tmp_path, monkeypatch, command):
+    # Two stimuli of one command share one compiled design: each module's
+    # code is generated once.
+    import leakscope.simulator as simulator
+
+    built: list[str] = []
+    real = simulator._module_code
+
+    def counting(module):
+        built.append(module.name)
+        return real(module)
+
+    monkeypatch.setattr(simulator, "_module_code", counting)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('[{"tag": "req=1", "data": {"addr": 40, "lock": 0}, "hold": 4}]')
+    b.write_text('[{"tag": "req=1", "data": {"addr": 7, "lock": 1}, "hold": 4}]')
+    if command == "coverage":
+        stims = ["--stim", str(a), str(b)]
+    else:
+        stims = ["--stim-a", str(a), "--stim-b", str(b)]
+    assert main([command, "--dut", "cacheset", *stims]) == 0
+    assert sorted(built) == sorted(ls.load_dut("cacheset").hierarchy.modules)
+
 _TWIN_SRC = """
 module ma(input clk, input rst, input x, input y, output reg z);
   always @(posedge clk) begin

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -279,6 +281,32 @@ def test_campaign_builds_one_trace_masks_per_run_and_instance(serdiv, monkeypatc
     keys = [(id(values), expr) for values, expr in built]
     assert keys and len(keys) == len(set(keys))
 
+
+
+@pytest.mark.parametrize("name", ["serdiv", "cacheset"])
+def test_pipeline_leaves_no_cyclic_garbage(name):
+    # Reference counting alone frees a dropped pipeline: a design, its
+    # graphs, runs and a campaign hold no reference cycles, so nothing
+    # waits for the cyclic collector while a campaign or a benchmark runs.
+    gc.collect()
+    gc.disable()
+    try:
+        dut = ls.load_dut(name)
+        megs = ls.build_megs(dut.hierarchy.modules)
+        design = ls.compile_design(dut.hierarchy)
+        for stim in dut.stimuli.values():
+            bundle = ls.simulate(design, stim)
+            assert all(bundle.trace(path).mask("1") for path in bundle.instances())
+        cfg = ls.FuzzConfig(rng_seed=0, mutants_per_seed=10, max_rounds=1)
+        result = ls.fuzz_loop(dut.hierarchy, megs, cfg, dut.profile)
+        assert result.sims
+        dropped = weakref.ref(design)
+        del design
+        assert dropped() is None
+        del dut, megs, bundle, result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 def test_seed_corpus_is_consumed(cacheset):
     megs = ls.build_megs(cacheset.hierarchy.modules)

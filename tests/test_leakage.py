@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 
@@ -124,37 +125,18 @@ def test_monotone_snipping(serdiv):
 
 
 def test_distributions_serdiv_ordered_medians(serdiv):
-    h = serdiv.hierarchy
-    design = ls.compile_design(h)
-    bundles = []
+    # serdiv's divider time by divisor class: a zero divisor finishes
+    # first, one runs longest, and every other divisor lies between.
+    design = ls.compile_design(serdiv.hierarchy)
+    times: dict[str, list[int]] = {"zero": [], "one": [], "many": []}
     for dividend in range(16):
         for divisor in range(16):
-            bundles.append(
-                ls.simulate(design, _stim("start=1", {"dividend": dividend, "divisor": divisor}))
-            )
-
-    def classify(stim: Stimulus) -> str:
-        divisor = stim.steps[0].data["divisor"]
-        return "zero" if divisor == 0 else ("one" if divisor == 1 else "many")
-
-    dists = ls.distributions(bundles, "serdiv.div", classify)
-    medians = {d.group_key: d.median for d in dists}
+            stim = _stim("start=1", {"dividend": dividend, "divisor": divisor})
+            bundle = ls.simulate(design, stim)
+            group = "zero" if divisor == 0 else ("one" if divisor == 1 else "many")
+            times[group].append(ls.measure(bundle, "serdiv.div").cycles)
+    medians = {group: statistics.median(samples) for group, samples in times.items()}
     assert medians["zero"] < medians["many"] < medians["one"]
-
-
-def test_distribution_single_sample_and_max_deviation(serdiv):
-    h = serdiv.hierarchy
-    one = ls.simulate(h, _stim("start=1", {"dividend": 9, "divisor": 3}))
-    dists = ls.distributions([one], "serdiv.div", lambda s: "g")
-    assert len(dists) == 1
-    assert dists[0].median == dists[0].samples[0]
-    two = ls.distributions([one, one], "serdiv.div", lambda s: "g")
-    assert two[0].max_deviation == 0
-
-
-def test_distributions_empty_group():
-    with pytest.raises(ls.EmptyGroup):
-        ls.distributions([], "u", lambda s: "g")
 
 
 def test_p2_unequal_times_implies_trace_difference(serdiv):

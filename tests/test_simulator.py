@@ -690,7 +690,8 @@ def test_each_module_and_port_map_compiles_once(monkeypatch):
     # The first four comb functions are the leaves' `assign y = r ^ a`, in
     # instance order: each is bound to its own leaf's three signals.
     for fn, path in zip(design.comb_fns, ["top.p0.l0", "top.p0.l1", "top.p1.l0", "top.p1.l1"]):
-        index = design.layouts[path].index
+        layout = design.layouts[path]
+        index = {name: layout.lo + i for name, i in layout.signals.index.items()}
         bound = {c for c in fn.__code__.co_consts if type(c) is int}
         assert bound == {index["y"], index["r"], index["a"]}, path
     stim = Stimulus(steps=(StimulusStep(tag="drive", data={"a": 5}, hold=3),))
@@ -699,6 +700,63 @@ def test_each_module_and_port_map_compiles_once(monkeypatch):
     for path in bundle.instances():
         assert bundle.trace(path).signal_values == want[path], path
 
+
+
+def test_runs_and_instances_share_their_module_layout(monkeypatch):
+    """A compiled design owns one SignalLayout per module: its instances
+    and its runs share that object, bundles keep the design's own layouts
+    dict, and the process-wide mask table is consulted once per layout,
+    while its compiled masks serve equal layouts of another design."""
+    import leakscope.simulator as simulator
+
+    consulted: list[object] = []
+    compiled: list[tuple[str, object]] = []
+    real_compile = simulator.compile_trace_expr
+
+    class CountingCache(dict):
+        def setdefault(self, key, default=None):
+            consulted.append(key)
+            return super().setdefault(key, default)
+
+    def counting_compile(expr_text, layout):
+        compiled.append((expr_text, layout))
+        return real_compile(expr_text, layout)
+
+    monkeypatch.setattr(simulator, "_EXPR_CACHE", CountingCache())
+    monkeypatch.setattr(simulator, "compile_trace_expr", counting_compile)
+    h = ls.parse_design([("nested.hdl", _NESTED_COPIES)], top="top")
+    design = compile_design(h)
+    leaf = design.layouts["top.p0.l0"].signals
+    assert leaf.names == ("clk", "a", "y", "r") and leaf.widths == (1, 8, 8, 8)
+    assert leaf.index == {"clk": 0, "a": 1, "y": 2, "r": 3}
+    for path in ["top.p0.l1", "top.p1.l0", "top.p1.l1"]:
+        assert design.layouts[path].signals is leaf
+    assert design.layouts["top.p1"].signals is design.layouts["top.p0"].signals
+
+    stims = [Stimulus(steps=(StimulusStep(tag="drive", data={"a": a}, hold=3),)) for a in (5, 9)]
+    runs = [ls.simulate(design, stim) for stim in stims]
+    for bundle in runs:
+        assert bundle._layouts is design.layouts
+        for path in bundle.instances():
+            trace = bundle.trace(path)
+            assert trace.layout is design.layouts[path].signals
+            assert trace.names is trace.layout.names and trace.widths is trace.layout.widths
+            held = [t for t, a in enumerate(trace.signal_values["a"]) if a == 5]
+            assert trace.mask("a == 5") == sum(1 << t for t in held)
+    modules = {id(lay.signals): lay.signals for lay in design.layouts.values()}
+    assert len(modules) == 3 and len(consulted) == 3
+    assert {id(layout) for layout in consulted} == set(modules)
+    assert len(compiled) == 3
+
+    # A second compile builds equal layouts, which find the first design's
+    # compiled masks: one more lookup per layout, no more compiles.
+    again = compile_design(h)
+    assert again.layouts == design.layouts
+    assert again.layouts["top.p0.l0"].signals is not leaf
+    bundle = ls.simulate(again, stims[0])
+    for path in bundle.instances():
+        bundle.trace(path).mask("a == 5")
+    assert len(consulted) == 6 and len(compiled) == 3
 
 _SHARED_DECLS = """
 module leaf(input clk, input [7:0] a, output [7:0] y);
